@@ -200,7 +200,7 @@ def test_batched_lockstep_throughput():
     serial figure recorded by the backend bench above — the committed
     capacity-planning baseline this issue targets.
     """
-    if not HAVE_NUMPY:  # the scalar tiers are exercised by tests/core
+    if not HAVE_NUMPY:  # the serial fallback is exercised by tests/
         emit("batched bench skipped: numpy unavailable")
         return
     cores = os.cpu_count() or 1

@@ -1,16 +1,14 @@
-"""Batched sweep backend: thousands of cells per process, in lockstep.
+"""Batched sweep backend: vectorize what compiles, run the rest serially.
 
 :class:`BatchExecutor` is the ``executor=`` backend built on
-:mod:`repro.core.batch`.  It partitions a sweep's cells into two tiers:
+:mod:`repro.core.batch`.  It partitions a sweep's cells into two groups:
 
 * cells whose whole cast compiles to finite-state tables over a shared
   alphabet (see :func:`repro.core.batch.compile_tabular_cast`) run on the
   **vectorized** kernel — one numpy gather per party per round across all
   slots of a chunk, which is where the 100×+ ``cells_per_s`` lives;
-* everything else runs on the **scalar lockstep** engine
-  (:func:`repro.core.batch.run_execution_batch`), which interleaves
-  arbitrary strategies round by round with bitwise-identical results to
-  the serial engine.
+* everything else runs through :meth:`~repro.analysis.runner.CellTask.run`,
+  exactly as :class:`~repro.analysis.parallel.SerialExecutor` runs it.
 
 Either way the determinism contract of :mod:`repro.analysis.parallel`
 holds: same seeds in, equal :class:`~repro.analysis.runner.SweepCell` out
@@ -18,39 +16,32 @@ holds: same seeds in, equal :class:`~repro.analysis.runner.SweepCell` out
 serial sweep (``tests/analysis/test_parallel_pool.py`` and
 ``tests/core/test_batch.py`` pin this cell by cell).
 
-Two deliberate semantic notes:
+The vectorized tier exploits that compiled casts are RNG-free (the
+:class:`~repro.core.batch.TabularStrategy` contract): every seed of a cell
+produces the identical run, so the kernel executes one slot per cell and
+replicates the per-seed metrics.  Its telemetry is **counters-only** —
+totals equal the serial sweep's, but there is no ordered event stream (see
+"Batched execution" in ``docs/PERFORMANCE.md``).
 
-* The vectorized tier exploits that compiled casts are RNG-free (the
-  :class:`~repro.core.batch.TabularStrategy` contract): every seed of a
-  cell produces the identical run, so the kernel executes one slot per
-  cell and replicates the per-seed metrics.  The parity tests confirm
-  this equals running every seed.
-* Telemetry in batch mode is **counters-only** — totals equal the serial
-  sweep's, but there is no ordered event stream, so traces/certificates
-  are unavailable (see "Batched execution" in ``docs/PERFORMANCE.md``).
-
-Cell timing (``wall_time_s``/``cpu_time_s``) is attributed per chunk and
-split evenly across the chunk's cells — lockstep cells do not have
-individually measurable times.  Timing is excluded from cell equality.
+Vectorized cell timing (``wall_time_s``/``cpu_time_s``) is attributed per
+chunk and split evenly across the chunk's cells — cells sharing a kernel
+run have no individually measurable times.  Timing is excluded from cell
+equality.
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.metrics import RunMetrics, collect_metrics
+from repro.analysis.metrics import RunMetrics
 from repro.analysis.runner import CellTask, CellTelemetry, SweepCell
 from repro.core.batch import (
-    BatchItem,
     TabularCast,
     TabularOutcome,
     compile_tabular_cast,
-    run_execution_batch,
     run_tabular_batch,
 )
-from repro.obs.tracer import Tracer
 
 #: Default lockstep width: big enough to amortise per-round numpy/Python
 #: overhead, small enough to keep per-chunk arrays cache-resident.
@@ -58,13 +49,13 @@ DEFAULT_BATCH_WIDTH = 1024
 
 
 class BatchExecutor:
-    """Lockstep sweep execution — satisfies ``SweepExecutorLike``.
+    """Vectorized sweep execution — satisfies ``SweepExecutorLike``.
 
     Parameters
     ----------
     width:
-        Maximum number of cells advanced together in one lockstep chunk
-        (both tiers).  Width changes scheduling only, never results.
+        Maximum number of compiled cells advanced together in one
+        vectorized chunk.  Width changes scheduling only, never results.
     """
 
     #: Ledger identity (see :class:`repro.obs.ledger.SweepManifest`).
@@ -87,7 +78,6 @@ class BatchExecutor:
             Tuple[Tuple[str, ...], int, bool],
             List[Tuple[int, CellTask, TabularCast]],
         ] = {}
-        scalar: List[Tuple[int, CellTask]] = []
         # Sweeps tile a handful of strategy objects across many cells
         # (the tasks hold references, so ids stay stable for the cache's
         # lifetime); compiling each distinct cast once turns the compile
@@ -108,7 +98,7 @@ class BatchExecutor:
                 )
                 compiled[cache_key] = cast
             if cast is None:
-                scalar.append((pos, task))
+                results[pos] = task.run()
             else:
                 key = (cast.alphabet, task.max_rounds, task.telemetry)
                 vector.setdefault(key, []).append((pos, task, cast))
@@ -118,8 +108,6 @@ class BatchExecutor:
                     entries[start : start + self._width],
                     max_rounds, telemetry, results,
                 )
-        for start in range(0, len(scalar), self._width):
-            _run_scalar_chunk(scalar[start : start + self._width], results)
         return [cell for cell in results if cell is not None]
 
 
@@ -128,7 +116,7 @@ def _vector_metrics(outcome: TabularOutcome) -> RunMetrics:
 
     Compiled casts never halt, produce no output, and carry no
     universal-user state, so the optional fields are all ``None`` — the
-    parity suite checks this equals the scalar path field by field.
+    parity suite checks this equals the serial path field by field.
     """
     return RunMetrics(
         achieved=outcome.achieved,
@@ -186,72 +174,6 @@ def _run_vector_chunk(
                 _vector_telemetry(outcome, len(task.seeds)) if telemetry else None
             ),
             channel_name=None,
-            wall_time_s=wall,
-            cpu_time_s=cpu,
-        )
-
-
-def _run_scalar_chunk(
-    entries: Sequence[Tuple[int, CellTask]],
-    results: List[Optional[SweepCell]],
-) -> None:
-    """One scalar lockstep chunk: every (cell, seed) pair is one slot.
-
-    Cells needing per-cell telemetry get a *copied* user so each copy can
-    carry its own borrowed ``tracer`` while slots interleave (serial
-    sweeps borrow-and-restore sequentially; lockstep cannot).  A user
-    that refuses to ``deepcopy`` falls back to running its cell serially
-    — a semantics-preserving escape hatch, like the scalar fallback of
-    the vector tier.
-    """
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    items: List[BatchItem] = []
-    spans: List[Tuple[int, CellTask, Optional[Tracer], int]] = []
-    for pos, task in entries:
-        tracer = Tracer() if task.telemetry else None
-        user = task.user
-        if task.telemetry and hasattr(user, "tracer"):
-            try:
-                user = copy.deepcopy(task.user)
-            except Exception:
-                results[pos] = task.run()
-                continue
-            user.tracer = tracer
-        spans.append((pos, task, tracer, len(items)))
-        for seed in task.seeds:
-            items.append(
-                BatchItem(
-                    user=user,
-                    server=task.server,
-                    world=task.goal.world,
-                    seed=seed,
-                    max_rounds=task.max_rounds,
-                    recording=task.recording,
-                    channel=task.channel,
-                    tracer=tracer,
-                )
-            )
-    executions = run_execution_batch(items)
-    wall = round((time.perf_counter() - wall_start) / len(entries), 6)
-    cpu = round((time.process_time() - cpu_start) / len(entries), 6)
-    for pos, task, tracer, first in spans:
-        runs = tuple(
-            collect_metrics(execution, task.goal)
-            for execution in executions[first : first + len(task.seeds)]
-        )
-        results[pos] = SweepCell(
-            user_name=task.user.name,
-            server_name=task.server.name,
-            runs=runs,
-            telemetry=(
-                CellTelemetry.from_tracer(tracer) if tracer is not None else None
-            ),
-            channel_name=(
-                None
-                if task.channel is None
-                else getattr(task.channel, "name", "channel")
-            ),
             wall_time_s=wall,
             cpu_time_s=cpu,
         )

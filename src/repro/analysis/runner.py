@@ -273,8 +273,8 @@ def sweep(
     cells are independent, so every backend returns the same result.
     ``batch=N`` is shorthand for
     ``executor=repro.analysis.batch.BatchExecutor(width=N)`` — the
-    lockstep backend that steps up to N cells together per round,
-    vectorizing table-compilable casts (see ``docs/PERFORMANCE.md``);
+    batched backend that vectorizes table-compilable casts N cells at a
+    time and runs the rest serially (see ``docs/PERFORMANCE.md``);
     passing both ``executor`` and ``batch`` is a ``ValueError``.
 
     ``faults`` adds a degradation axis: a sequence of fault-channel
@@ -331,7 +331,7 @@ def sweep(
 def _resolve_executor(
     executor: Optional["SweepExecutorLike"], batch: Optional[int]
 ) -> Optional["SweepExecutorLike"]:
-    """Turn the ``batch=`` shorthand into a lockstep executor.
+    """Turn the ``batch=`` shorthand into a batched executor.
 
     Lazy import: sweeps that never batch (the default path) must not load
     the batch backend.
@@ -415,7 +415,7 @@ def sweep_goals(
 
     Used when the adversary picks the *world* too (e.g. one control goal
     per hidden law): each pair gets a fresh user instance from the factory.
-    ``batch=`` selects the lockstep backend exactly as in :func:`sweep`.
+    ``batch=`` selects the batched backend exactly as in :func:`sweep`.
     """
     executor = _resolve_executor(executor, batch)
     tasks = [

@@ -1,45 +1,30 @@
-"""Batched lockstep execution: many runs per process, one round at a time.
+"""Vectorized lockstep execution: many finite-state runs per numpy gather.
 
 The sweeps that reproduce the paper's experiments are embarrassingly
 parallel across cells *and* across seeds — and process pools alone cannot
 make them fast, because every worker still steps one execution at a time
-through the interpreted engine.  This module adds the other axis: a
-**batched backend** that holds N concurrent executions and advances all of
-them in lockstep inside one process.
+through the interpreted engine.  This module adds the other axis for the
+casts that allow it: when every party of every slot compiles to a
+finite-state table over a shared finite message alphabet (see
+:class:`TabularParty` and :func:`compile_tabular_cast`), a whole round of
+the three-party protocol is a handful of numpy gathers across all N slots
+(:func:`run_tabular_batch`).  This is where the 100×+ throughput lives
+(``docs/PERFORMANCE.md`` has the measured table).
 
-Two tiers, one contract:
-
-* :func:`run_execution_batch` — the **scalar lockstep** engine.  Works for
-  *arbitrary* strategies: each live slot is stepped exactly as
-  :func:`repro.core.execution.run_execution` would step it (same RNG
-  derivation, same outbox validation, same channel-fault application, same
-  recording policies), so every slot's :class:`ExecutionResult` is
-  bitwise-identical to the serial engine's.  The win here is structural —
-  thousands of sessions share one process, one warm cache, and one pass of
-  per-round bookkeeping — not asymptotic.
-* :func:`run_tabular_batch` — the **vectorized lockstep** kernel.  When
-  every party of every slot compiles to a finite-state table over a shared
-  finite message alphabet (see :class:`TabularParty` and
-  :func:`compile_tabular_cast`), a whole round of the three-party protocol
-  is a handful of numpy gathers across all N slots.  This is where the
-  100×+ throughput lives (``docs/PERFORMANCE.md`` has the measured table).
+Casts that do not compile run on the ordinary engine
+(:func:`repro.core.execution.run_execution`), one after another: stepping
+arbitrary strategies round-robin in one process measured no faster than
+running them serially, so there is no scalar lockstep tier.
 
 numpy is **optional**: this module imports it lazily and everything except
 :func:`run_tabular_batch` works without it (:data:`HAVE_NUMPY` reports the
 outcome; :func:`compile_tabular_cast` simply returns ``None`` so callers
-fall back to the scalar lockstep tier).
+fall back to the serial engine).
 
-Determinism contract: a batched backend may change *where and how* runs
+Determinism contract: the vectorized tier may change *where and how* runs
 execute, never what they compute.  ``tests/core/test_batch.py`` asserts
-scalar-lockstep results equal serial results field by field (including RNG
-streams, fault schedules, and recording policies), and vectorized metrics
-equal scalar metrics over the tabular casts.
-
-Tracing in batch mode is **counters-only**: per-slot tracers receive the
-same events (and therefore the same counter totals) a serial run would
-emit, but slots interleave in the stream, so ordered sinks (JSONL traces,
-certificates) are not supported — see the "Batched execution" section of
-``docs/PERFORMANCE.md`` for exactly what is and is not recorded.
+vectorized metrics equal the serial engine + referee over the tabular
+casts.
 """
 
 from __future__ import annotations
@@ -58,29 +43,19 @@ from typing import (
 )
 
 from repro.comm.messages import SILENCE
-from repro.core.execution import (
-    FULL_RECORDING,
-    ExecutionResult,
-    FaultyChannelLike,
-    RecordingPolicy,
-)
+from repro.core.execution import FaultyChannelLike
 from repro.core.goals import CompactGoal, Goal
 from repro.core.referees import LastStateCompactReferee
-from repro.core.stepper import ExecutionStepper, derive_party_seeds
 from repro.core.strategy import ServerStrategy, UserStrategy, WorldStrategy
 from repro.errors import ExecutionError
-from repro.obs.tracer import TracerLike
 
 __all__ = [
     "HAVE_NUMPY",
-    "BatchItem",
     "TabularCast",
     "TabularOutcome",
     "TabularParty",
     "TabularStrategy",
     "compile_tabular_cast",
-    "derive_party_seeds",  # canonical home: repro.core.stepper
-    "run_execution_batch",
     "run_tabular_batch",
 ]
 
@@ -93,76 +68,8 @@ except ImportError:  # pragma: no cover
 HAVE_NUMPY: bool = _np is not None
 
 
-@dataclass(frozen=True)
-class BatchItem:
-    """One execution slot of a batch: the cast plus its run parameters."""
-
-    user: UserStrategy
-    server: ServerStrategy
-    world: WorldStrategy
-    seed: int = 0
-    max_rounds: int = 1
-    recording: RecordingPolicy = FULL_RECORDING
-    channel: Optional[FaultyChannelLike] = None
-    record_transcript: bool = False
-    #: Per-slot tracer (counters-only semantics; see the module docstring).
-    tracer: TracerLike = None
-
-    def __post_init__(self) -> None:
-        if self.max_rounds <= 0:
-            raise ExecutionError(f"max_rounds must be positive: {self.max_rounds}")
-
-
-def _slot(item: BatchItem) -> ExecutionStepper:
-    """One lockstep slot: the extracted engine loop, parameterised by item.
-
-    The per-round mechanics live in :class:`repro.core.stepper.ExecutionStepper`
-    (the engine's loop body as an object); this module only decides *which*
-    executions advance together.
-    """
-    return ExecutionStepper(
-        item.user,
-        item.server,
-        item.world,
-        max_rounds=item.max_rounds,
-        seed=item.seed,
-        record_transcript=item.record_transcript,
-        tracer=item.tracer,
-        recording=item.recording,
-        channel=item.channel,
-    )
-
-
-def run_execution_batch(items: Sequence[BatchItem]) -> List[ExecutionResult]:
-    """Run every item in lockstep; results in item order.
-
-    Each slot is advanced exactly as :func:`~repro.core.execution.run_execution`
-    would advance it — same per-party RNG derivation, same validation, same
-    channel-fault application, same recording policy — so slot *i*'s result
-    is identical to ``run_execution(items[i]...)``.  Slots that halt (or
-    exhaust their ``max_rounds``) drop out; the loop ends when none remain.
-
-    Strategies shared between slots must keep all run state in the state
-    object the engine threads (the repository-wide RL002 discipline): the
-    lockstep interleaving calls ``step`` for slot A between two calls for
-    slot B, which a ``self``-mutating strategy would observe.
-    """
-    slots = [_slot(item) for item in items]
-    live = list(slots)
-    while live:
-        for slot in live:
-            slot.step()
-        if any(not slot.live for slot in live):
-            live = [slot for slot in live if slot.live]
-    return [slot.finish() for slot in slots]
-
-
-# ---------------------------------------------------------------------------
-# The tabular (vectorizable) tier.
-# ---------------------------------------------------------------------------
-
 #: Ceiling on the interned alphabet; a cast whose symbol closure exceeds it
-#: is not vectorized (the scalar lockstep tier handles it instead).
+#: is not vectorized (the serial engine runs it instead).
 MAX_TABULAR_SYMBOLS = 64
 
 
@@ -267,7 +174,7 @@ def _close_alphabet(
 
     Starts from :data:`~repro.comm.messages.SILENCE` (always index 0) and
     keeps asking every party what it can emit over the known symbols until
-    nothing new appears.  Bails out (→ scalar fallback) past
+    nothing new appears.  Bails out (→ serial fallback) past
     :data:`MAX_TABULAR_SYMBOLS`.
     """
     known: FrozenSet[str] = frozenset({SILENCE})
@@ -300,8 +207,8 @@ def compile_tabular_cast(
     :class:`~repro.core.referees.LastStateCompactReferee` (locality — the
     verdict is a function of the current world state id), and all three
     parties implementing :class:`TabularStrategy`.  Every ``None`` return
-    is a silent, semantics-preserving fallback to the scalar lockstep
-    tier, never an error.
+    is a silent, semantics-preserving fallback to the serial engine,
+    never an error.
     """
     if _np is None or channel is not None:
         return None
@@ -324,7 +231,7 @@ def compile_tabular_cast(
         server_t = server.tabular_party(alphabet)
         world_t = world.tabular_party(alphabet)
     except ValueError:
-        # A party carries custom, non-table-able wiring: scalar fallback.
+        # A party carries custom, non-table-able wiring: serial fallback.
         return None
     acceptable = tuple(
         bool(goal.referee.state_acceptable(state))
@@ -344,7 +251,8 @@ def compile_tabular_cast(
 class TabularOutcome:
     """Per-slot results of a vectorized batch (metrics-level fidelity).
 
-    The vectorized tier never materialises :class:`ExecutionResult`
+    The vectorized tier never materialises
+    :class:`~repro.core.execution.ExecutionResult`
     objects — that is the point — so it reports exactly the figures
     :func:`repro.analysis.metrics.collect_metrics` would extract: the
     compact-goal achievement verdict, prefix accounting, and (when
@@ -388,7 +296,7 @@ def run_tabular_batch(
     """
     if _np is None:
         raise ExecutionError(
-            "run_tabular_batch requires numpy; use run_execution_batch instead"
+            "run_tabular_batch requires numpy; use run_execution instead"
         )
     if max_rounds <= 0:
         raise ExecutionError(f"max_rounds must be positive: {max_rounds}")

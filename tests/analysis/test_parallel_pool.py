@@ -5,7 +5,7 @@ for the legacy API): here we pin the *mechanisms* the perf work added —
 the persistent worker pool, one-time cast pickling with worker-side
 caching, adaptive chunk sizing — plus the :class:`BatchExecutor` /
 :class:`BatchProcessExecutor` backends, the ``batch=`` sweep argument,
-ledger backend stamping, and ``verify_robustness(batch=N)`` parity.
+and ledger backend stamping.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.analysis.parallel import (
 from repro.analysis.runner import CellTask, sweep
 from repro.core.batch import HAVE_NUMPY
 from repro.faults.channel import drop_channel
-from repro.faults.verify import verify_robustness
 from repro.machines.tabular import (
     coded_server_class,
     relay_decoder_class,
@@ -79,12 +78,13 @@ class TestBatchExecutorParity:
             assert batched == serial
 
     def test_scalar_lockstep_tier_with_universal_user(self):
-        """Non-compilable casts fall to scalar lockstep, telemetry intact."""
+        """The non-compilable tier of ``batch=N`` runs each cell serially,
+        telemetry intact: cells, metrics and counter totals equal the
+        serial sweep."""
         serial = universal_sweep(telemetry=True)
-        batched = universal_sweep(
-            telemetry=True, executor=BatchExecutor(width=4)
-        )
+        batched = universal_sweep(telemetry=True, batch=4)
         assert batched == serial
+        assert all(cell.telemetry is not None for cell in batched.cells)
 
     def test_batch_kwarg_is_executor_shorthand(self):
         assert relay_sweep(batch=8) == relay_sweep(
@@ -311,37 +311,3 @@ class TestSweepCastSharing:
         batched = run_cast_chunk(("d", blob, tuple(refs), 8))
         assert batched == plain
         parallel_module._WORKER_CASTS.clear()
-
-
-class TestVerifyRobustnessBatch:
-    GRID = (None, drop_channel(0.05))
-
-    def advisors(self):
-        from repro.servers.advisors import advisor_server_class
-
-        return advisor_server_class(LAW, codec_family(2))
-
-    def test_batched_report_equals_serial(self):
-        serial = verify_robustness(
-            make_universal(), self.advisors(), CONTROL_GOAL, control_sensing(),
-            grid=self.GRID, seeds=(0, 1), max_rounds=150,
-        )
-        batched = verify_robustness(
-            make_universal(), self.advisors(), CONTROL_GOAL, control_sensing(),
-            grid=self.GRID, seeds=(0, 1), max_rounds=150, batch=3,
-        )
-        assert batched == serial
-
-    def test_batched_certify_still_works(self):
-        report = verify_robustness(
-            make_universal(), self.advisors(), CONTROL_GOAL, control_sensing(),
-            grid=(None,), seeds=(0,), max_rounds=150, batch=2, certify=True,
-        )
-        assert report.safe
-
-    def test_batch_validation(self):
-        with pytest.raises(ValueError):
-            verify_robustness(
-                make_universal(), [], CONTROL_GOAL, control_sensing(),
-                grid=(None,), batch=0,
-            )

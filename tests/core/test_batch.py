@@ -1,12 +1,16 @@
-"""The lockstep engine's contract: batching never changes results.
+"""Batching never changes results.
 
-Scalar lockstep (:func:`run_execution_batch`) must produce
-:class:`ExecutionResult` objects equal to the serial engine's, field by
-field, for arbitrary strategies — including RNG consumers, halting users,
-fault channels, and every recording policy.  The vectorized kernel
-(:func:`run_tabular_batch`) must report the same verdict arithmetic the
-serial engine + referee produce over compiled casts.  numpy stays
-optional: without it, compilation declines and the scalar tier carries on.
+Scalar lockstep — many :class:`ExecutionStepper` objects advanced one
+round at a time, round-robin, the way the session service interleaves
+sessions — must produce :class:`ExecutionResult` objects equal to
+:func:`run_execution`, field by field, for arbitrary strategies —
+including RNG consumers, halting users, fault channels, and every
+recording policy.  Since ``run_execution`` is one ``step_many`` slice,
+this pins that slice boundaries (the loop's local write-back) never
+change a run.  The vectorized kernel (:func:`run_tabular_batch`) must
+report the same verdict arithmetic the serial engine + referee produce
+over compiled casts.  numpy stays optional: without it, compilation
+declines and the batched backend runs every cell on the serial engine.
 """
 
 from __future__ import annotations
@@ -17,13 +21,15 @@ import repro.core.batch as batch_module
 from repro.comm.messages import UserOutbox
 from repro.core.batch import (
     HAVE_NUMPY,
-    BatchItem,
     compile_tabular_cast,
-    derive_party_seeds,
-    run_execution_batch,
     run_tabular_batch,
 )
-from repro.core.execution import METRICS_RECORDING, run_execution
+from repro.core.execution import (
+    METRICS_RECORDING,
+    ExecutionStepper,
+    derive_party_seeds,
+    run_execution,
+)
 from repro.errors import ExecutionError
 from repro.faults.channel import drop_channel
 from repro.machines.tabular import (
@@ -50,8 +56,18 @@ def serial(user, server, world, **kwargs):
     return run_execution(user, server, world, **kwargs)
 
 
+def run_lockstep(steppers):
+    """Step every stepper one round per pass until all settle."""
+    live = [s for s in steppers if s.live]
+    while live:
+        for stepper in live:
+            stepper.step()
+        live = [s for s in live if s.live]
+    return [s.finish() for s in steppers]
+
+
 def lockstep_one(user, server, world, **kwargs):
-    return run_execution_batch([BatchItem(user, server, world, **kwargs)])[0]
+    return run_lockstep([ExecutionStepper(user, server, world, **kwargs)])[0]
 
 
 def assert_executions_equal(got, expected):
@@ -87,13 +103,13 @@ class TestScalarLockstepParity:
             assert_executions_equal(got, expected)
 
     def test_halting_user_stops_its_slot_only(self):
-        items = [
-            BatchItem(IncrementingUser(limit=3), SilentServer(),
-                      CountingWorld(), seed=0, max_rounds=100),
-            BatchItem(SilentUser(), SilentServer(), CountingWorld(),
-                      seed=0, max_rounds=10),
+        steppers = [
+            ExecutionStepper(IncrementingUser(limit=3), SilentServer(),
+                             CountingWorld(), seed=0, max_rounds=100),
+            ExecutionStepper(SilentUser(), SilentServer(), CountingWorld(),
+                             seed=0, max_rounds=10),
         ]
-        halted, full = run_execution_batch(items)
+        halted, full = run_lockstep(steppers)
         assert halted.halted and halted.rounds_executed == 4
         assert halted.user_output == "sent:3"
         assert not full.halted and full.rounds_executed == 10
@@ -117,17 +133,17 @@ class TestScalarLockstepParity:
 
     def test_mixed_batch_matches_pairwise_serial(self):
         """Slots with different casts, seeds, and horizons interleave freely."""
-        items = [
-            BatchItem(RandomCoinUser(), EchoServer(), CountingWorld(),
-                      seed=s, max_rounds=r)
-            for s, r in [(0, 3), (1, 11), (2, 7), (3, 1)]
-        ]
-        got = run_execution_batch(items)
-        for item, result in zip(items, got):
+        params = [(0, 3), (1, 11), (2, 7), (3, 1)]
+        got = run_lockstep([
+            ExecutionStepper(RandomCoinUser(), EchoServer(), CountingWorld(),
+                             seed=s, max_rounds=r)
+            for s, r in params
+        ])
+        for (seed, max_rounds), result in zip(params, got):
             assert_executions_equal(
                 result,
-                serial(item.user, item.server, item.world,
-                       max_rounds=item.max_rounds, seed=item.seed),
+                serial(RandomCoinUser(), EchoServer(), CountingWorld(),
+                       max_rounds=max_rounds, seed=seed),
             )
 
     def test_tracer_counters_match_serial(self):
@@ -139,17 +155,15 @@ class TestScalarLockstepParity:
         lockstep_one(ScriptedUser([UserOutbox(to_server="ping")] * 4),
                      EchoServer(), CountingWorld(), max_rounds=4, seed=0,
                      tracer=Tracer(sink=batch_sink))
-        assert [type(e).__name__ for e in batch_sink.events] == [
-            type(e).__name__ for e in sink.events
-        ]
+        assert batch_sink.events == sink.events
 
     def test_empty_batch(self):
-        assert run_execution_batch([]) == []
+        assert run_lockstep([]) == []
 
     def test_item_validation(self):
         with pytest.raises(ExecutionError):
-            BatchItem(SilentUser(), SilentServer(), CountingWorld(),
-                      max_rounds=0)
+            ExecutionStepper(SilentUser(), SilentServer(), CountingWorld(),
+                             max_rounds=0)
 
     def test_seed_derivation_matches_engine_observables(self):
         """Same master seed → same user coin stream as the serial engine."""
@@ -254,3 +268,16 @@ class TestNumpyOptional:
         got = lockstep_one(SilentUser(), SilentServer(), CountingWorld(),
                            max_rounds=3, seed=0)
         assert got.rounds_executed == 3
+
+    def test_batch_sweep_runs_serially_without_numpy(self, monkeypatch):
+        """Nothing compiles without numpy; ``batch=`` still equals serial."""
+        from repro.analysis.runner import sweep
+
+        monkeypatch.setattr(batch_module, "_np", None)
+        user, _, goal = relay_cast()
+        servers = coded_server_class(SYMBOLS)
+        expected = sweep(user, servers, goal, seeds=(0, 1), max_rounds=20)
+        batched = sweep(
+            user, servers, goal, seeds=(0, 1), max_rounds=20, batch=4
+        )
+        assert batched == expected

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.comm.messages import ServerOutbox, UserOutbox
-from repro.core.execution import run_execution
+from repro.core.execution import ExecutionStepper, run_execution
 from repro.core.strategy import (
     ServerStrategy,
     SilentServer,
@@ -179,3 +179,69 @@ class TestRecording:
         )
         assert [r.index for r in result.rounds] == list(range(3))
         assert len(result.user_view) == 3
+
+
+class FailingUser(UserStrategy):
+    """Counts rounds in its state and raises in round ``fail_at``."""
+
+    def __init__(self, fail_at: int) -> None:
+        self._fail_at = fail_at
+
+    def initial_state(self, rng):
+        return 0
+
+    def step(self, state, inbox, rng):
+        if state == self._fail_at:
+            raise RuntimeError(f"boom in round {state}")
+        return state + 1, UserOutbox(to_world="INC")
+
+
+class TestStepperWriteBack:
+    @pytest.mark.parametrize("fail_at", [0, 5, 31])
+    def test_raise_mid_slice_keeps_completed_rounds(self, fail_at):
+        """A strategy raising in round k of a slice leaves the stepper at k."""
+        stepper = ExecutionStepper(
+            FailingUser(fail_at), SilentServer(), CountingWorld(),
+            max_rounds=100, seed=0,
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            stepper.step_many(32)
+        assert stepper.rounds_completed == fail_at
+        assert stepper.live
+        result = stepper.finish()
+        assert result.rounds_completed == fail_at
+        assert len(result.world_states) == fail_at + 1
+        assert len(result.rounds) == fail_at
+        assert result.final_user_state == fail_at
+        # The world counts INCs one round late (message latency).
+        assert result.world_states[-1] == max(fail_at - 1, 0)
+
+    def test_slices_compose_to_one_run(self):
+        expected = run_execution(
+            RandomCoinUser(), EchoServer(), CountingWorld(),
+            max_rounds=50, seed=9, record_transcript=True,
+        )
+        stepper = ExecutionStepper(
+            RandomCoinUser(), EchoServer(), CountingWorld(),
+            max_rounds=50, seed=9, record_transcript=True,
+        )
+        slices = []
+        while stepper.live:
+            slices.append(stepper.step_many(7))
+        assert slices == [7] * 7 + [1]
+        assert stepper.step_many(7) == 0
+        got = stepper.finish()
+        assert got.rounds == expected.rounds
+        assert list(got.transcript) == list(expected.transcript)
+        assert got.final_user_state == expected.final_user_state
+
+    def test_step_after_settle_raises(self):
+        stepper = ExecutionStepper(
+            SilentUser(), SilentServer(), CountingWorld(), max_rounds=2
+        )
+        assert stepper.step()
+        assert not stepper.step()
+        with pytest.raises(ExecutionError, match="settled"):
+            stepper.step()
+        with pytest.raises(ExecutionError, match="non-negative"):
+            stepper.step_many(-1)

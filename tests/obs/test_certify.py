@@ -15,6 +15,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,9 @@ from repro.users.control_users import follower_user_class
 from repro.users.delegation_users import DelegationUser
 from repro.worlds.computation import delegation_goal
 from repro.worlds.control import control_goal, control_sensing, random_law
+
+#: The committed demo certificate; ``recorded`` below reproduces its run.
+DEMO_DATA = Path(__file__).resolve().parents[2] / "benchmarks" / "data"
 
 LAW = random_law(random.Random(7))
 GOAL = control_goal(LAW)
@@ -113,6 +117,24 @@ def edit_event(lines, kind, field, value, *, occurrence=0):
 def certify_cli(path, *extra, capsys):
     code = main(["certify", str(path), *extra])
     return code, capsys.readouterr().out
+
+
+class TestGoldenTrace:
+    def test_record_run_reproduces_certify_demo(self, recorded):
+        """Same cast, seed and channel → the committed trace, byte for byte.
+
+        Pins everything the engine emits: seed chain, round loop, fault
+        replay and the universal user's events.
+        """
+        golden = json.loads((DEMO_DATA / "certify_demo.json").read_text())
+        assert recorded.manifest.trace_sha256 == golden["trace_sha256"]
+        assert (
+            recorded.trace_path.read_bytes()
+            == (DEMO_DATA / "certify_demo.jsonl").read_bytes()
+        )
+        assert (recorded.manifest.rounds, recorded.manifest.achieved) == (
+            golden["rounds"], golden["achieved"],
+        )
 
 
 class TestCleanCertification:

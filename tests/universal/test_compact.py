@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
-from repro.core.execution import run_execution
+import repro.universal.compact as compact_module
+from repro.core.execution import METRICS_RECORDING, ExecutionStepper, run_execution
 from repro.core.sensing import ConstantSensing
 from repro.errors import EnumerationExhaustedError
 from repro.universal.compact import CompactUniversalUser
@@ -121,3 +124,32 @@ class TestValidationAndStats:
     def test_name_mentions_enumeration_and_sensing(self):
         user = CompactUniversalUser(candidate_class(), keyword_sensing())
         assert "words" in user.name
+
+
+class TestBoundedMemory:
+    def test_settled_trial_allocates_nothing_per_round(self):
+        """A settled compact trial never ends; its state must not grow.
+
+        Settle on the first candidate, then trace 10^5 more rounds: the
+        live allocations made by the universal user stay under a small
+        constant instead of growing by one view record per round.
+        """
+        user = CompactUniversalUser(candidate_class(), ConstantSensing(True))
+        stepper = ExecutionStepper(
+            user, KeywordServer(WORDS[0]), NullWorld(), max_rounds=101_000,
+            seed=0, recording=METRICS_RECORDING,
+        )
+        stepper.step_many(1_000)
+        tracemalloc.start()
+        try:
+            stepper.step_many(100_000)
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        state = stepper.finish().final_user_state
+        assert state.switches == 0 and state.rounds_in_trial == 101_000
+        traced = snapshot.filter_traces(
+            [tracemalloc.Filter(True, compact_module.__file__)]
+        )
+        live_bytes = sum(stat.size for stat in traced.statistics("filename"))
+        assert live_bytes < 4096
