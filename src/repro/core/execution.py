@@ -30,9 +30,9 @@ and the off path (``tracer=None`` or a disabled tracer) allocates nothing.
 Recording policies: by default the engine retains everything
 (:data:`FULL_RECORDING`) — one :class:`RoundRecord` and one
 :class:`~repro.core.views.ViewRecord` per round.  Metric-only callers
-(sweeps over thousands of runs) pass ``recording=METRICS_RECORDING`` to
-skip those per-round allocations: world states, the round count, the halt
-flag, the final user state, and tracer counters are kept — exactly what
+(every sweep cell, helpfulness checks) pass ``recording=METRICS_RECORDING``
+to skip those per-round allocations: world states, the round count, the
+halt flag, the final user state, and tracer counters are kept — exactly what
 :func:`repro.analysis.metrics.collect_metrics` reads — while ``rounds``
 stays empty and ``user_view`` becomes a bounded
 :class:`~repro.core.views.BoundedUserView`.  The simulation itself is
@@ -72,26 +72,12 @@ class RecordingPolicy:
     many trailing records (0 = count rounds, store nothing).
 
     Use :data:`FULL_RECORDING` (the default — property checkers and
-    anything replaying histories need it) or :data:`METRICS_RECORDING`;
-    :meth:`for_sensing` builds a metrics policy whose view window honours
-    what a sensing function declares it needs.
+    anything replaying histories need it) or :data:`METRICS_RECORDING`.
     """
 
     keep_rounds: bool = True
     view_window: Optional[int] = None
     label: str = "full"
-
-    @staticmethod
-    def for_sensing(sensing: Any) -> "RecordingPolicy":
-        """Metrics recording with the view window ``sensing`` asks for.
-
-        ``sensing.view_window()`` returning ``None`` (the whole history
-        may matter) keeps the full view — lean rounds, safe sensing.
-        """
-        window = sensing.view_window()
-        return RecordingPolicy(
-            keep_rounds=False, view_window=window, label="metrics"
-        )
 
 
 #: Retain everything (the historical behaviour, and still the default).

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.execution import run_execution
+from repro.core.execution import METRICS_RECORDING, run_execution
 from repro.core.goals import Goal
 from repro.core.strategy import ServerStrategy, UserStrategy
 
@@ -64,7 +64,8 @@ def is_helpful(
         successes = 0
         for seed in seeds:
             execution = run_execution(
-                user, server, goal.world, max_rounds=max_rounds, seed=seed
+                user, server, goal.world, max_rounds=max_rounds, seed=seed,
+                recording=METRICS_RECORDING,
             )
             if goal.evaluate(execution).achieved:
                 successes += 1

@@ -60,8 +60,6 @@ class SensingLike(Protocol):
 
     def incremental(self) -> Optional["IncrementalSensingLike"]: ...
 
-    def view_window(self) -> Optional[int]: ...
-
     @property
     def name(self) -> str: ...
 

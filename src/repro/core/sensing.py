@@ -92,16 +92,6 @@ class Sensing:
         """
         return None
 
-    def view_window(self) -> Optional[int]:
-        """How many trailing records ``indicate`` inspects.
-
-        ``None`` means the whole history may matter (the safe default);
-        an integer ``w`` promises the verdict depends only on the last
-        ``w`` records plus the view's *length*.  The metrics-only
-        recording policy uses this to bound the engine's view retention.
-        """
-        return None
-
     @property
     def name(self) -> str:
         return type(self).__name__
@@ -175,9 +165,6 @@ class ConstantSensing(Sensing):
     def incremental(self) -> IncrementalSensing:
         return _ConstantIncremental(self.value)
 
-    def view_window(self) -> int:
-        return 0
-
 
 class _ConstantIncremental(IncrementalSensing):
     __slots__ = ("_value",)
@@ -203,9 +190,6 @@ class _Negation(Sensing):
     def incremental(self) -> Optional[IncrementalSensing]:
         monitor = self.inner.incremental()
         return None if monitor is None else _NegationIncremental(monitor)
-
-    def view_window(self) -> Optional[int]:
-        return self.inner.view_window()
 
 
 class _NegationIncremental(IncrementalSensing):
@@ -315,9 +299,6 @@ class GraceSensing(Sensing):
         # ``indicate`` loop cost before.
         return _GraceIncremental(self, incremental_sensing(self.inner))
 
-    def view_window(self) -> Optional[int]:
-        return self.inner.view_window()
-
 
 class _GraceIncremental(IncrementalSensing):
     """Counts rounds itself instead of re-measuring ``len(view)``.
@@ -368,9 +349,6 @@ class AllOfSensing(Sensing):
             [incremental_sensing(p) for p in self.parts], want_all=True
         )
 
-    def view_window(self) -> Optional[int]:
-        return _combined_window(self.parts)
-
 
 @dataclass(frozen=True)
 class AnyOfSensing(Sensing):
@@ -389,20 +367,6 @@ class AnyOfSensing(Sensing):
         return _CombinatorIncremental(
             [incremental_sensing(p) for p in self.parts], want_all=False
         )
-
-    def view_window(self) -> Optional[int]:
-        return _combined_window(self.parts)
-
-
-def _combined_window(parts: Tuple[Sensing, ...]) -> Optional[int]:
-    """The widest component window (None as soon as any part is unbounded)."""
-    widest = 0
-    for part in parts:
-        window = part.view_window()
-        if window is None:
-            return None
-        widest = max(widest, window)
-    return widest
 
 
 class _CombinatorIncremental(IncrementalSensing):
@@ -449,9 +413,6 @@ class NoRecentProgressSensing(Sensing):
 
     def incremental(self) -> IncrementalSensing:
         return _StallIncremental(self.stall_rounds)
-
-    def view_window(self) -> int:
-        return self.stall_rounds
 
 
 class _StallIncremental(IncrementalSensing):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from repro.core.execution import run_execution
+from repro.core.execution import METRICS_RECORDING, run_execution
 from repro.core.strategy import SilentServer, UserStrategy
 from repro.online.adapter import LearnerUser, threshold_user_class
 from repro.online.learners import (
@@ -70,7 +70,8 @@ def mistakes_in_world(
     """Total mistakes the lookup world charged the user over one execution."""
     goal = lookup_goal(threshold, domain)
     execution = run_execution(
-        user, SilentServer(), goal.world, max_rounds=horizon, seed=seed
+        user, SilentServer(), goal.world, max_rounds=horizon, seed=seed,
+        recording=METRICS_RECORDING,
     )
     state = execution.final_world_state()
     assert isinstance(state, LookupState)

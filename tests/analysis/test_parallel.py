@@ -12,7 +12,6 @@ import pytest
 from repro.analysis.parallel import ProcessExecutor, SerialExecutor, ensure_picklable
 from repro.analysis.runner import CellTask, CellTelemetry, merge_telemetry, sweep, sweep_goals
 from repro.comm.codecs import IdentityCodec, codec_family
-from repro.core.execution import METRICS_RECORDING
 from repro.core.goals import CompactGoal
 from repro.core.referees import LastStateCompactReferee
 from repro.errors import ExecutionError
@@ -61,14 +60,26 @@ class TestBackendParity:
             )
             assert parallel == serial, f"chunk_size={chunk_size}"
 
-    def test_metrics_recording_parity_across_backends(self):
-        serial = serial_reference(recording=METRICS_RECORDING)
-        parallel = serial_reference(
-            recording=METRICS_RECORDING, executor=ProcessExecutor(max_workers=2)
-        )
-        assert parallel == serial
-        # And the lean runs report the same metrics as full-recording runs.
-        assert serial == serial_reference()
+    def test_metrics_recording_parity_across_backends(self, full_recording_cell):
+        """Sweep cells record metrics only, yet equal full-recording runs."""
+        servers = advisor_server_class(LAW, codec_family(2))
+
+        def run(executor=None):
+            return sweep(
+                make_universal(), servers, GOAL, seeds=(0, 1), max_rounds=600,
+                telemetry=True, executor=executor,
+            )
+
+        serial = run()
+        with ProcessExecutor(max_workers=2) as executor:
+            assert run(executor=executor) == serial
+        reference = [
+            full_recording_cell(make_universal(), server, GOAL, (0, 1), 600)
+            for server in servers
+        ]
+        assert list(serial.cells) == reference
+        assert serial.universal_success
+        assert serial.cells[1].telemetry.get("switches") >= 1
 
     def test_universal_user_parity_with_telemetry(self):
         """User-level tracer counters survive the process boundary."""

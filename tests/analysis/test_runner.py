@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 from repro.analysis.runner import sweep, sweep_goals
 from repro.comm.codecs import IdentityCodec, codec_family
+from repro.core.execution import FULL_RECORDING, run_execution
 from repro.servers.advisors import AdvisorServer, advisor_server_class
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
@@ -66,3 +69,37 @@ class TestSweepGoals:
         cells = sweep_goals(universal, pairs, seeds=(0,), max_rounds=600)
         assert len(cells) == 2
         assert all(cell.all_achieved for cell in cells)
+
+
+def traced_peak(fn):
+    """Peak traced Python allocation (bytes) while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSweepMemory:
+    def test_cells_do_not_keep_per_round_history(self):
+        """A sweep returns only metrics, so its runs must not record rounds.
+
+        One 10^4-round cell peaks at a fraction of the same run under
+        ``FULL_RECORDING``, which holds a ``RoundRecord`` and a
+        ``ViewRecord`` per round.
+        """
+        rounds = 10_000
+        swept = traced_peak(
+            lambda: sweep(
+                AdvisorFollowingUser(IdentityCodec()), [AdvisorServer(LAW)], GOAL,
+                seeds=(0,), max_rounds=rounds,
+            )
+        )
+        full = traced_peak(
+            lambda: run_execution(
+                AdvisorFollowingUser(IdentityCodec()), AdvisorServer(LAW),
+                GOAL.world, max_rounds=rounds, seed=0, recording=FULL_RECORDING,
+            )
+        )
+        assert swept * 3 <= full, f"sweep peak {swept} B vs full run {full} B"

@@ -20,13 +20,7 @@ from repro.core.execution import (
     RecordingPolicy,
     run_execution,
 )
-from repro.core.sensing import (
-    ConstantSensing,
-    FunctionSensing,
-    GraceSensing,
-    LastWorldMessageSensing,
-    NoRecentProgressSensing,
-)
+from repro.core.sensing import NoRecentProgressSensing
 from repro.core.views import BoundedUserView, UserView, ViewRecord
 from repro.comm.messages import UserInbox, UserOutbox
 from repro.mathx.modular import Field
@@ -168,22 +162,6 @@ class TestRecordingPolicy:
         assert FULL_RECORDING.view_window is None
         assert not METRICS_RECORDING.keep_rounds
         assert METRICS_RECORDING.view_window == 0
-
-    def test_for_sensing_uses_declared_window(self):
-        policy = RecordingPolicy.for_sensing(NoRecentProgressSensing(stall_rounds=6))
-        assert not policy.keep_rounds
-        assert policy.view_window == 6
-        assert RecordingPolicy.for_sensing(ConstantSensing(True)).view_window == 0
-
-    def test_for_sensing_keeps_full_view_when_undeclared(self):
-        custom = FunctionSensing(fn=lambda view: True, label="opaque")
-        assert RecordingPolicy.for_sensing(custom).view_window is None
-
-    def test_declared_windows(self):
-        inner = LastWorldMessageSensing(predicate=lambda m: True)
-        assert inner.view_window() is None  # last message can be arbitrarily old
-        assert GraceSensing(ConstantSensing(True), 5).view_window() == 0
-        assert NoRecentProgressSensing(stall_rounds=4).view_window() == 4
 
     def test_engine_honours_view_window(self):
         user, server, goal, max_rounds = control_family()

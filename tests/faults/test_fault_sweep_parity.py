@@ -82,12 +82,25 @@ class TestBackendParityUnderFaults:
         )
         assert parallel == serial
 
-    def test_metrics_recording_parity_across_backends(self):
-        serial = faulted_sweep(recording=METRICS_RECORDING)
-        parallel = faulted_sweep(
-            recording=METRICS_RECORDING, executor=ProcessExecutor(max_workers=2)
+    def test_metrics_recording_parity_across_backends(self, full_recording_cell):
+        """A faulted sweep cell records metrics only, yet equals full runs."""
+
+        def run(executor=None):
+            return sweep(
+                AdvisorFollowingUser(IdentityCodec()), SERVERS[:1], GOAL,
+                seeds=(0, 1, 2), max_rounds=300, faults=[drop_channel(0.1)],
+                telemetry=True, executor=executor,
+            )
+
+        serial = run()
+        with ProcessExecutor(max_workers=2) as executor:
+            assert run(executor=executor) == serial
+        reference = full_recording_cell(
+            AdvisorFollowingUser(IdentityCodec()), SERVERS[0], GOAL, (0, 1, 2),
+            300, channel=drop_channel(0.1),
         )
-        assert parallel == serial
+        assert list(serial.cells) == [reference]
+        assert reference.channel_name == "drop(0.1)"
 
 
 class TestExecutionReproducibility:

@@ -200,6 +200,8 @@ class TestSweepLedger:
             assert manifest.kind == "cell"
             assert manifest.server == cell_result.server_name
             assert manifest.seeds == (0, 1)
+            # Sweep cells always run under metrics-only recording.
+            assert manifest.recording == "metrics"
             assert manifest.rounds == sum(
                 run.rounds for run in cell_result.runs
             )
