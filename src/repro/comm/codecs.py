@@ -17,13 +17,18 @@ keeps the experiments aligned with the paper's setting, where the issue is
 purely one of compatibility, never of capability.
 
 Codecs are value objects: equality and hashing are structural, so they can
-key enumeration tables and be compared in tests.
+key enumeration tables and be compared in tests.  Every round translates
+messages through a codec, so the character codecs compile their maps into
+``str.translate`` tables, built on first use and cached on the instance.
+The cached tables are not fields: they take no part in equality, hashing,
+``repr`` or pickling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import CodecError
 
@@ -65,6 +70,20 @@ class Codec:
 
 
 @dataclass(frozen=True)
+class _TabledCodec(Codec):
+    """A dataclass codec that caches lookup tables on the instance.
+
+    Subclasses build their tables in a :func:`functools.cached_property`,
+    which stores them in the instance ``__dict__`` beside the fields.
+    Pickling keeps the fields only, so a codec shipped to a worker process
+    is its spelling and rebuilds the tables on first use there.
+    """
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@dataclass(frozen=True)
 class IdentityCodec(Codec):
     """The trivial codec: wire form equals plaintext."""
 
@@ -95,38 +114,53 @@ class ReverseCodec(Codec):
 
 
 @dataclass(frozen=True)
-class CaesarCodec(Codec):
+class CaesarCodec(_TabledCodec):
     """Rotates printable-ASCII characters by a fixed shift.
 
     Characters outside the printable range pass through unchanged, which
     preserves bijectivity because the rotation maps the printable range onto
-    itself.
+    itself.  ``shift`` is normalised into ``[0, 95)``: shifts that differ by
+    a multiple of the range are the same bijection, so they are one value.
     """
 
     shift: int = 1
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "shift", self.shift % _PRINTABLE_RANGE)
+
     @property
     def name(self) -> str:
-        return f"caesar{self.shift % _PRINTABLE_RANGE}"
+        return f"caesar{self.shift}"
 
-    def _rotate(self, message: str, shift: int) -> str:
-        out = []
-        for ch in message:
-            code = ord(ch)
-            if _PRINTABLE_LO <= code <= _PRINTABLE_HI:
-                code = _PRINTABLE_LO + (code - _PRINTABLE_LO + shift) % _PRINTABLE_RANGE
-            out.append(chr(code))
-        return "".join(out)
+    @cached_property
+    def _tables(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        printable = range(_PRINTABLE_LO, _PRINTABLE_HI + 1)
+        encode = {
+            code: _PRINTABLE_LO + (code - _PRINTABLE_LO + self.shift) % _PRINTABLE_RANGE
+            for code in printable
+        }
+        return encode, {dst: src for src, dst in encode.items()}
 
     def encode(self, message: str) -> str:
-        return self._rotate(message, self.shift)
+        return message.translate(self._tables[0])
 
     def decode(self, message: str) -> str:
-        return self._rotate(message, -self.shift)
+        return message.translate(self._tables[1])
+
+
+class _Latin1Table(Dict[int, int]):
+    """A translate table over the Latin-1 plane that rejects the rest.
+
+    ``str.translate`` passes a character through when the table raises
+    ``LookupError``; raising :class:`CodecError` instead aborts the call.
+    """
+
+    def __missing__(self, code: int) -> int:
+        raise CodecError(f"XorMaskCodec domain is Latin-1; got {chr(code)!r}")
 
 
 @dataclass(frozen=True)
-class XorMaskCodec(Codec):
+class XorMaskCodec(_TabledCodec):
     """XORs each character code with a mask below 256; its own inverse.
 
     Only defined on strings of characters with code points below 256 (the
@@ -144,28 +178,23 @@ class XorMaskCodec(Codec):
     def name(self) -> str:
         return f"xor{self.mask:02x}"
 
-    def _apply(self, message: str) -> str:
-        out = []
-        for ch in message:
-            code = ord(ch)
-            if code >= 256:
-                raise CodecError(f"XorMaskCodec domain is Latin-1; got {ch!r}")
-            out.append(chr(code ^ self.mask))
-        return "".join(out)
+    @cached_property
+    def _table(self) -> _Latin1Table:
+        return _Latin1Table((code, code ^ self.mask) for code in range(256))
 
     def encode(self, message: str) -> str:
-        return self._apply(message)
+        return message.translate(self._table)
 
     def decode(self, message: str) -> str:
-        return self._apply(message)
+        return message.translate(self._table)
 
 
 @dataclass(frozen=True)
-class AlphabetPermutationCodec(Codec):
+class AlphabetPermutationCodec(_TabledCodec):
     """Applies a permutation of a fixed alphabet character-wise.
 
-    ``mapping`` must be a bijection from the alphabet onto itself; characters
-    outside the alphabet pass through unchanged.
+    ``mapping`` must be a bijection from an alphabet of single characters
+    onto itself; characters outside the alphabet pass through unchanged.
     """
 
     mapping: Tuple[Tuple[str, str], ...]
@@ -174,6 +203,8 @@ class AlphabetPermutationCodec(Codec):
     def __post_init__(self) -> None:
         sources = [src for src, _ in self.mapping]
         targets = [dst for _, dst in self.mapping]
+        if any(len(src) != 1 for src in sources):
+            raise ValueError("alphabet entries must be single characters")
         if sorted(sources) != sorted(targets):
             raise ValueError("mapping must permute the alphabet onto itself")
         if len(set(sources)) != len(sources):
@@ -183,23 +214,22 @@ class AlphabetPermutationCodec(Codec):
     def name(self) -> str:
         return self.label
 
-    def _forward(self) -> Dict[str, str]:
-        return dict(self.mapping)
-
-    def _backward(self) -> Dict[str, str]:
-        return {dst: src for src, dst in self.mapping}
+    @cached_property
+    def _tables(self) -> Tuple[Dict[int, str], Dict[int, str]]:
+        return (
+            {ord(src): dst for src, dst in self.mapping},
+            {ord(dst): src for src, dst in self.mapping},
+        )
 
     def encode(self, message: str) -> str:
-        table = self._forward()
-        return "".join(table.get(ch, ch) for ch in message)
+        return message.translate(self._tables[0])
 
     def decode(self, message: str) -> str:
-        table = self._backward()
-        return "".join(table.get(ch, ch) for ch in message)
+        return message.translate(self._tables[1])
 
 
 @dataclass(frozen=True)
-class TokenMapCodec(Codec):
+class TokenMapCodec(_TabledCodec):
     """Renames whole tokens (split on a separator) via a bijection.
 
     This models *vocabulary* mismatch — e.g. an advisor that says ``norte``
@@ -225,17 +255,20 @@ class TokenMapCodec(Codec):
     def name(self) -> str:
         return self.label
 
-    def encode(self, message: str) -> str:
-        table = dict(self.mapping)
+    @cached_property
+    def _tables(self) -> Tuple[Dict[str, str], Dict[str, str]]:
+        return dict(self.mapping), {dst: src for src, dst in self.mapping}
+
+    def _rename(self, message: str, table: Dict[str, str]) -> str:
         return self.separator.join(
             table.get(tok, tok) for tok in message.split(self.separator)
         )
 
+    def encode(self, message: str) -> str:
+        return self._rename(message, self._tables[0])
+
     def decode(self, message: str) -> str:
-        table = {dst: src for src, dst in self.mapping}
-        return self.separator.join(
-            table.get(tok, tok) for tok in message.split(self.separator)
-        )
+        return self._rename(message, self._tables[1])
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,19 @@ type system enforces the paper's information constraint.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Deque, Iterator, List, Optional, Sequence
+from typing import Any, Deque, Iterator, List, NamedTuple, Optional, Sequence
 
-from repro.comm.messages import UserInbox, UserOutbox
+from repro.comm.messages import UserInbox, UserOutbox, value_type
 
 
-@dataclass(frozen=True)
-class ViewRecord:
+@value_type
+class ViewRecord(NamedTuple):
     """What the user experienced during one round.
 
     ``state_before`` is the user's state entering the round; ``inbox`` what
     it read; ``outbox`` what it emitted; ``state_after`` the resulting state.
+    Built every round by the universal users, so it is a NamedTuple value
+    type like the message profiles (see :mod:`repro.comm.messages`).
     """
 
     round_index: int

@@ -18,6 +18,9 @@ from repro.comm.messages import ServerInbox, ServerOutbox, parse_tagged
 from repro.core.strategy import ServerStrategy
 from repro.servers.wrappers import EncodedServer
 
+#: The outbox of a round without advice, shared rather than rebuilt.
+_NO_ADVICE = ServerOutbox()
+
 
 class AdvisorServer(ServerStrategy):
     """Knows the control law; advises the correct action for each observation.
@@ -43,11 +46,11 @@ class AdvisorServer(ServerStrategy):
     ) -> Tuple[int, ServerOutbox]:
         parsed = parse_tagged(inbox.from_world)
         if parsed is None or parsed[0] != "OBS":
-            return state + 1, ServerOutbox()
+            return state + 1, _NO_ADVICE
         observation = parsed[1]
         action = self._law.get(observation)
         if action is None:  # "-" (no new observation) or foreign symbol.
-            return state + 1, ServerOutbox()
+            return state + 1, _NO_ADVICE
         # Advice names the observation it answers, mirroring the world's
         # ``ACT:<obs>=<action>`` scoring format.
         return state + 1, ServerOutbox(to_user=f"ADV:{observation}={action}")
@@ -80,10 +83,10 @@ class MisleadingAdvisorServer(ServerStrategy):
     ) -> Tuple[int, ServerOutbox]:
         parsed = parse_tagged(inbox.from_world)
         if parsed is None or parsed[0] != "OBS":
-            return state + 1, ServerOutbox()
+            return state + 1, _NO_ADVICE
         correct = self._law.get(parsed[1])
         if correct is None:
-            return state + 1, ServerOutbox()
+            return state + 1, _NO_ADVICE
         wrong = next(a for a in self._actions if a != correct)
         return state + 1, ServerOutbox(to_user=f"ADV:{parsed[1]}={wrong}")
 

@@ -36,6 +36,8 @@ class EncodedServer(ServerStrategy):
     Undecodable user messages (possible only for codecs with a proper
     image, e.g. :class:`~repro.comm.codecs.PrefixCodec`) are delivered to
     the base server as silence — a real service ignores line noise.
+    Silence needs no translation, so a silent inbox reaches the base server
+    as is, and an outbox with nothing for the user leaves unwrapped.
     """
 
     def __init__(self, inner: ServerStrategy, codec: Codec) -> None:
@@ -66,15 +68,13 @@ class EncodedServer(ServerStrategy):
                 incoming = self._codec.decode(incoming)
             except CodecError:
                 incoming = SILENCE
-        state, outbox = self._inner.step(
-            state,
-            ServerInbox(from_user=incoming, from_world=inbox.from_world),
-            rng,
+            inbox = ServerInbox(from_user=incoming, from_world=inbox.from_world)
+        state, outbox = self._inner.step(state, inbox, rng)
+        if outbox.to_user == SILENCE:
+            return state, outbox
+        return state, ServerOutbox(
+            to_user=self._codec.encode(outbox.to_user), to_world=outbox.to_world
         )
-        to_user = outbox.to_user
-        if to_user != SILENCE:
-            to_user = self._codec.encode(to_user)
-        return state, ServerOutbox(to_user=to_user, to_world=outbox.to_world)
 
 
 @dataclass

@@ -24,6 +24,10 @@ from repro.core.strategy import UserStrategy
 from repro.errors import CodecError
 
 
+#: The outbox of a round without action, shared rather than rebuilt.
+_NO_ACTION = UserOutbox()
+
+
 @dataclass
 class _FollowerState:
     rounds: int = 0
@@ -54,7 +58,7 @@ class AdvisorFollowingUser(UserStrategy):
         state.rounds += 1
         advice = self._decode_advice(inbox.from_server)
         if advice is None:
-            return state, UserOutbox()
+            return state, _NO_ACTION
         observation, action = advice
         return state, UserOutbox(to_world=f"ACT:{observation}={action}")
 

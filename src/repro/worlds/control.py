@@ -29,10 +29,9 @@ interpretable form, and the quantity experiment E7 plots.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
-from repro.comm.messages import WorldInbox, WorldOutbox, parse_tagged
+from repro.comm.messages import WorldInbox, WorldOutbox, parse_tagged, value_type
 from repro.core.goals import CompactGoal
 from repro.core.referees import LastStateCompactReferee
 from repro.core.sensing import GraceSensing, LastWorldMessageSensing, Sensing
@@ -47,9 +46,13 @@ EVENT_BAD = "bad"
 EVENT_NONE = "none"
 
 
-@dataclass(frozen=True)
-class ControlState:
-    """World state: queue of unscored observations plus score counters."""
+@value_type
+class ControlState(NamedTuple):
+    """World state: queue of unscored observations plus score counters.
+
+    A new state is built every round, so it is a NamedTuple value type like
+    the message profiles (see :mod:`repro.comm.messages`).
+    """
 
     round_index: int = 0
     pending: Tuple[Tuple[str, int], ...] = ()  # (observation, issue round)

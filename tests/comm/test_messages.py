@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.comm.messages import (
     SILENCE,
     ServerInbox,
+    ServerOutbox,
     UserInbox,
     UserOutbox,
     WorldInbox,
+    WorldOutbox,
     parse_tagged,
     tagged,
 )
@@ -78,3 +82,70 @@ class TestTagged:
 
     def test_parse_empty_returns_none(self):
         assert parse_tagged("") is None
+
+
+# -- Value-type contract ---------------------------------------------------
+#
+# Profiles are NamedTuples for speed; they must still behave like the
+# frozen dataclasses they replaced.
+
+PROFILES = [
+    (UserInbox("a", "b"), "UserInbox(from_server='a', from_world='b')"),
+    (
+        UserOutbox("a", "b", True, "done"),
+        "UserOutbox(to_server='a', to_world='b', halt=True, output='done')",
+    ),
+    (ServerInbox("a", "b"), "ServerInbox(from_user='a', from_world='b')"),
+    (ServerOutbox("a", "b"), "ServerOutbox(to_user='a', to_world='b')"),
+    (WorldInbox("a", "b"), "WorldInbox(from_user='a', from_server='b')"),
+    (WorldOutbox("a", "b"), "WorldOutbox(to_user='a', to_server='b')"),
+]
+
+
+@pytest.mark.parametrize(
+    "profile, text", PROFILES, ids=[type(p).__name__ for p, _ in PROFILES]
+)
+class TestProfileContract:
+    def test_assignment_raises(self, profile, text):
+        field = type(profile)._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(profile, field, "x")
+        with pytest.raises(AttributeError):
+            profile.extra = "x"  # type: ignore[attr-defined]
+
+    def test_equal_values_equal_and_hash_equal(self, profile, text):
+        twin = type(profile)(*profile)
+        assert twin == profile
+        assert not twin != profile
+        assert hash(twin) == hash(profile)
+        assert len({twin, profile}) == 1
+
+    def test_never_equals_bare_tuple(self, profile, text):
+        bare = tuple(profile)
+        assert profile != bare
+        assert bare != profile
+        assert not profile == bare
+        assert not bare == profile
+
+    def test_never_equals_other_profile_type(self, profile, text):
+        for other, _ in PROFILES:
+            if type(other) is not type(profile):
+                assert profile != other
+                assert not profile == other
+
+    def test_pickle_round_trip(self, profile, text):
+        clone = pickle.loads(pickle.dumps(profile))
+        assert type(clone) is type(profile)
+        assert clone == profile
+
+    def test_repr_matches_dataclass_form(self, profile, text):
+        assert repr(profile) == text
+
+
+def test_repr_shows_default_fields():
+    assert repr(UserInbox(from_server="a")) == "UserInbox(from_server='a', from_world='')"
+
+
+def test_differing_fields_unequal():
+    assert UserOutbox(to_world="x") != UserOutbox(to_world="y")
+    assert UserOutbox(halt=True) != UserOutbox()
