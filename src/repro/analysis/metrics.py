@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.execution import ExecutionResult
 from repro.core.goals import Goal, GoalOutcome
+from repro.universal.bayesian import BeliefState
 from repro.universal.compact import CompactUniversalState
 from repro.universal.finite import FiniteUniversalState
 
@@ -40,8 +41,8 @@ class RunMetrics:
     achieved: bool
     halted: bool
     rounds: int
-    switches: Optional[int] = None     # Compact universal: strategy switches.
-    final_index: Optional[int] = None  # Compact universal: settled index.
+    switches: Optional[int] = None     # Compact/belief universal: switches.
+    final_index: Optional[int] = None  # Compact/belief universal: settled index.
     trials: Optional[int] = None       # Finite universal: trials started.
     bad_prefixes: Optional[int] = None # Compact goals: referee's count.
     last_bad_round: Optional[int] = None
@@ -58,7 +59,7 @@ def collect_metrics(execution: ExecutionResult, goal: Goal) -> RunMetrics:
     if state is None and execution.rounds:
         state = execution.rounds[-1].user_state_after
     if state is not None:
-        if isinstance(state, CompactUniversalState):
+        if isinstance(state, (CompactUniversalState, BeliefState)):
             switches = state.switches
             final_index = state.index
         elif isinstance(state, FiniteUniversalState):

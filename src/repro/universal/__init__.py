@@ -1,9 +1,11 @@
 """Universal user strategies — the constructive content of Theorem 1.
 
 Strategy enumerations (:mod:`.enumeration`), trial schedules including
-Levin's (:mod:`.schedules`), the compact-goal enumerate-and-switch user
-(:mod:`.compact`), the finite-goal Levin-scheduled user (:mod:`.finite`),
-and the belief-weighted extension (:mod:`.bayesian`).
+Levin's (:mod:`.schedules`), the trial kernel the universal users share
+(:mod:`.trial`), and its three selection policies: the compact-goal
+enumerate-and-switch user (:mod:`.compact`), the finite-goal
+Levin-scheduled user (:mod:`.finite`), and the belief-weighted extension
+(:mod:`.bayesian`).
 """
 
 from repro.universal.enumeration import (
@@ -19,16 +21,8 @@ from repro.universal.schedules import (
     sequential_trials,
     doubling_sweep_trials,
 )
-from repro.universal.compact import (
-    CompactUniversalUser,
-    CompactUniversalState,
-    UniversalRunStats,
-)
-from repro.universal.finite import (
-    FiniteUniversalUser,
-    FiniteUniversalState,
-    FiniteRunStats,
-)
+from repro.universal.compact import CompactUniversalUser, CompactUniversalState
+from repro.universal.finite import FiniteUniversalUser, FiniteUniversalState
 from repro.universal.bayesian import BeliefWeightedUniversalUser, BeliefState
 
 __all__ = [
@@ -43,10 +37,8 @@ __all__ = [
     "doubling_sweep_trials",
     "CompactUniversalUser",
     "CompactUniversalState",
-    "UniversalRunStats",
     "FiniteUniversalUser",
     "FiniteUniversalState",
-    "FiniteRunStats",
     "BeliefWeightedUniversalUser",
     "BeliefState",
 ]

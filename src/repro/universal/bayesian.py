@@ -19,21 +19,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.comm.messages import UserInbox, UserOutbox
-from repro.core.sensing import IncrementalSensing, Sensing, incremental_sensing
+from repro.core.sensing import Sensing
 from repro.core.strategy import UserStrategy
-from repro.core.views import ViewRecord
-from repro.obs.events import (
-    SWITCH_BELIEF_DECAY,
-    TRIAL_DECAYED,
-    SensingIndication,
-    StrategySwitch,
-    TrialFinished,
-    TrialStarted,
-)
-from repro.obs.tracer import TracerLike, is_tracing
+from repro.obs.events import SWITCH_BELIEF_DECAY, TRIAL_DECAYED
+from repro.obs.tracer import TracerLike
+from repro.universal.trial import Trial, TrialUser
 
 
 @dataclass
@@ -42,16 +34,12 @@ class BeliefState:
 
     weights: List[float]
     index: int
-    inner_state: Any = None
-    inner_started: bool = False
-    monitor: Optional[IncrementalSensing] = None
-    rounds_in_trial: int = 0
-    strikes: int = 0
+    trial: Optional[Trial] = None
     switches: int = 0
     total_rounds: int = 0
 
 
-class BeliefWeightedUniversalUser(UserStrategy):
+class BeliefWeightedUniversalUser(TrialUser):
     """Prior-guided enumerate-and-switch user over a finite class.
 
     Parameters
@@ -68,10 +56,11 @@ class BeliefWeightedUniversalUser(UserStrategy):
         Multiplier applied to the current candidate's weight on a negative
         indication; in (0, 1).
     min_trial_rounds:
-        Grace floor before sensing may evict a candidate.
+        Grace floor before sensing may decay a candidate's weight.
     patience:
         Per-trial budget of tolerated negative indications before the
-        weight decay applies — the noisy-channel retry budget, as for
+        weight decay applies — the noisy-channel retry budget.  Grace,
+        strikes and halt stripping follow the same rule as
         :class:`~repro.universal.compact.CompactUniversalUser`.  The
         budget refills when the user switches candidates.
     tracer:
@@ -95,6 +84,12 @@ class BeliefWeightedUniversalUser(UserStrategy):
         patience: int = 0,
         tracer: TracerLike = None,
     ) -> None:
+        super().__init__(
+            sensing,
+            min_trial_rounds=min_trial_rounds,
+            patience=patience,
+            tracer=tracer,
+        )
         if not candidates:
             raise ValueError("candidate class must be non-empty")
         if prior is None:
@@ -107,15 +102,9 @@ class BeliefWeightedUniversalUser(UserStrategy):
             raise ValueError("prior weights must be positive")
         if not 0.0 < decay < 1.0:
             raise ValueError(f"decay must be in (0, 1): {decay}")
-        if patience < 0:
-            raise ValueError(f"patience must be >= 0: {patience}")
         self._candidates = list(candidates)
-        self._sensing = sensing
         self._prior = list(prior)
         self._decay = decay
-        self._min_trial_rounds = min_trial_rounds
-        self._patience = patience
-        self.tracer = tracer
 
     @property
     def name(self) -> str:
@@ -125,82 +114,19 @@ class BeliefWeightedUniversalUser(UserStrategy):
         weights = list(self._prior)
         return BeliefState(weights=weights, index=_argmax(weights))
 
-    def step(
-        self, state: BeliefState, inbox: UserInbox, rng: random.Random
-    ) -> Tuple[BeliefState, UserOutbox]:
-        tracing = is_tracing(self.tracer)
-        inner = self._candidates[state.index]
-        if not state.inner_started:
-            state.inner_state = inner.initial_state(rng)
-            state.inner_started = True
-            state.monitor = incremental_sensing(self._sensing)
-            if tracing:
-                self.tracer.emit(
-                    TrialStarted(
-                        round_index=state.total_rounds,
-                        trial_number=state.switches,
-                        candidate_index=state.index,
-                    )
-                )
+    def _candidate(self, state: BeliefState, index: int) -> UserStrategy:
+        return self._candidates[index]
 
-        state_before = state.inner_state
-        state.inner_state, outbox = inner.step(state.inner_state, inbox, rng)
-        state.rounds_in_trial += 1
-        state.total_rounds += 1
-        record = ViewRecord(
-            round_index=state.rounds_in_trial - 1,
-            state_before=state_before,
-            inbox=inbox,
-            outbox=outbox,
-            state_after=state.inner_state,
-        )
+    def _evict(self, state: BeliefState) -> None:
+        """Decay the current weight; switch if another candidate now leads.
 
-        indication = state.monitor.observe(record)
-        if tracing:
-            self.tracer.emit(
-                SensingIndication(
-                    round_index=state.total_rounds - 1,
-                    candidate_index=state.index,
-                    positive=indication,
-                )
-            )
-        if not indication and state.rounds_in_trial >= max(1, self._min_trial_rounds):
-            state.strikes += 1
-            if state.strikes > self._patience:
-                state.weights[state.index] *= self._decay
-                best = _argmax(state.weights)
-                if best != state.index:
-                    if tracing:
-                        self.tracer.emit(
-                            TrialFinished(
-                                round_index=state.total_rounds - 1,
-                                trial_number=state.switches,
-                                candidate_index=state.index,
-                                rounds_used=state.rounds_in_trial,
-                                reason=TRIAL_DECAYED,
-                            )
-                        )
-                        self.tracer.emit(
-                            StrategySwitch(
-                                round_index=state.total_rounds - 1,
-                                from_index=state.index,
-                                to_index=best,
-                                wrapped=False,
-                                reason=SWITCH_BELIEF_DECAY,
-                            )
-                        )
-                    state.index = best
-                    state.inner_state = None
-                    state.inner_started = False
-                    state.monitor = None
-                    state.rounds_in_trial = 0
-                    state.strikes = 0
-                    state.switches += 1
-            if outbox.halt:
-                outbox = UserOutbox(
-                    to_server=outbox.to_server, to_world=outbox.to_world
-                )
-        return state, outbox
+        An argmax that returns the current candidate is not a new trial:
+        the candidate keeps running, and its next negative decays it again.
+        """
+        state.weights[state.index] *= self._decay
+        best = _argmax(state.weights)
+        if best != state.index:
+            self._switch(state, best, TRIAL_DECAYED, SWITCH_BELIEF_DECAY)
 
 
 def _argmax(weights: Sequence[float]) -> int:

@@ -25,54 +25,39 @@ unacceptable history.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Tuple
 
 from repro.comm.messages import UserInbox, UserOutbox
-from repro.core.sensing import IncrementalSensing, Sensing
-from repro.core.strategy import UserStrategy
-from repro.core.views import UserView, ViewRecord
+from repro.core.sensing import Sensing
 from repro.errors import EnumerationExhaustedError
-from repro.obs.events import (
-    TRIAL_BUDGET,
-    TRIAL_ENDORSED,
-    TRIAL_HALT_REJECTED,
-    TRIAL_MISSING,
-    SensingIndication,
-    TrialFinished,
-    TrialStarted,
-)
-from repro.obs.tracer import TracerLike, is_tracing
+from repro.obs.events import TRIAL_BUDGET, TRIAL_ENDORSED, TRIAL_HALT_REJECTED
+from repro.obs.tracer import TracerLike
+from repro.universal import schedules
 from repro.universal.enumeration import EnumerationCursor, StrategyEnumeration
-from repro.universal.schedules import Trial, levin_trials
+from repro.universal.trial import Trial, TrialUser, without_halt
 
 
 @dataclass
 class FiniteUniversalState:
     """Mutable state of the finite universal user (one per execution).
 
-    ``monitor`` is the trial's incremental-sensing monitor, present only
-    when the sensing offers a native one (the finite user consults sensing
-    once, at a candidate's halt, so the replay fallback would be a strict
-    regression — it keeps the indicate-at-halt path instead).
+    ``current`` is the schedule slot ``(index, budget)`` being worked on;
+    ``trial`` its running :class:`~repro.universal.trial.Trial` (``None``
+    between a slot's retries and before its first round).
     """
 
     cursor: EnumerationCursor
-    schedule: Iterator[Trial]
-    current: Optional[Trial] = None
-    inner_state: Any = None
-    inner_started: bool = False
-    trial_view: UserView = field(default_factory=UserView)
-    monitor: Optional[IncrementalSensing] = None
-    monitor_verdict: bool = False
-    rounds_used: int = 0
+    schedule: Iterator[schedules.Trial]
+    current: Optional[schedules.Trial] = None
+    trial: Optional[Trial] = None
     retries_left: int = 0
     trials_run: int = 0
     total_rounds: int = 0
     index_cap: Optional[int] = None
 
 
-class FiniteUniversalUser(UserStrategy):
+class FiniteUniversalUser(TrialUser):
     """Levin-scheduled universal user for finite goals.
 
     Parameters
@@ -82,6 +67,8 @@ class FiniteUniversalUser(UserStrategy):
     sensing:
         Consulted when a candidate halts; the universal user only forwards
         the halt (and the candidate's output) on a positive indication.
+        A native monitor is fed every round; otherwise ``indicate`` runs
+        once per halt on the trial's view.
     schedule_factory:
         Builds the trial schedule; defaults to
         :func:`~repro.universal.schedules.levin_trials` capped at the
@@ -107,19 +94,19 @@ class FiniteUniversalUser(UserStrategy):
         enumeration: StrategyEnumeration,
         sensing: Sensing,
         *,
-        schedule_factory: Optional[Callable[[Optional[int]], Iterator[Trial]]] = None,
+        schedule_factory: Optional[
+            Callable[[Optional[int]], Iterator[schedules.Trial]]
+        ] = None,
         patience: int = 0,
         tracer: TracerLike = None,
     ) -> None:
-        if patience < 0:
-            raise ValueError(f"patience must be >= 0: {patience}")
+        super().__init__(sensing, patience=patience, tracer=tracer)
         self._enumeration = enumeration
-        self._sensing = sensing
         self._schedule_factory = schedule_factory or (
-            lambda cap: levin_trials(max_index=None if cap is None else cap - 1)
+            lambda cap: schedules.levin_trials(
+                max_index=None if cap is None else cap - 1
+            )
         )
-        self._patience = patience
-        self.tracer = tracer
 
     @property
     def name(self) -> str:
@@ -138,59 +125,32 @@ class FiniteUniversalUser(UserStrategy):
         self, state: FiniteUniversalState, inbox: UserInbox, rng: random.Random
     ) -> Tuple[FiniteUniversalState, UserOutbox]:
         state.total_rounds += 1
-        inner = self._ensure_trial(state, rng)
-        if inner is None:
+        trial = state.trial or self._next_trial(state, rng)
+        if trial is None:
             # Schedule exhausted (only possible with a finite schedule):
             # nothing left to try, stay silent and never halt — the engine's
             # horizon will end the run, correctly scored as failure.
             return state, UserOutbox()
 
-        state_before = state.inner_state
-        state.inner_state, outbox = inner.step(state.inner_state, inbox, rng)
-        state.rounds_used += 1
-        record = ViewRecord(
-            round_index=state.rounds_used - 1,
-            state_before=state_before,
-            inbox=inbox,
-            outbox=outbox,
-            state_after=state.inner_state,
-        )
-        state.trial_view.append(record)
-        if state.monitor is not None:
-            state.monitor_verdict = state.monitor.observe(record)
-
+        outbox = trial.play(inbox, rng)
+        round_index = state.total_rounds - 1
         if outbox.halt:
-            assert state.current is not None
-            endorsed = (
-                state.monitor_verdict
-                if state.monitor is not None
-                else self._sensing.indicate(state.trial_view)
-            )
-            if is_tracing(self.tracer):
-                self.tracer.emit(
-                    SensingIndication(
-                        round_index=state.total_rounds - 1,
-                        candidate_index=state.current[0],
-                        positive=endorsed,
-                    )
-                )
-            if endorsed:
-                self._finish_trial(state, TRIAL_ENDORSED)
+            if self._judge(trial, round_index):
+                self._finish(trial, round_index, TRIAL_ENDORSED)
                 return state, outbox  # Endorsed: halt with the candidate's output.
+            self._finish(trial, round_index, TRIAL_HALT_REJECTED)
+            state.trial = None
             if state.retries_left > 0:
                 # Patience budget: the rejection may be channel noise, not
                 # the candidate — rerun it now against fresh noise.
                 state.retries_left -= 1
-                self._finish_trial(state, TRIAL_HALT_REJECTED)
-                self._reset_trial(state)
             else:
-                self._abandon(state, TRIAL_HALT_REJECTED)
-            outbox = UserOutbox(to_server=outbox.to_server, to_world=outbox.to_world)
-            return state, outbox
+                state.current = None
+            return state, without_halt(outbox)
 
-        assert state.current is not None
-        if state.rounds_used >= state.current[1]:
-            self._abandon(state, TRIAL_BUDGET)
+        if trial.rounds >= trial.budget:  # type: ignore[operator]
+            self._finish(trial, round_index, TRIAL_BUDGET)
+            state.trial = state.current = None
         return state, outbox
 
     #: Bound on consecutive skipped schedule entries per engine round.  A
@@ -199,97 +159,31 @@ class FiniteUniversalUser(UserStrategy):
     #: would otherwise spin this loop forever inside a single step.
     _MAX_SKIPS_PER_STEP = 10_000
 
-    def _ensure_trial(
+    def _next_trial(
         self, state: FiniteUniversalState, rng: random.Random
-    ) -> Optional[UserStrategy]:
-        """Return the current trial's strategy, starting a new trial if needed."""
-        skips = 0
-        while True:
-            if skips > self._MAX_SKIPS_PER_STEP:
-                return None  # Degenerate schedule: go quiet, never halt.
-            skips += 1
-            if state.current is not None:
-                inner = self._candidate(state, state.current[0])
-                if inner is None:
-                    self._abandon(state, TRIAL_MISSING)
+    ) -> Optional[Trial]:
+        """Start the current slot's next trial, drawing slots as needed."""
+        for _ in range(self._MAX_SKIPS_PER_STEP + 1):
+            if state.current is None:
+                try:
+                    slot = next(state.schedule)
+                except StopIteration:
+                    return None
+                if state.index_cap is not None and slot[0] >= state.index_cap:
                     continue
-                if not state.inner_started:
-                    state.inner_state = inner.initial_state(rng)
-                    state.inner_started = True
-                    state.monitor = self._sensing.incremental()
-                    state.monitor_verdict = False
-                    if is_tracing(self.tracer):
-                        self.tracer.emit(
-                            TrialStarted(
-                                round_index=state.total_rounds - 1,
-                                trial_number=state.trials_run,
-                                candidate_index=state.current[0],
-                                budget=state.current[1],
-                            )
-                        )
-                    state.trials_run += 1
-                return inner
+                state.current = slot
+                state.retries_left = self._patience
+            index, budget = state.current
             try:
-                trial = next(state.schedule)
-            except StopIteration:
-                return None
-            index = trial[0]
-            if state.index_cap is not None and index >= state.index_cap:
+                candidate = state.cursor.get(index)
+            except EnumerationExhaustedError:
+                # Past the end of the class: learn its size, drop the slot.
+                state.index_cap = state.cursor.known_size()
+                state.current = None
                 continue
-            state.current = trial
-            state.retries_left = self._patience
-
-    def _candidate(
-        self, state: FiniteUniversalState, index: int
-    ) -> Optional[UserStrategy]:
-        """Fetch candidate ``index``, learning the class size on exhaustion."""
-        try:
-            return state.cursor.get(index)
-        except EnumerationExhaustedError:
-            state.index_cap = state.cursor.known_size()
-            return None
-
-    def _finish_trial(self, state: FiniteUniversalState, reason: str) -> None:
-        """Emit the trial's closing event (started trials only)."""
-        if is_tracing(self.tracer) and state.inner_started and state.current is not None:
-            self.tracer.emit(
-                TrialFinished(
-                    round_index=state.total_rounds - 1,
-                    trial_number=state.trials_run - 1,
-                    candidate_index=state.current[0],
-                    rounds_used=state.rounds_used,
-                    reason=reason,
-                )
+            state.trial = self._start(
+                candidate, index, state.trials_run, state.total_rounds - 1, rng, budget
             )
-
-    def _reset_trial(self, state: FiniteUniversalState) -> None:
-        """Restart the *current* trial from scratch (keeps the budget slot)."""
-        state.inner_state = None
-        state.inner_started = False
-        state.trial_view = UserView()
-        state.monitor = None
-        state.monitor_verdict = False
-        state.rounds_used = 0
-
-    def _abandon(self, state: FiniteUniversalState, reason: str = TRIAL_BUDGET) -> None:
-        self._finish_trial(state, reason)
-        state.current = None
-        self._reset_trial(state)
-
-    @staticmethod
-    def stats(state: FiniteUniversalState) -> "FiniteRunStats":
-        """Extract run statistics from a final state (for benchmarks)."""
-        return FiniteRunStats(
-            trials_run=state.trials_run,
-            total_rounds=state.total_rounds,
-            final_index=None if state.current is None else state.current[0],
-        )
-
-
-@dataclass(frozen=True)
-class FiniteRunStats:
-    """Summary of a finite universal user's behaviour over one execution."""
-
-    trials_run: int
-    total_rounds: int
-    final_index: Optional[int]
+            state.trials_run += 1
+            return state.trial
+        return None  # Degenerate schedule: go quiet, never halt.

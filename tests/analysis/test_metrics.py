@@ -14,6 +14,7 @@ from repro.analysis.metrics import (
 from repro.comm.codecs import IdentityCodec
 from repro.core.execution import run_execution
 from repro.servers.advisors import AdvisorServer
+from repro.universal.bayesian import BeliefWeightedUniversalUser
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
 from repro.users.control_users import AdvisorFollowingUser, follower_user_class
@@ -47,6 +48,20 @@ class TestCollectMetrics:
         metrics = collect_metrics(result, GOAL)
         assert metrics.switches is not None
         assert metrics.final_index == 0  # Identity codec is index 0.
+
+    def test_belief_weighted_universal_stats_extracted(self):
+        from repro.comm.codecs import codec_family
+
+        user = BeliefWeightedUniversalUser(
+            follower_user_class(codec_family(2)), control_sensing()
+        )
+        result = run_execution(
+            user, AdvisorServer(LAW), GOAL.world, max_rounds=300, seed=0
+        )
+        metrics = collect_metrics(result, GOAL)
+        assert metrics.switches == result.final_user_state.switches
+        assert metrics.final_index == 0  # Identity codec is index 0.
+        assert metrics.trials is None
 
 
 class TestSummary:

@@ -70,6 +70,10 @@ class TestValidation:
             BeliefWeightedUniversalUser(
                 [KeywordUser("a")], ConstantSensing(False), patience=-1
             )
+        with pytest.raises(ValueError):
+            BeliefWeightedUniversalUser(
+                [KeywordUser("a")], ConstantSensing(False), min_trial_rounds=-1
+            )
 
 
 class TestCompactStrikeAccounting:

@@ -7,6 +7,8 @@ import pytest
 from repro.core.execution import run_execution
 from repro.core.sensing import ConstantSensing
 from repro.universal.bayesian import BeliefWeightedUniversalUser
+from repro.universal.compact import CompactUniversalUser
+from repro.universal.enumeration import ListEnumeration
 
 from tests.universal.helpers import (
     KeywordServer,
@@ -89,3 +91,27 @@ class TestHaltSuppression:
             user, KeywordServer(WORDS[0]), NullWorld(), max_rounds=50, seed=0
         )
         assert not result.halted
+
+    def test_grace_follows_the_compact_strike_rule(self):
+        """A negative inside the ``min_trial_rounds`` grace still counts as
+        a strike and still strips the halt, exactly as for the compact user:
+        neither user lets the eager candidate end the run."""
+        from tests.universal.helpers import EagerHaltUser
+
+        def rounds_run(user):
+            result = run_execution(
+                user, KeywordServer(WORDS[0]), NullWorld(), max_rounds=50, seed=0
+            )
+            assert not result.halted
+            return result.rounds_executed, result.final_user_state.switches
+
+        candidates = [EagerHaltUser(), KeywordUser(WORDS[0])]
+        belief = BeliefWeightedUniversalUser(
+            candidates, ConstantSensing(False), min_trial_rounds=5
+        )
+        compact = CompactUniversalUser(
+            ListEnumeration(candidates), ConstantSensing(False), min_trial_rounds=5
+        )
+        # Two candidates with equal weight: every decay flips the argmax,
+        # so both users switch once per 5-round trial.
+        assert rounds_run(belief) == rounds_run(compact) == (50, 10)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-import repro.universal.compact as compact_module
+import repro.universal
 from repro.core.execution import METRICS_RECORDING, ExecutionStepper, run_execution
 from repro.core.sensing import ConstantSensing
 from repro.errors import EnumerationExhaustedError
+from repro.universal.bayesian import BeliefWeightedUniversalUser
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
 
@@ -115,41 +117,52 @@ class TestValidationAndStats:
             )
 
     def test_stats_extraction(self):
-        _, state = run_universal(WORDS[2])
-        stats = CompactUniversalUser.stats(state)
-        assert stats.final_index == 2
-        assert stats.switches == 2
-        assert stats.total_rounds > 0
+        result, state = run_universal(WORDS[2])
+        assert state.index == 2
+        assert state.switches == 2
+        assert state.wraps == 0
+        assert state.total_rounds == result.rounds_executed
 
     def test_name_mentions_enumeration_and_sensing(self):
         user = CompactUniversalUser(candidate_class(), keyword_sensing())
         assert "words" in user.name
 
 
+#: Every module of the universal package: the users and their trial kernel.
+UNIVERSAL_MODULES = str(Path(repro.universal.__file__).parent / "*")
+
+
+def settled_live_bytes(user):
+    """Live bytes ``repro.universal`` holds after 10^5 settled rounds.
+
+    Settle on the first candidate, then trace 10^5 more rounds: a settled
+    trial never ends, so what the universal package allocates must stay
+    under a small constant instead of growing by one record per round.
+    """
+    stepper = ExecutionStepper(
+        user, KeywordServer(WORDS[0]), NullWorld(), max_rounds=101_000,
+        seed=0, recording=METRICS_RECORDING,
+    )
+    stepper.step_many(1_000)
+    tracemalloc.start()
+    try:
+        stepper.step_many(100_000)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    state = stepper.finish().final_user_state
+    assert state.switches == 0 and state.trial.rounds == 101_000
+    traced = snapshot.filter_traces([tracemalloc.Filter(True, UNIVERSAL_MODULES)])
+    return sum(stat.size for stat in traced.statistics("filename"))
+
+
 class TestBoundedMemory:
     def test_settled_trial_allocates_nothing_per_round(self):
-        """A settled compact trial never ends; its state must not grow.
-
-        Settle on the first candidate, then trace 10^5 more rounds: the
-        live allocations made by the universal user stay under a small
-        constant instead of growing by one view record per round.
-        """
         user = CompactUniversalUser(candidate_class(), ConstantSensing(True))
-        stepper = ExecutionStepper(
-            user, KeywordServer(WORDS[0]), NullWorld(), max_rounds=101_000,
-            seed=0, recording=METRICS_RECORDING,
+        assert settled_live_bytes(user) < 4096
+
+    def test_settled_belief_trial_allocates_nothing_per_round(self):
+        user = BeliefWeightedUniversalUser(
+            [KeywordUser(w) for w in WORDS], ConstantSensing(True)
         )
-        stepper.step_many(1_000)
-        tracemalloc.start()
-        try:
-            stepper.step_many(100_000)
-            snapshot = tracemalloc.take_snapshot()
-        finally:
-            tracemalloc.stop()
-        state = stepper.finish().final_user_state
-        assert state.switches == 0 and state.rounds_in_trial == 101_000
-        traced = snapshot.filter_traces(
-            [tracemalloc.Filter(True, compact_module.__file__)]
-        )
-        live_bytes = sum(stat.size for stat in traced.statistics("filename"))
-        assert live_bytes < 4096
+        assert settled_live_bytes(user) < 4096

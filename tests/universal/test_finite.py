@@ -123,10 +123,9 @@ class TestStats:
         result = run_execution(
             user, KeywordServer(WORDS[2]), NullWorld(), max_rounds=2000, seed=0
         )
-        state = result.rounds[-1].user_state_after
-        stats = FiniteUniversalUser.stats(state)
-        assert stats.trials_run >= 3
-        assert stats.total_rounds == result.rounds_executed
+        state = result.final_user_state
+        assert state.trials_run >= 3
+        assert state.total_rounds == result.rounds_executed
 
 
 class TestDegenerateSchedules:
