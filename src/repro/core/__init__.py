@@ -37,8 +37,6 @@ from repro.core.goals import FiniteGoal, CompactGoal, Goal, GoalOutcome
 from repro.core.sensing import (
     Sensing,
     IncrementalSensing,
-    incremental_sensing,
-    FunctionSensing,
     ConstantSensing,
     LastWorldMessageSensing,
     GraceSensing,
@@ -53,7 +51,6 @@ from repro.core.interfaces import (
     IncrementalSensingLike,
     ScheduleRunLike,
     SensingLike,
-    SensingPredicate,
     StrategyLike,
     TracerProtocol,
 )
@@ -97,8 +94,6 @@ __all__ = [
     "GoalOutcome",
     "Sensing",
     "IncrementalSensing",
-    "incremental_sensing",
-    "FunctionSensing",
     "ConstantSensing",
     "LastWorldMessageSensing",
     "GraceSensing",
@@ -111,7 +106,6 @@ __all__ = [
     "IncrementalSensingLike",
     "ScheduleRunLike",
     "SensingLike",
-    "SensingPredicate",
     "StrategyLike",
     "TracerProtocol",
     "HelpfulnessReport",

@@ -22,15 +22,13 @@ import random
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
-    Optional,
     Protocol,
     Tuple,
     runtime_checkable,
 )
 
 if TYPE_CHECKING:
-    from repro.core.views import UserView, ViewRecord
+    from repro.core.views import ViewRecord
     from repro.obs.events import Event
 
 
@@ -54,11 +52,14 @@ class StrategyLike(Protocol):
 
 @runtime_checkable
 class SensingLike(Protocol):
-    """A Boolean predicate of the user's trial-local view (rule RL003)."""
+    """A Boolean predicate of the user's trial-local view (rule RL003).
 
-    def indicate(self, view: "UserView") -> bool: ...
+    A sensing is defined by its per-trial monitor; ``Sensing.indicate``
+    folds one over a whole view, and the universal users only ever call
+    ``incremental`` and the monitor's ``observe``.
+    """
 
-    def incremental(self) -> Optional["IncrementalSensingLike"]: ...
+    def incremental(self) -> "IncrementalSensingLike": ...
 
     @property
     def name(self) -> str: ...
@@ -66,14 +67,9 @@ class SensingLike(Protocol):
 
 @runtime_checkable
 class IncrementalSensingLike(Protocol):
-    """A per-trial monitor equivalent to some :class:`SensingLike`."""
+    """The per-trial monitor that defines some :class:`SensingLike`."""
 
     def observe(self, record: "ViewRecord") -> bool: ...
-
-
-#: A bare callable usable as sensing via ``FunctionSensing`` — must be a
-#: module-level function for process-pool sweeps (rule RL004).
-SensingPredicate = Callable[["UserView"], bool]
 
 
 @runtime_checkable
@@ -133,7 +129,6 @@ __all__ = [
     "IncrementalSensingLike",
     "ScheduleRunLike",
     "SensingLike",
-    "SensingPredicate",
     "StrategyLike",
     "TracerProtocol",
 ]

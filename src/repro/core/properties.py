@@ -31,7 +31,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.execution import run_execution
 from repro.core.goals import CompactGoal, FiniteGoal, Goal
-from repro.core.sensing import Sensing, incremental_sensing
+from repro.core.sensing import Sensing
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.core.views import UserView
 
@@ -62,14 +62,10 @@ class PropertyReport:
 def _indications_per_round(sensing: Sensing, view: UserView) -> List[bool]:
     """Sensing verdict on every prefix of the view (1-based lengths).
 
-    Streams the records through an incremental-sensing monitor instead of
-    rebuilding ``UserView(records[:t+1])`` per round — that copied a
-    growing prefix every iteration, making a T-round check O(T²) before
-    the sensing function even looked at it.  Library sensing evaluates in
-    O(T) total here; custom sensing keeps its own ``indicate`` cost via
-    the replay fallback, minus the per-prefix copies.
+    This is what the sensing's monitor computes by definition: one fresh
+    monitor fed the records in order, O(T) in total for a T-round view.
     """
-    monitor = incremental_sensing(sensing)
+    monitor = sensing.incremental()
     return [monitor.observe(record) for record in view]
 
 

@@ -13,25 +13,23 @@ checkers for those properties live in :mod:`repro.core.properties`.  This
 module provides the interface plus combinators that concrete goals use to
 assemble their sensing from world feedback.
 
-Incremental evaluation
-----------------------
-``indicate`` is a predicate of the *whole* trial view, so calling it every
-round costs O(len(view)) for sensing that scans — which turns a T-round
-trial quadratic.  :meth:`Sensing.incremental` optionally returns a
-stateful :class:`IncrementalSensing` monitor whose ``observe(record)``
-consumes one new :class:`~repro.core.views.ViewRecord` at a time and
-returns exactly what ``indicate`` would return on the prefix observed so
-far — O(1) per round for every sensing shipped here.  Custom sensing
-classes need not implement it: :func:`incremental_sensing` falls back to a
-replay wrapper that accumulates the records and calls ``indicate``, so
-behaviour is unchanged (only the asymptotics stay whatever the custom
-``indicate`` costs).
+One form: the monitor
+---------------------
+Safety and viability are statements about the verdict on *every prefix* of
+the view — exactly the sequence a per-record monitor computes.  So the
+monitor is the one definition of a sensing: :meth:`Sensing.incremental`
+returns a fresh :class:`IncrementalSensing` whose ``observe(record)``
+consumes the next :class:`~repro.core.views.ViewRecord` and returns the
+indication on the prefix seen so far.  :meth:`Sensing.indicate` is derived,
+once, as a fold of a fresh monitor over a whole view, so the whole-view and
+per-round readings cannot drift apart.  Every sensing shipped here observes
+in O(1) time and memory per round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.core.views import UserView, ViewRecord
 from repro.obs.events import GraceSuppressed
@@ -39,13 +37,17 @@ from repro.obs.tracer import TracerLike, is_tracing
 
 
 class IncrementalSensing:
-    """A stateful, per-trial monitor equivalent to some :class:`Sensing`.
+    """A stateful, per-trial monitor: the definition of some :class:`Sensing`.
 
     ``observe`` must be fed every record of a trial view, in order, and
-    returns the indication for the prefix seen so far.  Monitors are
-    single-trial: start a fresh one (via :meth:`Sensing.incremental` or
-    :func:`incremental_sensing`) whenever the view they mirror restarts.
+    returns the indication for the prefix seen so far; ``empty`` is the
+    indication on the empty view.  Monitors are single-trial: start a fresh
+    one (via :meth:`Sensing.incremental`) whenever the view they judge
+    restarts.
     """
+
+    #: The indication before any record is observed.
+    empty: bool
 
     def observe(self, record: ViewRecord) -> bool:
         """Consume one new round's record; return the current indication."""
@@ -77,20 +79,17 @@ class IncrementalSensing:
 class Sensing:
     """A Boolean feedback function over the user's local view."""
 
-    def indicate(self, view: UserView) -> bool:
-        """Return the indication for the given (trial-local) view."""
+    def incremental(self) -> IncrementalSensing:
+        """A fresh monitor — the one method a sensing implements."""
         raise NotImplementedError
 
-    def incremental(self) -> Optional[IncrementalSensing]:
-        """A fresh O(1)-per-round monitor, or ``None`` if unsupported.
-
-        Implementations must guarantee that feeding a view's records to
-        ``observe`` in order yields the same Booleans as calling
-        ``indicate`` on each prefix.  Callers wanting a monitor
-        unconditionally should use :func:`incremental_sensing`, which
-        supplies the replay fallback.
-        """
-        return None
+    def indicate(self, view: UserView) -> bool:
+        """The indication on ``view``: a fresh monitor folded over it."""
+        monitor = self.incremental()
+        verdict = monitor.empty
+        for record in view:
+            verdict = monitor.observe(record)
+        return verdict
 
     @property
     def name(self) -> str:
@@ -102,45 +101,6 @@ class Sensing:
 
     def __repr__(self) -> str:
         return f"<Sensing {self.name}>"
-
-
-class _ReplayIncremental(IncrementalSensing):
-    """Fallback monitor: accumulate records, re-ask ``indicate`` each round.
-
-    Exactly as fast (or slow) as calling ``indicate`` on the growing view
-    every round — which is what call sites did before the incremental
-    protocol existed — so arbitrary custom sensing keeps its behaviour.
-    """
-
-    __slots__ = ("_sensing", "_view")
-
-    def __init__(self, sensing: Sensing) -> None:
-        self._sensing = sensing
-        self._view = UserView()
-
-    def observe(self, record: ViewRecord) -> bool:
-        self._view.append(record)
-        return self._sensing.indicate(self._view)
-
-
-def incremental_sensing(sensing: Sensing) -> IncrementalSensing:
-    """A fresh monitor for ``sensing``: native if offered, else replay."""
-    return sensing.incremental() or _ReplayIncremental(sensing)
-
-
-@dataclass(frozen=True)
-class FunctionSensing(Sensing):
-    """Adapts a plain callable into a :class:`Sensing`."""
-
-    fn: Callable[[UserView], bool]
-    label: str = "fn"
-
-    @property
-    def name(self) -> str:
-        return self.label
-
-    def indicate(self, view: UserView) -> bool:
-        return bool(self.fn(view))
 
 
 @dataclass(frozen=True)
@@ -159,21 +119,18 @@ class ConstantSensing(Sensing):
     def name(self) -> str:
         return "always-positive" if self.value else "always-negative"
 
-    def indicate(self, view: UserView) -> bool:
-        return self.value
-
     def incremental(self) -> IncrementalSensing:
         return _ConstantIncremental(self.value)
 
 
 class _ConstantIncremental(IncrementalSensing):
-    __slots__ = ("_value",)
+    __slots__ = ("empty",)
 
     def __init__(self, value: bool) -> None:
-        self._value = value
+        self.empty = value
 
     def observe(self, record: ViewRecord) -> bool:
-        return self._value
+        return self.empty  # Every prefix reads as the empty one.
 
 
 @dataclass(frozen=True)
@@ -184,19 +141,16 @@ class _Negation(Sensing):
     def name(self) -> str:
         return f"not({self.inner.name})"
 
-    def indicate(self, view: UserView) -> bool:
-        return not self.inner.indicate(view)
-
-    def incremental(self) -> Optional[IncrementalSensing]:
-        monitor = self.inner.incremental()
-        return None if monitor is None else _NegationIncremental(monitor)
+    def incremental(self) -> IncrementalSensing:
+        return _NegationIncremental(self.inner.incremental())
 
 
 class _NegationIncremental(IncrementalSensing):
-    __slots__ = ("_inner",)
+    __slots__ = ("_inner", "empty")
 
     def __init__(self, inner: IncrementalSensing) -> None:
         self._inner = inner
+        self.empty = not inner.empty
 
     def observe(self, record: ViewRecord) -> bool:
         return not self._inner.observe(record)
@@ -220,24 +174,18 @@ class LastWorldMessageSensing(Sensing):
     def name(self) -> str:
         return self.label
 
-    def indicate(self, view: UserView) -> bool:
-        message = view.last_world_message()
-        if message is None:
-            return self.default
-        return bool(self.predicate(message))
-
     def incremental(self) -> IncrementalSensing:
         return _LastWorldMessageIncremental(self.predicate, self.default)
 
 
 class _LastWorldMessageIncremental(IncrementalSensing):
-    """Tracks the latest world message — O(1) where ``indicate`` rescans."""
+    """Judges each world message as it arrives; silence keeps the verdict."""
 
-    __slots__ = ("_predicate", "_verdict")
+    __slots__ = ("_predicate", "_verdict", "empty")
 
     def __init__(self, predicate: Callable[[str], bool], default: bool) -> None:
         self._predicate = predicate
-        self._verdict = default
+        self._verdict = self.empty = default
 
     def observe(self, record: ViewRecord) -> bool:
         message = record.inbox.from_world
@@ -260,9 +208,8 @@ class GraceSensing(Sensing):
     When a :mod:`repro.obs` tracer is attached (``with_tracer``), each
     round where the grace window overrides a *negative* inner verdict
     emits a :class:`~repro.obs.events.GraceSuppressed` event — the exact
-    feedback the grace ablation (E6) gives up.  The inner sensing is only
-    consulted early when tracing, which is sound because sensing functions
-    are pure predicates of the view.
+    feedback the grace ablation (E6) gives up.  ``indicate`` folds a fresh
+    monitor, so it reports every suppressed round of the view it is given.
     """
 
     inner: Sensing
@@ -281,37 +228,17 @@ class GraceSensing(Sensing):
         """A copy of this sensing reporting suppressions to ``tracer``."""
         return replace(self, tracer=tracer)
 
-    def indicate(self, view: UserView) -> bool:
-        if len(view) <= self.grace_rounds:
-            if is_tracing(self.tracer) and not self.inner.indicate(view):
-                self.tracer.emit(
-                    GraceSuppressed(
-                        round_index=len(view) - 1,
-                        grace_rounds=self.grace_rounds,
-                    )
-                )
-            return True
-        return self.inner.indicate(view)
-
     def incremental(self) -> IncrementalSensing:
-        # The inner monitor must see every record to stay in sync, so the
-        # replay fallback is fine here: it costs what the plain per-round
-        # ``indicate`` loop cost before.
-        return _GraceIncremental(self, incremental_sensing(self.inner))
+        return _GraceIncremental(self, self.inner.incremental())
 
 
 class _GraceIncremental(IncrementalSensing):
-    """Counts rounds itself instead of re-measuring ``len(view)``.
-
-    The inner monitor is advanced every round — including during grace,
-    where the serial path only consults the inner sensing when tracing.
-    Sensing functions are pure predicates of the view, so the verdicts
-    (and any :class:`GraceSuppressed` events) are identical.
-    """
+    """Counts the trial's rounds; the inner monitor sees every record."""
 
     __slots__ = ("_sensing", "_inner", "_seen")
+    empty = True  # The empty view lies inside every grace window.
 
-    def __init__(self, sensing: "GraceSensing", inner: IncrementalSensing) -> None:
+    def __init__(self, sensing: GraceSensing, inner: IncrementalSensing) -> None:
         self._sensing = sensing
         self._inner = inner
         self._seen = 0
@@ -341,13 +268,8 @@ class AllOfSensing(Sensing):
     def name(self) -> str:
         return "all(" + ",".join(p.name for p in self.parts) + ")"
 
-    def indicate(self, view: UserView) -> bool:
-        return all(part.indicate(view) for part in self.parts)
-
     def incremental(self) -> IncrementalSensing:
-        return _CombinatorIncremental(
-            [incremental_sensing(p) for p in self.parts], want_all=True
-        )
+        return _CombinatorIncremental([p.incremental() for p in self.parts], all)
 
 
 @dataclass(frozen=True)
@@ -360,32 +282,31 @@ class AnyOfSensing(Sensing):
     def name(self) -> str:
         return "any(" + ",".join(p.name for p in self.parts) + ")"
 
-    def indicate(self, view: UserView) -> bool:
-        return any(part.indicate(view) for part in self.parts)
-
     def incremental(self) -> IncrementalSensing:
-        return _CombinatorIncremental(
-            [incremental_sensing(p) for p in self.parts], want_all=False
-        )
+        return _CombinatorIncremental([p.incremental() for p in self.parts], any)
 
 
 class _CombinatorIncremental(IncrementalSensing):
     """Advances *every* component monitor, then combines.
 
-    No short-circuiting — each component's state must track the full
-    record stream; components are pure so the combined verdict matches
-    the short-circuiting serial evaluation.
+    No short-circuiting: each component's state must track the full record
+    stream, and a traced grace component reports its suppressions even
+    when an earlier component already decided the verdict.
     """
 
-    __slots__ = ("_monitors", "_want_all")
+    __slots__ = ("_monitors", "_combine", "empty")
 
-    def __init__(self, monitors: List[IncrementalSensing], want_all: bool) -> None:
+    def __init__(
+        self,
+        monitors: List[IncrementalSensing],
+        combine: Callable[[List[bool]], bool],
+    ) -> None:
         self._monitors = monitors
-        self._want_all = want_all
+        self._combine = combine
+        self.empty = combine([monitor.empty for monitor in monitors])
 
     def observe(self, record: ViewRecord) -> bool:
-        verdicts = [monitor.observe(record) for monitor in self._monitors]
-        return all(verdicts) if self._want_all else any(verdicts)
+        return self._combine([monitor.observe(record) for monitor in self._monitors])
 
 
 @dataclass(frozen=True)
@@ -401,29 +322,27 @@ class NoRecentProgressSensing(Sensing):
 
     stall_rounds: int = 8
 
+    def __post_init__(self) -> None:
+        if self.stall_rounds < 1:
+            raise ValueError(f"stall_rounds must be >= 1: {self.stall_rounds}")
+
     @property
     def name(self) -> str:
         return f"no-stall({self.stall_rounds})"
-
-    def indicate(self, view: UserView) -> bool:
-        if len(view) < self.stall_rounds:
-            return True
-        recent = view.tail(self.stall_rounds)
-        return any(r.inbox.from_world or r.inbox.from_server for r in recent)
 
     def incremental(self) -> IncrementalSensing:
         return _StallIncremental(self.stall_rounds)
 
 
 class _StallIncremental(IncrementalSensing):
-    """Remembers the last active round — O(1) where ``indicate`` rescans.
+    """Positive while the last ``stall_rounds`` rounds held a message.
 
-    Positive iff fewer than ``stall_rounds`` rounds have passed since the
-    last inbound message (with round 0 counting as activity), which is
-    precisely the windowed scan's verdict on every prefix length.
+    Remembers the last active round, with round 0 counting as activity, so
+    a view shorter than ``stall_rounds`` is never a stall.
     """
 
     __slots__ = ("_stall_rounds", "_rounds", "_last_activity")
+    empty = True
 
     def __init__(self, stall_rounds: int) -> None:
         self._stall_rounds = stall_rounds

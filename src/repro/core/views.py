@@ -84,49 +84,6 @@ class UserView:
         """The most recent record, or ``None`` for an empty view."""
         return self._records[-1] if self._records else None
 
-    def messages_from_world(self) -> List[str]:
-        """Every non-silent message the world sent the user, in order."""
-        return [r.inbox.from_world for r in self._records if r.inbox.from_world]
-
-    def messages_from_server(self) -> List[str]:
-        """Every non-silent message the server sent the user, in order."""
-        return [r.inbox.from_server for r in self._records if r.inbox.from_server]
-
-    def messages_to_server(self) -> List[str]:
-        """Every non-silent message the user sent the server, in order."""
-        return [r.outbox.to_server for r in self._records if r.outbox.to_server]
-
-    def messages_to_world(self) -> List[str]:
-        """Every non-silent message the user sent the world, in order."""
-        return [r.outbox.to_world for r in self._records if r.outbox.to_world]
-
-    def tail(self, count: int) -> "UserView":
-        """A view of only the last ``count`` rounds."""
-        return UserView(self._records[-count:])
-
-    def iter_reversed(self) -> Iterator[ViewRecord]:
-        """Iterate newest-first without copying the record list."""
-        return reversed(self._records)
-
-    def last_world_message(self) -> Optional[str]:
-        """The most recent non-silent message from the world, if any.
-
-        Early-exits on the reverse scan — sensing functions are evaluated
-        every round on a growing view, so this must not rebuild the full
-        message list (that turns long executions quadratic).
-        """
-        for record in reversed(self._records):
-            if record.inbox.from_world:
-                return record.inbox.from_world
-        return None
-
-    def last_server_message(self) -> Optional[str]:
-        """The most recent non-silent message from the server, if any."""
-        for record in reversed(self._records):
-            if record.inbox.from_server:
-                return record.inbox.from_server
-        return None
-
 
 class BoundedUserView(UserView):
     """A :class:`UserView` that retains only the last ``window`` records.
@@ -135,9 +92,9 @@ class BoundedUserView(UserView):
     :class:`~repro.core.execution.RecordingPolicy`) uses this to stop a
     long execution from accumulating one :class:`ViewRecord` per round
     when nothing downstream will read the full history.  ``len`` still
-    reports the *total* number of rounds seen — length-based sensing
-    (grace windows, stall detectors) keeps working — while the record
-    accessors answer over the retained window only.
+    reports the *total* number of rounds seen, while iteration and the
+    record accessors answer over the retained window only — so
+    ``Sensing.indicate`` on a bounded view folds over that window.
 
     ``window=0`` stores nothing at all; callers use :meth:`advance` to
     tick the round count without even allocating a record.
@@ -169,8 +126,3 @@ class BoundedUserView(UserView):
 
     def __len__(self) -> int:
         return self._total
-
-    def tail(self, count: int) -> UserView:
-        """A view of (up to) the last ``count`` *retained* rounds."""
-        kept = list(self._records)
-        return UserView(kept[-count:])

@@ -17,8 +17,8 @@ Rules (see ``docs/STATIC_ANALYSIS.md`` for the full catalogue):
   OS entropy, or hash-order-dependent ``set`` iteration.
 * ``RL002`` — non-mutating ``step``: strategy objects are shared across
   executions and sweeps; per-round dynamics live in the threaded state.
-* ``RL003`` — sensing purity: ``indicate`` is a read-only predicate of
-  the view — no self-mutation, no I/O, no ambient randomness.
+* ``RL003`` — one sensing form: no ``indicate`` overrides, and a
+  monitor's ``observe`` is pure — no record writes, I/O or ambient state.
 * ``RL004`` — picklability: no lambdas, local functions, or open handles
   stored on objects that a process-pool sweep must pickle.
 * ``RL005`` — seed plumbing: public constructors that consume randomness

@@ -1,27 +1,25 @@
-"""RL003: sensing is a pure predicate of the user's local view.
+"""RL003: a sensing is its monitor, and the monitor judges only the record.
 
 Theorem 1 calls sensing "trustworthy indications": the safety and
-viability properties are defined for *predicates of the view*, so an
-``indicate`` that mutates its object, performs I/O, or reads ambient
-state is outside the theorem — its verdicts can differ between the run
-that was judged and the replay that is audited, and the grace/incremental
-machinery (which consults the inner sensing at different times on
-different paths) is only sound because verdicts depend on nothing but
-the view prefix.
+viability properties are defined for *predicates of the view*, stated
+over the verdict on every prefix.  A per-record monitor computes exactly
+that sequence, so it is the one form of a sensing
+(:mod:`repro.core.sensing`), and ``Sensing.indicate`` is a single
+base-class fold of a fresh monitor over a view.  Two things keep it so:
 
-Flagged inside ``indicate`` of any ``Sensing`` subclass, and inside
-lambdas passed directly to ``FunctionSensing``:
+* an ``indicate`` override on a ``Sensing`` subclass is flagged — a second
+  definition can drift from the monitor the universal users run, which is
+  how the two forms came apart before there was one;
+* inside a monitor's ``observe`` (any ``IncrementalSensing`` subclass), the
+  verdict must depend on nothing but the records fed so far:
 
-* writes to ``self`` or to the view parameter (including mutating
-  method calls on either);
-* ``global``/``nonlocal`` declarations — closure over mutable state;
-* I/O: ``open``/``input``/``print``;
-* ambient nondeterminism (same detector as RL001).
+  - writes to the record parameter, or mutating method calls on it;
+  - ``global``/``nonlocal`` declarations — closure over mutable state;
+  - I/O: ``open``/``input``/``print``;
+  - ambient nondeterminism (same detector as RL001).
 
-Stateful *incremental monitors* (``IncrementalSensing.observe``) are
-exempt by design: a monitor is single-trial and owns its state — its
-contract is equivalence with the pure ``indicate`` on the observed
-prefix, which the equivalence tests check dynamically.
+Writes to ``self`` stay allowed: a monitor is single-trial and owns its
+state — that state *is* its summary of the prefix.
 """
 
 from __future__ import annotations
@@ -42,62 +40,65 @@ from repro.lint.violations import Violation
 _IO_CALLS = frozenset({"open", "input", "print"})
 
 
-def _is_sensing_class(context: ModuleContext, cls: ast.ClassDef) -> bool:
-    bases = context.transitive_bases(cls.name)
+def _is_monitor_class(bases: "set[str]") -> bool:
+    return any(
+        base == "IncrementalSensing" or base.endswith("Incremental") for base in bases
+    )
+
+
+def _is_sensing_class(bases: "set[str]") -> bool:
     return any(base == "Sensing" or base.endswith("Sensing") for base in bases)
 
 
 class SensingPurityRule(Rule):
     code = "RL003"
-    summary = "sensing `indicate` must be a pure, I/O-free predicate of the view"
+    summary = (
+        "a sensing is defined by its monitor: no `indicate` overrides, and "
+        "`observe` is a pure, I/O-free function of the records"
+    )
     rationale = (
-        "Safety/viability (Theorem 1) are properties of view-predicates; "
-        "impure sensing can return different verdicts on the replayed "
-        "prefix than it did live, voiding the empirical certificates."
+        "Safety/viability (Theorem 1) are properties of view-predicates; a "
+        "second definition or an impure monitor can return different "
+        "verdicts on the audited prefix than it did live, voiding the "
+        "empirical certificates."
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
         for cls in context.iter_classes():
-            if not _is_sensing_class(context, cls):
-                continue
-            for method in iter_methods(cls, {"indicate"}):
-                view = _view_param(method)
-                yield from self._check_body(
-                    context, f"`{cls.name}.indicate`", method, view
-                )
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call) and _is_function_sensing(node):
-                for arg in list(node.args[:1]) + [
-                    kw.value for kw in node.keywords if kw.arg == "fn"
-                ]:
-                    if isinstance(arg, ast.Lambda):
-                        yield from self._check_body(
-                            context, "sensing lambda", arg, None
-                        )
+            bases = context.transitive_bases(cls.name)
+            if _is_monitor_class(bases):
+                for method in iter_methods(cls, {"observe"}):
+                    yield from self._check_observe(
+                        context, f"`{cls.name}.observe`", method
+                    )
+            elif _is_sensing_class(bases):
+                for method in iter_methods(cls, {"indicate"}):
+                    yield self.violation(
+                        context,
+                        method.lineno,
+                        method.col_offset,
+                        f"`{cls.name}.indicate` overrides the base fold: "
+                        "define the sensing once, by the monitor "
+                        "`incremental()` returns",
+                    )
 
-    def _check_body(
-        self,
-        context: ModuleContext,
-        where: str,
-        root: ast.AST,
-        view: Optional[str],
+    def _check_observe(
+        self, context: ModuleContext, where: str, method: ast.FunctionDef
     ) -> Iterator[Violation]:
-        watched = {"self"} | ({view} if view else set())
-        for node in ast.walk(root):
+        record = _record_param(method)
+        for node in ast.walk(method):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
                 )
                 for target in targets:
-                    hit = _deref_write(target, watched)
-                    if hit is not None:
+                    if _writes(target, record):
                         yield self.violation(
                             context,
                             node.lineno,
                             node.col_offset,
-                            f"{where} writes `{hit}`: sensing must not carry "
-                            "state between calls (use an IncrementalSensing "
-                            "monitor for per-trial state)",
+                            f"{where} writes `{record}`: the record is the "
+                            "shared view, keep per-trial state on `self`",
                         )
             elif isinstance(node, (ast.Global, ast.Nonlocal)):
                 yield self.violation(
@@ -122,18 +123,15 @@ class SensingPurityRule(Rule):
                 elif (
                     isinstance(func, ast.Attribute)
                     and func.attr in MUTATING_METHODS
+                    and _writes(func.value, record, calls=True)
                 ):
-                    root_name = attribute_root(func.value)
-                    if root_name is not None and root_name.id in watched:
-                        if not isinstance(func.value, ast.Name) or root_name.id != "self":
-                            yield self.violation(
-                                context,
-                                node.lineno,
-                                node.col_offset,
-                                f"{where} mutates `{root_name.id}` via "
-                                f"`.{func.attr}(...)`",
-                            )
-        for node, target, reason in iter_ambient_calls(context, root):
+                    yield self.violation(
+                        context,
+                        node.lineno,
+                        node.col_offset,
+                        f"{where} mutates `{record}` via `.{func.attr}(...)`",
+                    )
+        for node, target, reason in iter_ambient_calls(context, method):
             yield self.violation(
                 context,
                 node.lineno,
@@ -142,30 +140,20 @@ class SensingPurityRule(Rule):
             )
 
 
-def _view_param(method: ast.FunctionDef) -> Optional[str]:
+def _record_param(method: ast.FunctionDef) -> Optional[str]:
     names = [a.arg for a in method.args.args]
     if len(names) >= 2 and names[0] == "self":
         return names[1]
     return None
 
 
-def _is_function_sensing(node: ast.Call) -> bool:
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id == "FunctionSensing"
-    return isinstance(func, ast.Attribute) and func.attr == "FunctionSensing"
-
-
-def _deref_write(target: ast.expr, roots: "set[str]") -> Optional[str]:
+def _writes(target: ast.expr, record: Optional[str], calls: bool = False) -> bool:
+    """Does ``target`` reach into ``record`` (a bare name only for calls)?"""
+    if record is None:
+        return False
     if isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            hit = _deref_write(element, roots)
-            if hit is not None:
-                return hit
-        return None
-    if not isinstance(target, (ast.Attribute, ast.Subscript)):
-        return None
+        return any(_writes(element, record, calls) for element in target.elts)
+    if not calls and not isinstance(target, (ast.Attribute, ast.Subscript)):
+        return False
     root = attribute_root(target)
-    if root is not None and root.id in roots:
-        return root.id
-    return None
+    return root is not None and root.id == record

@@ -67,8 +67,7 @@ class FiniteUniversalUser(TrialUser):
     sensing:
         Consulted when a candidate halts; the universal user only forwards
         the halt (and the candidate's output) on a positive indication.
-        A native monitor is fed every round; otherwise ``indicate`` runs
-        once per halt on the trial's view.
+        Its monitor is fed every round and read at halt.
     schedule_factory:
         Builds the trial schedule; defaults to
         :func:`~repro.universal.schedules.levin_trials` capped at the

@@ -10,11 +10,11 @@ belief argmax.  Everything else is one lifecycle, kept here:
   monitor (:class:`Trial`, built lazily on the trial's first round);
 * **step** — play the candidate one round and feed its *trial-local*
   :class:`~repro.core.views.ViewRecord` to the monitor (:meth:`Trial.play`);
-* **verdict on demand** — with a native monitor
-  (:meth:`~repro.core.sensing.Sensing.incremental`) the verdict is read
-  off it; without one the trial keeps its view and calls ``indicate`` only
-  when the policy asks (:meth:`TrialUser._judge`).  The compact and
-  belief-weighted users ask every round, the finite user at halt;
+* **verdict** — the monitor's indication on the trial so far, read when
+  the policy asks (:meth:`TrialUser._judge`): every round for the compact
+  and belief-weighted users, at halt for the finite user.  The sensing is
+  reached only through ``incremental()`` and the monitor's ``observe``, so
+  a trial keeps no view and runs in constant memory;
 * **strikes** — a trial ends on its ``patience + 1``-th negative
   indication, but never inside its first ``min_trial_rounds`` rounds, and
   a halt under a negative indication is stripped (:meth:`TrialUser.step`);
@@ -39,7 +39,7 @@ from typing import Any, Optional, Tuple
 from repro.comm.messages import UserInbox, UserOutbox
 from repro.core.sensing import IncrementalSensing, Sensing
 from repro.core.strategy import UserStrategy
-from repro.core.views import UserView, ViewRecord
+from repro.core.views import ViewRecord
 from repro.obs.events import (
     SensingIndication,
     StrategySwitch,
@@ -55,8 +55,8 @@ class Trial:
 
     ``strategy`` is the candidate itself; it stays out of equality because
     ``index`` already names it (the parity suites compare states
-    structurally).  ``view`` is kept only when the sensing has no native
-    monitor, so a trial under an O(1) monitor runs in constant memory.
+    structurally).  ``verdict`` is the monitor's indication on the trial's
+    rounds so far.
     """
 
     strategy: UserStrategy = field(compare=False, repr=False)
@@ -64,8 +64,7 @@ class Trial:
     number: int
     budget: Optional[int]
     inner_state: Any
-    monitor: Optional[IncrementalSensing]
-    view: Optional[UserView]
+    monitor: IncrementalSensing
     verdict: bool = False
     rounds: int = 0
     strikes: int = 0
@@ -76,10 +75,7 @@ class Trial:
         self.inner_state, outbox = self.strategy.step(before, inbox, rng)
         record = ViewRecord(self.rounds, before, inbox, outbox, self.inner_state)
         self.rounds += 1
-        if self.monitor is not None:
-            self.verdict = self.monitor.observe(record)
-        else:
-            self.view.append(record)  # type: ignore[union-attr]
+        self.verdict = self.monitor.observe(record)
         return outbox
 
 
@@ -165,16 +161,13 @@ class TrialUser(UserStrategy):
         budget: Optional[int] = None,
     ) -> Trial:
         """Begin trial ``number`` of candidate ``index`` at ``round_index``."""
-        inner_state = strategy.initial_state(rng)
-        monitor = self._sensing.incremental()
         trial = Trial(
             strategy,
             index,
             number,
             budget,
-            inner_state,
-            monitor,
-            UserView() if monitor is None else None,
+            strategy.initial_state(rng),
+            self._sensing.incremental(),
         )
         if is_tracing(self.tracer):
             self.tracer.emit(
@@ -189,9 +182,7 @@ class TrialUser(UserStrategy):
 
     def _judge(self, trial: Trial, round_index: int) -> bool:
         """The sensing verdict on the trial so far (emitted when tracing)."""
-        positive = (
-            trial.verdict if trial.view is None else self._sensing.indicate(trial.view)
-        )
+        positive = trial.verdict
         if is_tracing(self.tracer):
             self.tracer.emit(
                 SensingIndication(

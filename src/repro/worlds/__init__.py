@@ -35,7 +35,6 @@ from repro.worlds.counting import (
     CountingWorld,
     CountingState,
     CorrectCountReferee,
-    VerifiedSumSensing,
     counting_goal,
     counting_sensing,
     canonical_order,
@@ -88,7 +87,6 @@ __all__ = [
     "CountingWorld",
     "CountingState",
     "CorrectCountReferee",
-    "VerifiedSumSensing",
     "counting_goal",
     "counting_sensing",
     "canonical_order",

@@ -24,9 +24,9 @@ from repro.comm.messages import WorldInbox, WorldOutbox, parse_tagged
 from repro.core.execution import ExecutionResult
 from repro.core.goals import FiniteGoal
 from repro.core.referees import FiniteReferee
-from repro.core.sensing import Sensing
+from repro.core.sensing import IncrementalSensing, Sensing
 from repro.core.strategy import WorldStrategy
-from repro.core.views import UserView
+from repro.core.views import ViewRecord
 from repro.qbf.qbf import QBF
 
 
@@ -88,26 +88,36 @@ def delegation_goal(instances: Sequence[QBF]) -> FiniteGoal:
     )
 
 
+@dataclass(frozen=True)
 class VerifiedProofSensing(Sensing):
     """Positive iff the user's own verifier has accepted a proof.
 
     Sensing may inspect the user's internal states (they are part of the
-    user's view); by convention the delegation users expose a
+    user's view); by convention the delegation and counting users expose a
     ``proof_accepted`` attribute on their state.  Safety here is *inherited
     from the soundness of the interactive proof*: whoever the server is,
     ``proof_accepted`` implies the announced value is correct except with
     probability ≈ deg/p.  This is the paper's delegation story in one line.
     """
 
+    label: str = "verified-proof"
+
     @property
     def name(self) -> str:
-        return "verified-proof"
+        return self.label
 
-    def indicate(self, view: UserView) -> bool:
-        last = view.last()
-        if last is None:
-            return False
-        return bool(getattr(last.state_after, "proof_accepted", False))
+    def incremental(self) -> IncrementalSensing:
+        return _ProofAcceptedIncremental()
+
+
+class _ProofAcceptedIncremental(IncrementalSensing):
+    """Reads the flag off the latest user state; nothing to remember."""
+
+    __slots__ = ()
+    empty = False
+
+    def observe(self, record: ViewRecord) -> bool:
+        return bool(getattr(record.state_after, "proof_accepted", False))
 
 
 def delegation_sensing() -> Sensing:

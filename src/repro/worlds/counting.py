@@ -31,11 +31,11 @@ from repro.core.goals import FiniteGoal
 from repro.core.referees import FiniteReferee
 from repro.core.sensing import Sensing
 from repro.core.strategy import WorldStrategy
-from repro.core.views import UserView
 from repro.errors import FormulaError
 from repro.ip.sumcheck import count_satisfying_assignments
 from repro.qbf import formulas
 from repro.qbf.formulas import Formula
+from repro.worlds.computation import VerifiedProofSensing
 
 
 def canonical_order(formula: Formula) -> List[str]:
@@ -104,25 +104,12 @@ def counting_goal(instances: Sequence[Formula]) -> FiniteGoal:
     )
 
 
-class VerifiedSumSensing(Sensing):
-    """Positive iff the user's sumcheck verifier has accepted.
-
-    Same convention as the TQBF goal: the counting users expose a
-    ``proof_accepted`` flag on their state, and the sumcheck's soundness is
-    what makes trusting it safe.
-    """
-
-    @property
-    def name(self) -> str:
-        return "verified-sum"
-
-    def indicate(self, view: UserView) -> bool:
-        last = view.last()
-        if last is None:
-            return False
-        return bool(getattr(last.state_after, "proof_accepted", False))
-
-
 def counting_sensing() -> Sensing:
-    """The counting goal's sensing (see :class:`VerifiedSumSensing`)."""
-    return VerifiedSumSensing()
+    """The counting goal's sensing: the user's sumcheck verifier accepted.
+
+    Same convention as the TQBF goal (see
+    :class:`~repro.worlds.computation.VerifiedProofSensing`): the counting
+    users expose a ``proof_accepted`` flag on their state, and the
+    sumcheck's soundness is what makes trusting it safe.
+    """
+    return VerifiedProofSensing(label="verified-sum")

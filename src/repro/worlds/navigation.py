@@ -27,9 +27,8 @@ from repro.comm.messages import WorldInbox, WorldOutbox, parse_tagged
 from repro.core.execution import ExecutionResult
 from repro.core.goals import FiniteGoal
 from repro.core.referees import FiniteReferee
-from repro.core.sensing import Sensing
+from repro.core.sensing import LastWorldMessageSensing, Sensing
 from repro.core.strategy import WorldStrategy
-from repro.core.views import UserView
 
 Cell = Tuple[int, int]
 
@@ -244,25 +243,16 @@ def navigation_goal(grid: Grid) -> FiniteGoal:
     )
 
 
-class ArrivedSensing(Sensing):
-    """Positive iff the world's last position report says ``AT:1``.
+def _reports_arrival(message: str) -> bool:
+    return message.partition(";AT:")[2] == "1"
+
+
+def navigation_sensing() -> Sensing:
+    """The navigation goal's sensing: the last position report says ``AT:1``.
 
     Safe (arrival is a world-state fact) and viable (a correctly guided
     user arrives and the report follows within one round).
     """
-
-    @property
-    def name(self) -> str:
-        return "arrived"
-
-    def indicate(self, view: UserView) -> bool:
-        message = view.last_world_message()
-        if message is None:
-            return False
-        _, _, at = message.partition(";AT:")
-        return at == "1"
-
-
-def navigation_sensing() -> Sensing:
-    """The navigation goal's sensing (see :class:`ArrivedSensing`)."""
-    return ArrivedSensing()
+    return LastWorldMessageSensing(
+        predicate=_reports_arrival, default=False, label="arrived"
+    )

@@ -31,9 +31,9 @@ from repro.comm.messages import WorldInbox, WorldOutbox, parse_tagged
 from repro.core.execution import ExecutionResult
 from repro.core.goals import FiniteGoal
 from repro.core.referees import FiniteReferee
-from repro.core.sensing import Sensing
+from repro.core.sensing import IncrementalSensing, Sensing
 from repro.core.strategy import WorldStrategy
-from repro.core.views import UserView
+from repro.core.views import ViewRecord
 
 #: Maximum printed-stream length retained in the state.  A runaway server
 #: cannot bloat memory; the referee criterion (substring) only needs the
@@ -137,20 +137,33 @@ class PrintedTailSensing(Sensing):
     def name(self) -> str:
         return "printed-tail"
 
-    def indicate(self, view: UserView) -> bool:
-        for record in view.iter_reversed():
-            message = record.inbox.from_world
-            if not message:
-                continue
+    def incremental(self) -> IncrementalSensing:
+        return _PrintedTailIncremental()
+
+
+class _PrintedTailIncremental(IncrementalSensing):
+    """Judges each ``JOB:``-tagged report as it arrives; others are skipped."""
+
+    __slots__ = ("_verdict",)
+    empty = False
+
+    def __init__(self) -> None:
+        self._verdict = False
+
+    def observe(self, record: ViewRecord) -> bool:
+        message = record.inbox.from_world
+        if message:
             job, _, rest = message.partition(";")
             parsed_job = parse_tagged(job)
-            if parsed_job is None or parsed_job[0] != "JOB":
-                continue
-            parsed_tail = parse_tagged(rest)
-            if parsed_tail is None or parsed_tail[0] != "TAIL":
-                return False  # Blind world: no evidence, no endorsement.
-            return parsed_job[1] in parsed_tail[1]
-        return False
+            if parsed_job is not None and parsed_job[0] == "JOB":
+                parsed_tail = parse_tagged(rest)
+                # Blind world (no TAIL): no evidence, no endorsement.
+                self._verdict = (
+                    parsed_tail is not None
+                    and parsed_tail[0] == "TAIL"
+                    and parsed_job[1] in parsed_tail[1]
+                )
+        return self._verdict
 
 
 def printing_sensing() -> Sensing:

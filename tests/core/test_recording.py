@@ -195,10 +195,11 @@ class TestBoundedUserView:
         assert [r.round_index for r in view.records] == [7, 8, 9]
 
     def test_tail_within_window(self):
+        """Iteration (what ``Sensing.indicate`` folds over) sees the window."""
         view = BoundedUserView(4)
         for i in range(6):
             view.append(record(i))
-        assert [r.round_index for r in view.tail(2)] == [4, 5]
+        assert [r.round_index for r in view] == [2, 3, 4, 5]
 
     def test_zero_window_stores_nothing(self):
         view = BoundedUserView(0)

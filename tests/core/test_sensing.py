@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.comm.messages import UserInbox, UserOutbox
 from repro.core.sensing import (
     AllOfSensing,
     AnyOfSensing,
     ConstantSensing,
-    FunctionSensing,
     GraceSensing,
     LastWorldMessageSensing,
     NoRecentProgressSensing,
@@ -48,14 +49,6 @@ class TestNegation:
         assert "not(" in ConstantSensing(True).negate().name
 
 
-class TestFunctionSensing:
-    def test_wraps_callable(self):
-        sensing = FunctionSensing(lambda v: len(v) > 2, label="long")
-        assert not sensing.indicate(view_from_world_messages(["a"]))
-        assert sensing.indicate(view_from_world_messages(["a", "b", "c"]))
-        assert sensing.name == "long"
-
-
 class TestLastWorldMessage:
     def test_judges_latest_nonsilent(self):
         sensing = LastWorldMessageSensing(predicate=lambda m: m == "good")
@@ -85,8 +78,6 @@ class TestGrace:
         assert not sensing.indicate(view_from_world_messages(["x"] * 4))
 
     def test_negative_grace_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             GraceSensing(ConstantSensing(True), grace_rounds=-1)
 
@@ -115,3 +106,8 @@ class TestNoRecentProgress:
     def test_positive_with_recent_chatter(self):
         sensing = NoRecentProgressSensing(stall_rounds=4)
         assert sensing.indicate(view_from_world_messages([""] * 5 + ["news"]))
+
+    @pytest.mark.parametrize("stall_rounds", [0, -1])
+    def test_nonpositive_stall_rejected(self, stall_rounds):
+        with pytest.raises(ValueError):
+            NoRecentProgressSensing(stall_rounds=stall_rounds)

@@ -35,24 +35,6 @@ class TestUserView:
         view.append(record(0))
         assert view.last().round_index == 0
 
-    def test_message_extractors_skip_silence(self):
-        view = UserView(
-            [
-                record(0, from_server="s0", to_world="w0"),
-                record(1),
-                record(2, from_world="in2", to_server="out2"),
-            ]
-        )
-        assert view.messages_from_server() == ["s0"]
-        assert view.messages_from_world() == ["in2"]
-        assert view.messages_to_server() == ["out2"]
-        assert view.messages_to_world() == ["w0"]
-
-    def test_tail(self):
-        view = UserView([record(i) for i in range(5)])
-        tail = view.tail(2)
-        assert [r.round_index for r in tail] == [3, 4]
-
     def test_indexing(self):
         view = UserView([record(0), record(1)])
         assert view[1].round_index == 1

@@ -19,7 +19,7 @@ import pytest
 
 from repro.comm.codecs import codec_family
 from repro.core.execution import run_execution
-from repro.core.sensing import ConstantSensing, FunctionSensing
+from repro.core.sensing import ConstantSensing, IncrementalSensing, Sensing
 from repro.faults.channel import (
     CORRUPT,
     SERVER_TO_USER,
@@ -49,6 +49,25 @@ from tests.universal.helpers import (
 )
 
 WORDS = ["alpha", "beta", "gamma"]
+
+
+class AlternatingSensing(Sensing):
+    """Positive on even-length trial views, negative on odd ones."""
+
+    def incremental(self) -> IncrementalSensing:
+        return _AlternatingIncremental()
+
+
+class _AlternatingIncremental(IncrementalSensing):
+    __slots__ = ("_rounds",)
+    empty = True
+
+    def __init__(self) -> None:
+        self._rounds = 0
+
+    def observe(self, record) -> bool:
+        self._rounds += 1
+        return self._rounds % 2 == 0
 
 
 def keyword_universal(**kwargs):
@@ -97,12 +116,9 @@ class TestCompactStrikeAccounting:
 
     def test_positives_do_not_refill_the_budget(self):
         """Alternating indications still evict — strikes are cumulative."""
-        alternating = FunctionSensing(
-            lambda view: len(view) % 2 == 0, label="alternating"
-        )
         user = CompactUniversalUser(
             ListEnumeration([KeywordUser(w) for w in WORDS]),
-            alternating,
+            AlternatingSensing(),
             patience=1,
         )
         # Negatives land on trial rounds 1, 3, 5, ...; with patience=1 the

@@ -17,8 +17,10 @@ import random
 from repro.analysis.metrics import collect_metrics
 from repro.analysis.runner import sweep
 from repro.comm.codecs import codec_family
+from repro.comm.messages import UserInbox, UserOutbox
 from repro.core.execution import run_execution
 from repro.core.sensing import ConstantSensing, GraceSensing
+from repro.core.views import UserView, ViewRecord
 from repro.obs import (
     ExecutionFinished,
     ExecutionStarted,
@@ -236,9 +238,15 @@ class TestGraceSuppression:
 
     def test_grace_without_tracer_stays_silent_and_identical(self):
         plain = GraceSensing(ConstantSensing(False), grace_rounds=3)
-        traced = plain.with_tracer(Tracer(sink=MemorySink()))
-        view_like = type("V", (), {"__len__": lambda self: 2})()
-        assert plain.indicate(view_like) is traced.indicate(view_like) is True
+        tracer = Tracer(sink=MemorySink())
+        traced = plain.with_tracer(tracer)
+        view = UserView(
+            [ViewRecord(i, i, UserInbox(), UserOutbox(), i + 1) for i in range(2)]
+        )
+        assert plain.indicate(view) is traced.indicate(view) is True
+        assert plain.tracer is None
+        suppressed = tracer.sink.of_kind(GraceSuppressed)
+        assert [e.round_index for e in suppressed] == [0, 1]
 
 
 class TestTracingIsInvisible:

@@ -138,7 +138,7 @@ def finite_doubling() -> Cast:
 
 
 def finite_indicate_retry() -> Cast:
-    # YesSensing has no native monitor: halts are judged by ``indicate``.
+    # Halt-rejected retries judged by a test-side monitor (YesSensing).
     user = FiniteUniversalUser(
         ListEnumeration([EagerHaltUser(), KeywordUser("beta", halt_on_yes=True)]),
         YesSensing(default=False),

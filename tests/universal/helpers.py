@@ -10,12 +10,12 @@ index is "correct" with no world machinery in the way.
 from __future__ import annotations
 
 import random
-from typing import Tuple
+from typing import Set, Tuple
 
 from repro.comm.messages import ServerInbox, ServerOutbox, UserInbox, UserOutbox, WorldOutbox
-from repro.core.sensing import GraceSensing, Sensing
+from repro.core.sensing import GraceSensing, IncrementalSensing, Sensing
 from repro.core.strategy import ServerStrategy, UserStrategy, WorldStrategy
-from repro.core.views import UserView
+from repro.core.views import ViewRecord
 
 
 class NullWorld(WorldStrategy):
@@ -110,12 +110,29 @@ class YesSensing(Sensing):
     def name(self) -> str:
         return "yes"
 
-    def indicate(self, view: UserView) -> bool:
-        replies = view.messages_from_server()
-        if not replies:
-            return self._default
-        verdict, _, word = replies[-1].partition(":")
-        return verdict == "YES" and word in view.messages_to_server()
+    def incremental(self) -> IncrementalSensing:
+        return _YesIncremental(self._default)
+
+
+class _YesIncremental(IncrementalSensing):
+    """Remembers the latest reply and every word this trial has sent."""
+
+    __slots__ = ("empty", "_reply", "_sent")
+
+    def __init__(self, default: bool) -> None:
+        self.empty = default
+        self._reply = ""
+        self._sent: Set[str] = set()
+
+    def observe(self, record: ViewRecord) -> bool:
+        if record.outbox.to_server:
+            self._sent.add(record.outbox.to_server)
+        if record.inbox.from_server:
+            self._reply = record.inbox.from_server
+        if not self._reply:
+            return self.empty
+        verdict, _, word = self._reply.partition(":")
+        return verdict == "YES" and word in self._sent
 
 
 def keyword_sensing(grace: int = 2) -> Sensing:

@@ -14,6 +14,8 @@ from repro.errors import EnumerationExhaustedError
 from repro.universal.bayesian import BeliefWeightedUniversalUser
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
+from repro.universal.finite import FiniteUniversalUser
+from repro.worlds.printer import printing_sensing
 
 from tests.universal.helpers import (
     KeywordServer,
@@ -132,7 +134,7 @@ class TestValidationAndStats:
 UNIVERSAL_MODULES = str(Path(repro.universal.__file__).parent / "*")
 
 
-def settled_live_bytes(user):
+def settled_live_bytes(user, server=None):
     """Live bytes ``repro.universal`` holds after 10^5 settled rounds.
 
     Settle on the first candidate, then trace 10^5 more rounds: a settled
@@ -140,7 +142,7 @@ def settled_live_bytes(user):
     under a small constant instead of growing by one record per round.
     """
     stepper = ExecutionStepper(
-        user, KeywordServer(WORDS[0]), NullWorld(), max_rounds=101_000,
+        user, server or KeywordServer(WORDS[0]), NullWorld(), max_rounds=101_000,
         seed=0, recording=METRICS_RECORDING,
     )
     stepper.step_many(1_000)
@@ -151,7 +153,7 @@ def settled_live_bytes(user):
     finally:
         tracemalloc.stop()
     state = stepper.finish().final_user_state
-    assert state.switches == 0 and state.trial.rounds == 101_000
+    assert state.trial.rounds == 101_000  # One trial spans the whole run.
     traced = snapshot.filter_traces([tracemalloc.Filter(True, UNIVERSAL_MODULES)])
     return sum(stat.size for stat in traced.statistics("filename"))
 
@@ -166,3 +168,17 @@ class TestBoundedMemory:
             [KeywordUser(w) for w in WORDS], ConstantSensing(True)
         )
         assert settled_live_bytes(user) < 4096
+
+    def test_finite_trial_keeps_no_view(self):
+        """A never-halting finite trial runs in bounded memory too.
+
+        The candidate never halts, so the printing sensing is never asked
+        for a verdict — yet its monitor is fed every round, and the trial
+        keeps nothing else that grows.
+        """
+        user = FiniteUniversalUser(
+            ListEnumeration([KeywordUser("alpha")]),
+            printing_sensing(),
+            schedule_factory=lambda cap: iter([(0, 10**7)]),
+        )
+        assert settled_live_bytes(user, KeywordServer("beta")) < 4096
