@@ -114,6 +114,7 @@ def main() -> int:
             spec.user, spec.server, spec.goal.world,
             max_rounds=spec.max_rounds, seed=spec.seed,
             recording=spec.recording, channel=spec.channel,
+            referee=spec.goal.referee,
         )
         verdict = spec.goal.evaluate(reference)
         assert outcome.execution == reference, (

@@ -22,10 +22,11 @@ serve capacity gate compares ``BENCH_serve.json`` files the same way::
         baseline_serve.json BENCH_serve.json --metric sessions_per_s
 
 (The secondary ``batched_cells_per_s`` check only applies to the default
-``cells_per_s`` metric.  The serve gate also bounds tail latency: when
-both files carry ``latency_p95_ms`` — the loadgen's streaming-histogram
-p95 — the candidate may not exceed the baseline by more than the same
-tolerance.)
+``cells_per_s`` metric.  The serve gate also bounds tail latency and
+memory: when both files carry ``latency_p95_ms`` — the loadgen's
+streaming-histogram p95 — or ``peak_rss_mb`` — the serving process's
+``ru_maxrss`` — the candidate may not exceed the baseline by more than
+the same tolerance.)
 
 Baselines recorded on a different core count are reported but not
 enforced, since serial throughput also shifts with the machine class.
@@ -178,23 +179,31 @@ def main(argv: list[str] | None = None) -> int:
             )
             return 1
 
-    # Tail latency gates the serve bench the other way around: higher is
-    # worse.  Only when both sides measured it (burst runs without
-    # settled sessions report null p95s; older baselines lack the key).
-    base_p95 = baseline.get("latency_p95_ms")
-    cand_p95 = candidate.get("latency_p95_ms")
-    if args.metric == "sessions_per_s" and base_p95 and cand_p95:
-        p95_ratio = float(cand_p95) / float(base_p95)
-        print(
-            f"p95       : {float(cand_p95):.1f} vs {float(base_p95):.1f} ms "
-            f"(ratio {p95_ratio:.3f}, ceiling {1 + args.tolerance:.2f})"
-        )
-        if p95_ratio > 1 + args.tolerance:
+    # Tail latency and peak memory gate the serve bench the other way
+    # around: higher is worse.  Only when both sides measured them (burst
+    # runs without settled sessions report null p95s; older baselines
+    # lack the keys).
+    if args.metric == "sessions_per_s":
+        for key, label, figure in (
+            ("latency_p95_ms", "p95", "ms"),
+            ("peak_rss_mb", "peak RSS", "MB"),
+        ):
+            base_value = baseline.get(key)
+            cand_value = candidate.get(key)
+            if not (base_value and cand_value):
+                continue
+            ceiling_ratio = float(cand_value) / float(base_value)
             print(
-                f"FAIL: p95 latency grew by {(p95_ratio - 1) * 100:.1f}% "
-                f"(> {args.tolerance * 100:.0f}% allowed)"
+                f"{label:<10}: {float(cand_value):.1f} vs {float(base_value):.1f} "
+                f"{figure} (ratio {ceiling_ratio:.3f}, "
+                f"ceiling {1 + args.tolerance:.2f})"
             )
-            return 1
+            if ceiling_ratio > 1 + args.tolerance:
+                print(
+                    f"FAIL: {label} grew by {(ceiling_ratio - 1) * 100:.1f}% "
+                    f"(> {args.tolerance * 100:.0f}% allowed)"
+                )
+                return 1
     print("OK: throughput within tolerance")
     return 0
 

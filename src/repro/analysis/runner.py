@@ -18,9 +18,10 @@ serial sweep produces; :func:`merge_telemetry` further folds cell totals
 into sweep-wide totals (see ``docs/OBSERVABILITY.md``).
 
 Every run executes under :data:`~repro.core.execution.METRICS_RECORDING`:
-a cell returns only :class:`RunMetrics`, and :func:`collect_metrics` reads
-nothing the lean policy drops, so per-round history would be allocated
-and thrown away (see ``docs/PERFORMANCE.md``).  Callers that need the
+a cell returns only :class:`RunMetrics`, the goal's referee judges each
+run as it goes (``run_execution(..., referee=)``), and
+:func:`collect_metrics` reads nothing the lean policy drops, so per-round
+history would be allocated and thrown away (see ``docs/PERFORMANCE.md``).  Callers that need the
 history of one run use :func:`repro.core.execution.run_execution` or
 :func:`repro.obs.ledger.record_run` directly.
 
@@ -232,6 +233,7 @@ def _run_cell(
                 user, server, goal.world,
                 max_rounds=max_rounds, seed=seed, tracer=tracer,
                 recording=METRICS_RECORDING, channel=channel,
+                referee=goal.referee,
             )
             runs.append(collect_metrics(execution, goal))
     finally:

@@ -29,8 +29,8 @@ from repro.core.referees import (
     FiniteReferee,
     FunctionFiniteReferee,
     CompactReferee,
-    FunctionCompactReferee,
     LastStateCompactReferee,
+    RefereeMonitor,
     CompactVerdict,
 )
 from repro.core.goals import FiniteGoal, CompactGoal, Goal, GoalOutcome
@@ -49,6 +49,8 @@ from repro.core.interfaces import (
     ChannelRunLike,
     FaultScheduleLike,
     IncrementalSensingLike,
+    RefereeLike,
+    RefereeMonitorLike,
     ScheduleRunLike,
     SensingLike,
     StrategyLike,
@@ -85,8 +87,8 @@ __all__ = [
     "FiniteReferee",
     "FunctionFiniteReferee",
     "CompactReferee",
-    "FunctionCompactReferee",
     "LastStateCompactReferee",
+    "RefereeMonitor",
     "CompactVerdict",
     "FiniteGoal",
     "CompactGoal",
@@ -104,6 +106,8 @@ __all__ = [
     "ChannelRunLike",
     "FaultScheduleLike",
     "IncrementalSensingLike",
+    "RefereeLike",
+    "RefereeMonitorLike",
     "ScheduleRunLike",
     "SensingLike",
     "StrategyLike",

@@ -7,9 +7,13 @@ messages (delivered next round).  All three parties step *simultaneously* —
 a user request sent in round *t* is read by the server in round *t+1* and
 the reply reaches the user in round *t+2*.
 
-The engine records the full world-state history (goal achievement is defined
+The engine records the world-state history (goal achievement is defined
 on it), the user's local view (sensing is defined on it), and optionally a
-flat transcript of channel traffic.
+flat transcript of channel traffic.  Given the goal's referee
+(``referee=``), it also judges the run as it goes: a compact referee's
+per-prefix monitor (:class:`~repro.core.referees.RefereeMonitor`) is fed
+each world state the round it appears, so the verdict never needs the
+history kept.
 
 One round loop: :class:`ExecutionStepper` holds an execution between calls
 and :meth:`ExecutionStepper.step_many` is the only place a round runs.
@@ -28,13 +32,15 @@ channel state — so a traced run is bitwise-identical to an untraced one,
 and the off path (``tracer=None`` or a disabled tracer) allocates nothing.
 
 Recording policies: by default the engine retains everything
-(:data:`FULL_RECORDING`) — one :class:`RoundRecord` and one
-:class:`~repro.core.views.ViewRecord` per round.  Metric-only callers
-(every sweep cell, helpfulness checks) pass ``recording=METRICS_RECORDING``
-to skip those per-round allocations: world states, the round count, the
-halt flag, the final user state, and tracer counters are kept — exactly what
+(:data:`FULL_RECORDING`) — every world state, one :class:`RoundRecord` and
+one :class:`~repro.core.views.ViewRecord` per round.  Metric-only callers
+(every sweep cell, served sessions, helpfulness checks) pass
+``recording=METRICS_RECORDING`` to run in bounded memory: the latest world
+state, the round count, the halt flag, the final user state, the referee's
+monitor and tracer counters are kept — exactly what
 :func:`repro.analysis.metrics.collect_metrics` reads — while ``rounds``
-stays empty and ``user_view`` becomes a bounded
+stays empty, ``world_states`` holds only the latest state, and
+``user_view`` becomes a round-counting
 :class:`~repro.core.views.BoundedUserView`.  The simulation itself is
 untouched: both policies execute identical rounds from identical seeds.
 """
@@ -47,7 +53,12 @@ from typing import Any, List, Optional, Tuple
 
 from repro.comm.channels import ChannelState, Roles
 from repro.comm.messages import ServerInbox, ServerOutbox, UserInbox, UserOutbox, WorldInbox, WorldOutbox
-from repro.core.interfaces import ChannelLike, ChannelRunLike
+from repro.core.interfaces import (
+    ChannelLike,
+    ChannelRunLike,
+    RefereeLike,
+    RefereeMonitorLike,
+)
 from repro.core.strategy import ServerStrategy, UserStrategy, WorldStrategy
 from repro.core.views import BoundedUserView, UserView, ViewRecord
 from repro.comm.transcripts import Transcript
@@ -66,25 +77,23 @@ from repro.obs.tracer import TracerLike, is_tracing
 class RecordingPolicy:
     """What :func:`run_execution` retains as it runs.
 
-    ``keep_rounds`` controls the per-round :class:`RoundRecord` list;
-    ``view_window`` controls the engine-level user view: ``None`` keeps
-    the full history, an integer keeps a :class:`BoundedUserView` of that
-    many trailing records (0 = count rounds, store nothing).
-
-    Use :data:`FULL_RECORDING` (the default — property checkers and
-    anything replaying histories need it) or :data:`METRICS_RECORDING`.
+    ``full`` keeps the whole history: every world state, the per-round
+    :class:`RoundRecord` list and the user's view.  Without it the result
+    keeps the latest world state and counts rounds, in memory that does
+    not grow with the horizon.  Use :data:`FULL_RECORDING` (the default —
+    property checkers and anything replaying histories need it) or
+    :data:`METRICS_RECORDING`.
     """
 
-    keep_rounds: bool = True
-    view_window: Optional[int] = None
+    full: bool = True
     label: str = "full"
 
 
 #: Retain everything (the historical behaviour, and still the default).
-FULL_RECORDING = RecordingPolicy(keep_rounds=True, view_window=None, label="full")
+FULL_RECORDING = RecordingPolicy(full=True, label="full")
 
-#: Retain only what metric collection reads; no per-round allocations.
-METRICS_RECORDING = RecordingPolicy(keep_rounds=False, view_window=0, label="metrics")
+#: Retain only what metric collection reads, in bounded memory.
+METRICS_RECORDING = RecordingPolicy(full=False, label="metrics")
 
 
 @dataclass(frozen=True)
@@ -113,9 +122,13 @@ class ExecutionResult:
     execution that merely hit ``max_rounds`` has ``halted == False``.
 
     Under :data:`METRICS_RECORDING`, ``rounds`` stays empty (the count
-    lives in ``rounds_completed``) and ``user_view`` may be bounded;
-    ``final_user_state`` is filled by the engine under every policy so
-    metric collection never needs the round list.
+    lives in ``rounds_completed``), ``world_states`` holds only the latest
+    state and ``user_view`` only counts rounds; ``final_user_state`` is
+    filled by the engine under every policy so metric collection never
+    needs the round list.  ``referee_monitor`` is the compact referee's
+    fold the engine fed each round (``None`` unless a compact referee was
+    passed to the engine); :meth:`repro.core.goals.CompactGoal.evaluate`
+    reads its verdict.
     """
 
     rounds: List[RoundRecord] = field(default_factory=list)
@@ -129,6 +142,7 @@ class ExecutionResult:
     recording: RecordingPolicy = FULL_RECORDING
     #: Name of the fault channel the run went through (None = perfect link).
     channel_name: Optional[str] = None
+    referee_monitor: Optional[RefereeMonitorLike] = None
 
     @property
     def rounds_executed(self) -> int:
@@ -172,10 +186,12 @@ class ExecutionStepper:
     """One execution, advanced a slice of rounds per :meth:`step_many` call.
 
     Construction performs the engine's prologue: seed derivation, the
-    tracer's start event, channel-run creation, and the parties' initial
-    states.  :meth:`step_many` runs rounds; the stepper goes *settled*
-    when the user halts or ``max_rounds`` is exhausted, after which
-    :meth:`finish` returns the result (and emits the finish event).
+    tracer's start event, channel-run creation, the parties' initial
+    states, and — given a compact ``referee`` — its monitor's first
+    observation (the initial state is prefix 1).  :meth:`step_many` runs
+    rounds; the stepper goes *settled* when the user halts or
+    ``max_rounds`` is exhausted, after which :meth:`finish` returns the
+    result (and emits the finish event).
 
     Steppers are single-use and not thread-safe; cooperative interleaving
     (many steppers advanced from one thread, in any order) is the intended
@@ -186,7 +202,7 @@ class ExecutionStepper:
         "user", "server", "world", "max_rounds", "channel", "tracer",
         "user_rng", "server_rng", "world_rng", "user_state", "server_state",
         "world_state", "channels", "channel_run", "result", "tracing",
-        "keep_rounds", "keep_view_records", "live", "finished",
+        "full", "live", "finished",
     )
 
     def __init__(
@@ -201,6 +217,7 @@ class ExecutionStepper:
         tracer: TracerLike = None,
         recording: RecordingPolicy = FULL_RECORDING,
         channel: Optional[FaultyChannelLike] = None,
+        referee: Optional[RefereeLike] = None,
     ) -> None:
         if max_rounds <= 0:
             raise ExecutionError(f"max_rounds must be positive: {max_rounds}")
@@ -235,16 +252,17 @@ class ExecutionStepper:
         self.server_state = server.initial_state(self.server_rng)
         self.world_state = world.initial_state(self.world_rng)
         self.channels = ChannelState()
+        monitor = None if referee is None else referee.monitor()
+        self.full = recording.full
         self.result = ExecutionResult(
+            world_states=[self.world_state],
+            user_view=UserView() if self.full else BoundedUserView(),
             transcript=Transcript() if record_transcript else None,
             recording=recording,
+            referee_monitor=monitor,
         )
-        self.result.world_states.append(self.world_state)
-        self.keep_rounds = recording.keep_rounds
-        view_window = recording.view_window
-        if view_window is not None:
-            self.result.user_view = BoundedUserView(view_window)
-        self.keep_view_records = view_window is None or view_window > 0
+        if monitor is not None:
+            monitor.observe(self.world_state)
         self.live = True
         self.finished = False
 
@@ -268,7 +286,8 @@ class ExecutionStepper:
         """Advance up to ``rounds`` rounds; return how many actually ran.
 
         Each round: party steps, outbox validation, delivery, channel
-        faults, recording, tracing, and the halt check.  Stops early when
+        faults, recording, the referee monitor's observation, tracing,
+        and the halt check.  Stops early when
         the execution settles, and is a no-op (returning 0) on an already
         settled stepper — schedulers may race a settle without guarding.
 
@@ -294,8 +313,9 @@ class ExecutionStepper:
         )
         channels = self.channels
         channel_run = self.channel_run
-        keep_rounds = self.keep_rounds
-        keep_view_records = self.keep_view_records
+        full = self.full
+        monitor = result.referee_monitor
+        observe = None if monitor is None else monitor.observe
         rounds_list = result.rounds
         world_states = result.world_states
         user_view = result.user_view
@@ -327,7 +347,7 @@ class ExecutionStepper:
                     )
 
                 result.rounds_completed += 1
-                if keep_rounds:
+                if full:
                     rounds_list.append(
                         RoundRecord(
                             index=round_index,
@@ -342,8 +362,7 @@ class ExecutionStepper:
                             world_state_after=world_state,
                         )
                     )
-                world_states.append(world_state)
-                if keep_view_records:
+                    world_states.append(world_state)
                     user_view.append(
                         ViewRecord(
                             round_index=round_index,
@@ -354,7 +373,10 @@ class ExecutionStepper:
                         )
                     )
                 else:
+                    world_states[0] = world_state
                     user_view.advance()
+                if observe is not None:
+                    observe(world_state)
                 if transcript is not None:
                     transcript.record(round_index, Roles.USER, Roles.SERVER, user_out.to_server)
                     transcript.record(round_index, Roles.USER, Roles.WORLD, user_out.to_world)
@@ -440,6 +462,7 @@ def run_execution(
     tracer: TracerLike = None,
     recording: RecordingPolicy = FULL_RECORDING,
     channel: Optional["FaultyChannelLike"] = None,
+    referee: Optional[RefereeLike] = None,
 ) -> ExecutionResult:
     """Run the three-party system for up to ``max_rounds`` rounds.
 
@@ -462,6 +485,12 @@ def run_execution(
     ``channel=None`` the RNG derivations are untouched, so every pre-fault
     execution is bitwise unchanged.
 
+    ``referee`` (optional, the goal's referee) makes the run judge itself:
+    a compact referee's monitor observes every world state as it appears
+    and rides on the result as ``referee_monitor``, which is what lets a
+    metrics-only run be evaluated without its history.  Finite referees
+    need no monitor.
+
     Raises :class:`ExecutionError` if ``max_rounds`` is not positive or a
     strategy returns an outbox of the wrong type (catching wiring mistakes
     early rather than corrupting channel state).
@@ -469,7 +498,7 @@ def run_execution(
     stepper = ExecutionStepper(
         user, server, world,
         max_rounds=max_rounds, seed=seed, record_transcript=record_transcript,
-        tracer=tracer, recording=recording, channel=channel,
+        tracer=tracer, recording=recording, channel=channel, referee=referee,
     )
     stepper.step_many(max_rounds)
     return stepper.finish()

@@ -27,8 +27,14 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.execution import ExecutionResult
-from repro.core.referees import CompactReferee, CompactVerdict, FiniteReferee
+from repro.core.referees import (
+    CompactReferee,
+    CompactVerdict,
+    FiniteReferee,
+    RefereeMonitor,
+)
 from repro.core.strategy import WorldStrategy
+from repro.errors import ExecutionError
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,26 @@ class CompactGoal:
         return True
 
     def evaluate(self, execution: ExecutionResult) -> GoalOutcome:
-        """Judge one finite run as a stand-in for the infinite execution."""
-        verdict = self.referee.judge(execution)
+        """Judge one finite run as a stand-in for the infinite execution.
+
+        Reads the verdict of the referee monitor the engine fed as the run
+        went (``run_execution(..., referee=goal.referee)``); without one,
+        folds the referee over the recorded history.  A metrics-only result
+        keeps only its latest world state, so judging it without the
+        monitor would judge a one-state history: that raises
+        :class:`~repro.errors.ExecutionError` instead.
+        """
+        monitor = execution.referee_monitor
+        if isinstance(monitor, RefereeMonitor) and monitor.referee == self.referee:
+            verdict = monitor.verdict()
+        elif execution.recording.full:
+            verdict = self.referee.judge(execution)
+        else:
+            raise ExecutionError(
+                f"goal {self.name!r}: a {execution.recording.label}-recorded "
+                "run keeps only its latest world state; run it with "
+                "referee=goal.referee to judge it as it goes"
+            )
         horizon = verdict.total_prefixes
         settle_round = int(horizon * (1.0 - self.settle_fraction))
         achieved = verdict.settled_since(settle_round)

@@ -65,7 +65,7 @@ def is_helpful(
         for seed in seeds:
             execution = run_execution(
                 user, server, goal.world, max_rounds=max_rounds, seed=seed,
-                recording=METRICS_RECORDING,
+                recording=METRICS_RECORDING, referee=goal.referee,
             )
             if goal.evaluate(execution).achieved:
                 successes += 1

@@ -22,6 +22,7 @@ import random
 from typing import (
     TYPE_CHECKING,
     Any,
+    Optional,
     Protocol,
     Tuple,
     runtime_checkable,
@@ -70,6 +71,25 @@ class IncrementalSensingLike(Protocol):
     """The per-trial monitor that defines some :class:`SensingLike`."""
 
     def observe(self, record: "ViewRecord") -> bool: ...
+
+
+@runtime_checkable
+class RefereeMonitorLike(Protocol):
+    """A compact referee's per-run fold, fed one world state per prefix."""
+
+    def observe(self, state: Any) -> None: ...
+
+
+@runtime_checkable
+class RefereeLike(Protocol):
+    """A goal's referee as the engine sees it (``run_execution(referee=)``).
+
+    ``monitor`` returns a fresh per-run fold for a compact referee, or
+    ``None`` for a finite one, whose verdict reads only the final world
+    state every recording policy keeps.
+    """
+
+    def monitor(self) -> Optional[RefereeMonitorLike]: ...
 
 
 @runtime_checkable
@@ -127,6 +147,8 @@ __all__ = [
     "ChannelRunLike",
     "FaultScheduleLike",
     "IncrementalSensingLike",
+    "RefereeLike",
+    "RefereeMonitorLike",
     "ScheduleRunLike",
     "SensingLike",
     "StrategyLike",

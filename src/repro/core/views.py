@@ -10,8 +10,7 @@ type system enforces the paper's information constraint.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Any, Iterator, List, NamedTuple, Optional, Sequence
 
 from repro.comm.messages import UserInbox, UserOutbox, value_type
 
@@ -86,42 +85,26 @@ class UserView:
 
 
 class BoundedUserView(UserView):
-    """A :class:`UserView` that retains only the last ``window`` records.
+    """A :class:`UserView` that counts rounds and retains no records.
 
     The metrics-only recording policy (see
     :class:`~repro.core.execution.RecordingPolicy`) uses this to stop a
     long execution from accumulating one :class:`ViewRecord` per round
-    when nothing downstream will read the full history.  ``len`` still
-    reports the *total* number of rounds seen, while iteration and the
-    record accessors answer over the retained window only — so
-    ``Sensing.indicate`` on a bounded view folds over that window.
-
-    ``window=0`` stores nothing at all; callers use :meth:`advance` to
-    tick the round count without even allocating a record.
+    when nothing downstream reads the engine-level history (sensing runs
+    on the universal users' own per-trial monitors).  ``len`` reports the
+    number of rounds seen; iteration and the record accessors see nothing.
     """
 
-    def __init__(
-        self, window: int, records: Optional[Sequence[ViewRecord]] = None
-    ) -> None:
-        if window < 0:
-            raise ValueError(f"view window must be >= 0: {window}")
-        self._window = window
-        self._records: Deque[ViewRecord] = deque(records or (), maxlen=window)  # type: ignore[assignment]
-        self._total = len(self._records)
-
-    @property
-    def window(self) -> int:
-        """How many trailing records this view retains."""
-        return self._window
+    def __init__(self) -> None:
+        super().__init__()
+        self._total = 0
 
     def append(self, record: ViewRecord) -> None:
-        """Add the latest round's record, evicting the oldest past the window."""
-        if self._window:
-            self._records.append(record)
+        """Count the round; the record is not kept."""
         self._total += 1
 
     def advance(self, rounds: int = 1) -> None:
-        """Advance the round count without storing anything."""
+        """Advance the round count without building a record."""
         self._total += rounds
 
     def __len__(self) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.execution import ExecutionResult, FaultyChannelLike, run_execution
-from repro.core.goals import Goal
+from repro.core.goals import Goal, GoalOutcome
 from repro.core.properties import _indications_per_round
 from repro.core.sensing import Sensing
 from repro.core.strategy import ServerStrategy, UserStrategy
@@ -151,10 +151,12 @@ class RobustnessReport:
         )
 
 
-def _false_positive(goal: Goal, sensing: Sensing, execution: ExecutionResult) -> bool:
+def _false_positive(
+    sensing: Sensing, execution: ExecutionResult, outcome: GoalOutcome
+) -> bool:
     """Did sensing endorse a failure?  (The safety violation we hunt.)"""
-    if goal.is_compact:
-        verdict = goal.referee.judge(execution)
+    verdict = outcome.compact_verdict
+    if verdict is not None:
         half = execution.rounds_executed // 2
         failing_late = (
             verdict.last_bad_round is not None and verdict.last_bad_round > half
@@ -167,7 +169,7 @@ def _false_positive(goal: Goal, sensing: Sensing, execution: ExecutionResult) ->
         return False
     if not sensing.indicate(execution.user_view):
         return False
-    return not goal.evaluate(execution).achieved
+    return not outcome.achieved
 
 
 def _point_runs(
@@ -203,6 +205,7 @@ def _point_runs(
                     max_rounds=max_rounds,
                     seed=seed,
                     channel=channel,
+                    referee=goal.referee,
                 )
             finally:
                 if user_traceable:
@@ -259,7 +262,7 @@ def verify_robustness(
                 achieved_rounds.append(outcome.rounds)
             if execution.halted:
                 halted += 1
-            if _false_positive(goal, sensing, execution):
+            if _false_positive(sensing, execution, outcome):
                 false_positives += 1
             if sink is not None:
                 events = sink.events

@@ -340,6 +340,7 @@ def record_run(
             user, server, goal.world,
             max_rounds=max_rounds, seed=seed,
             tracer=tracer, recording=recording, channel=channel,
+            referee=goal.referee,
         )
         outcome = goal.evaluate(execution)
         emit_goal_verdict(tracer, goal, outcome)

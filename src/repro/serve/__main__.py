@@ -157,6 +157,8 @@ def _render_text(payload: Dict[str, Any]) -> str:
             f"latency    : p50 {p50:.1f}ms, p95 {p95:.1f}ms, p99 {p99:.1f}ms "
             "(arrival to settled)"
         )
+    if payload.get("peak_rss_mb") is not None:
+        lines.append(f"memory     : peak RSS {payload['peak_rss_mb']:.1f} MB")
     return "\n".join(lines)
 
 

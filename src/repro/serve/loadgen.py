@@ -13,9 +13,10 @@ policy's choice — ``"park"`` flow-controls the generator,
 
 :class:`LoadReport` carries the capacity-planning figures —
 ``sessions_per_s``, ``rounds_per_s``, the open-session high-water mark,
-and settle-latency percentiles (arrival → settled, so parked time counts,
-as it should for an arriving customer) — and serialises into the
-``BENCH_serve.json`` shape the bench-regression gate consumes.
+settle-latency percentiles (arrival → settled, so parked time counts,
+as it should for an arriving customer) and the process's peak resident
+set size — and serialises into the ``BENCH_serve.json`` shape the
+bench-regression gate consumes.
 
 :func:`demo_specs` builds the self-contained demo fleets (relay machines,
 control followers, universal users, or a mix) used by the CLI, the bench,
@@ -28,6 +29,7 @@ from __future__ import annotations
 import asyncio
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
@@ -101,6 +103,21 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (NaN if unknown).
+
+    ``ru_maxrss`` is a high-water mark over the process's lifetime, so a
+    load run in a fresh process reads the memory that run needed.
+    """
+    try:
+        import resource
+    except ImportError:  # not a Unix: no rusage
+        return math.nan
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak / (1024.0 * 1024.0) if sys.platform == "darwin" else peak / 1024.0
+
+
 @dataclass(frozen=True)
 class LoadReport:
     """One load run's capacity figures (the ``BENCH_serve.json`` shape)."""
@@ -118,6 +135,8 @@ class LoadReport:
     latency_p50_ms: float
     latency_p95_ms: float
     latency_p99_ms: float
+    #: :func:`peak_rss_mb` when the run settled (NaN = not measured).
+    peak_rss_mb: float = math.nan
 
     def to_payload(self) -> Dict[str, Any]:
         """Plain-data form for ``BENCH_serve.json`` / bench history."""
@@ -137,6 +156,7 @@ class LoadReport:
             ("latency_p50_ms", self.latency_p50_ms),
             ("latency_p95_ms", self.latency_p95_ms),
             ("latency_p99_ms", self.latency_p99_ms),
+            ("peak_rss_mb", self.peak_rss_mb),
         ):
             payload[name] = None if math.isnan(value) else round(value, 3)
         return payload
@@ -221,6 +241,7 @@ async def generate_load(
         latency_p50_ms=latency_ms.quantile(0.5),
         latency_p95_ms=latency_ms.quantile(0.95),
         latency_p99_ms=latency_ms.quantile(0.99),
+        peak_rss_mb=peak_rss_mb(),
     )
 
 

@@ -199,6 +199,7 @@ class Session:
                 tracer=self._tracer,
                 recording=spec.recording,
                 channel=spec.channel,
+                referee=spec.goal.referee,
             )
         self._wall += time.perf_counter() - wall_start
         self._cpu += time.process_time() - cpu_start

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.execution import ExecutionResult
 from repro.core.goals import CompactGoal, FiniteGoal
-from repro.core.referees import FunctionCompactReferee, FunctionFiniteReferee
+from repro.core.referees import FunctionFiniteReferee, LastStateCompactReferee
 from repro.core.strategy import WorldStrategy
 
 
@@ -34,10 +34,12 @@ def finite_goal(predicate):
 
 
 def compact_goal(predicate, settle=0.5):
+    """A compact goal judging each state; the runs below use states
+    ``0, 1, 2, ...``, so state ``s`` ends the prefix of length ``s + 1``."""
     return CompactGoal(
         name="g",
         world=DummyWorld(),
-        referee=FunctionCompactReferee(predicate),
+        referee=LastStateCompactReferee(predicate),
         settle_fraction=settle,
     )
 
@@ -64,13 +66,13 @@ class TestFiniteGoal:
 class TestCompactGoal:
     def test_achieved_when_bad_prefixes_stop_early(self):
         # Bad only at prefix 1 of 10; settle window is the last half.
-        goal = compact_goal(lambda states: len(states) != 1)
+        goal = compact_goal(lambda state: state != 0)
         outcome = goal.evaluate(execution(list(range(10)), halted=False))
         assert outcome.achieved
         assert outcome.compact_verdict.bad_prefixes == 1
 
     def test_not_achieved_when_bad_prefix_late(self):
-        goal = compact_goal(lambda states: len(states) != 9)
+        goal = compact_goal(lambda state: state != 8)
         outcome = goal.evaluate(execution(list(range(10)), halted=False))
         assert not outcome.achieved
         assert "round 9" in outcome.note
@@ -83,8 +85,8 @@ class TestCompactGoal:
 
     def test_stricter_settle_fraction_is_harder(self):
         # Bad prefix at 60% of the horizon: passes settle=0.3, fails 0.5.
-        def predicate(states):
-            return len(states) != 6
+        def predicate(state):
+            return state != 5
 
         lenient = compact_goal(predicate, settle=0.3)
         strict = compact_goal(predicate, settle=0.5)

@@ -1,9 +1,9 @@
 """Recording policies must change what is *kept*, never what *happens*.
 
 ``METRICS_RECORDING`` skips per-round allocations; everything metric
-collection reads — world states, halt flag, user output, round count,
-final user state, goal evaluation — must be identical to a ``FULL_RECORDING``
-run from the same seed, on every benchmark goal family.
+collection reads — the latest world state, halt flag, user output, round
+count, final user state, goal evaluation — must be identical to a
+``FULL_RECORDING`` run from the same seed, on every benchmark goal family.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ from repro.comm.codecs import IdentityCodec, codec_family
 from repro.core.execution import (
     FULL_RECORDING,
     METRICS_RECORDING,
-    RecordingPolicy,
     run_execution,
 )
-from repro.core.sensing import NoRecentProgressSensing
-from repro.core.views import BoundedUserView, UserView, ViewRecord
+from repro.core.views import BoundedUserView, ViewRecord
 from repro.comm.messages import UserInbox, UserOutbox
 from repro.mathx.modular import Field
 from repro.qbf.generators import random_cnf, random_qbf
@@ -124,13 +122,13 @@ class TestMetricsParity:
         user, server, goal, max_rounds = family()  # fresh strategies
         lean = run_execution(
             user, server, goal.world, max_rounds=max_rounds, seed=seed,
-            recording=METRICS_RECORDING,
+            recording=METRICS_RECORDING, referee=goal.referee,
         )
 
         assert lean.rounds == []
         assert len(full.rounds) == full.rounds_executed
         assert lean.rounds_executed == full.rounds_executed
-        assert lean.world_states == full.world_states
+        assert lean.world_states == full.world_states[-1:]
         assert lean.halted == full.halted
         assert lean.user_output == full.user_output
         # Some user states hold protocol sessions without ``__eq__``, so
@@ -150,7 +148,7 @@ class TestMetricsParity:
         lean_outcome = goal.evaluate(
             run_execution(
                 user, server, goal.world, max_rounds=max_rounds, seed=3,
-                recording=METRICS_RECORDING,
+                recording=METRICS_RECORDING, referee=goal.referee,
             )
         )
         assert lean_outcome == full_outcome
@@ -158,22 +156,9 @@ class TestMetricsParity:
 
 class TestRecordingPolicy:
     def test_defaults(self):
-        assert FULL_RECORDING.keep_rounds
-        assert FULL_RECORDING.view_window is None
-        assert not METRICS_RECORDING.keep_rounds
-        assert METRICS_RECORDING.view_window == 0
-
-    def test_engine_honours_view_window(self):
-        user, server, goal, max_rounds = control_family()
-        policy = RecordingPolicy(keep_rounds=False, view_window=5, label="metrics")
-        result = run_execution(
-            user, server, goal.world, max_rounds=50, seed=0, recording=policy
-        )
-        view = result.user_view
-        assert isinstance(view, BoundedUserView)
-        assert len(view) == 50          # len counts every round...
-        assert len(view.records) == 5   # ...but only the window is retained
-        assert [r.round_index for r in view.records] == [45, 46, 47, 48, 49]
+        assert FULL_RECORDING.full
+        assert not METRICS_RECORDING.full
+        assert (FULL_RECORDING.label, METRICS_RECORDING.label) == ("full", "metrics")
 
 
 def record(index: int) -> ViewRecord:
@@ -188,21 +173,14 @@ def record(index: int) -> ViewRecord:
 
 class TestBoundedUserView:
     def test_len_counts_total_not_retained(self):
-        view = BoundedUserView(3)
+        view = BoundedUserView()
         for i in range(10):
             view.append(record(i))
         assert len(view) == 10
-        assert [r.round_index for r in view.records] == [7, 8, 9]
-
-    def test_tail_within_window(self):
-        """Iteration (what ``Sensing.indicate`` folds over) sees the window."""
-        view = BoundedUserView(4)
-        for i in range(6):
-            view.append(record(i))
-        assert [r.round_index for r in view] == [2, 3, 4, 5]
+        assert view.records == ()
 
     def test_zero_window_stores_nothing(self):
-        view = BoundedUserView(0)
+        view = BoundedUserView()
         for i in range(5):
             view.append(record(i))
         view.advance(3)
@@ -210,22 +188,12 @@ class TestBoundedUserView:
         assert list(view) == []
         assert view.last() is None
 
-    def test_sensing_on_bounded_view_matches_full(self):
-        """A windowed sensing reads the same verdict off a bounded view."""
-        sensing = NoRecentProgressSensing(stall_rounds=3)
-        full = UserView()
-        bounded = BoundedUserView(3)
-        rng = random.Random(9)
-        for i in range(40):
-            inbox = UserInbox(from_world="ping" if rng.random() < 0.3 else "")
-            rec = ViewRecord(
-                round_index=i, state_before=i, inbox=inbox,
-                outbox=UserOutbox(), state_after=i + 1,
-            )
-            full.append(rec)
-            bounded.append(rec)
-            assert sensing.indicate(bounded) == sensing.indicate(full)
-
-    def test_negative_window_rejected(self):
-        with pytest.raises(ValueError):
-            BoundedUserView(-1)
+    def test_metrics_run_counts_rounds_only(self):
+        user, server, goal, _ = control_family()
+        result = run_execution(
+            user, server, goal.world, max_rounds=50, seed=0,
+            recording=METRICS_RECORDING,
+        )
+        assert isinstance(result.user_view, BoundedUserView)
+        assert len(result.user_view) == 50
+        assert list(result.user_view) == []

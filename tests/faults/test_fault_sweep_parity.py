@@ -113,6 +113,7 @@ class TestExecutionReproducibility:
             seed=seed,
             recording=recording,
             channel=drop_channel(0.1),
+            referee=GOAL.referee,
         )
 
     def test_same_seed_same_execution(self):
@@ -127,7 +128,7 @@ class TestExecutionReproducibility:
     def test_full_and_metrics_recording_agree(self):
         full = self.run_once(FULL_RECORDING)
         metrics = self.run_once(METRICS_RECORDING)
-        assert metrics.world_states == full.world_states
+        assert metrics.world_states == full.world_states[-1:]
         assert metrics.halted == full.halted
         assert metrics.rounds_executed == full.rounds_executed
         assert metrics.channel_name == full.channel_name

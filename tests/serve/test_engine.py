@@ -38,6 +38,7 @@ def batch_reference(spec):
         spec.user, spec.server, spec.goal.world,
         max_rounds=spec.max_rounds, seed=spec.seed,
         recording=spec.recording, channel=spec.channel,
+        referee=spec.goal.referee,
     )
     return execution, spec.goal.evaluate(execution)
 

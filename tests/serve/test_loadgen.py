@@ -27,6 +27,7 @@ from repro.serve.loadgen import (
     demo_specs,
     generate_load,
     grid_specs,
+    peak_rss_mb,
     percentile,
     run_load,
 )
@@ -161,6 +162,9 @@ class TestRunLoadAndReport:
         payload = report.to_payload()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["sessions_per_s"] == round(report.sessions_per_s, 3)
+        # ru_maxrss is a high-water mark: the report's reading can only
+        # have been overtaken since.
+        assert 0 < payload["peak_rss_mb"] <= round(peak_rss_mb(), 3)
 
     def test_payload_handles_empty_latencies(self):
         report = LoadReport(
@@ -171,6 +175,7 @@ class TestRunLoadAndReport:
         )
         payload = report.to_payload()
         assert payload["latency_p50_ms"] is None
+        assert payload["peak_rss_mb"] is None
 
 
 class TestDemoSpecs:
