@@ -31,6 +31,13 @@ the same tolerance.)
 Baselines recorded on a different core count are reported but not
 enforced, since serial throughput also shifts with the machine class.
 
+Several candidate files may follow the baseline; the gate then compares
+each figure's median over the candidates that carry it, so one noisy run
+neither fails nor passes the gate on its own::
+
+    python benchmarks/check_bench_regression.py baseline_serve.json \
+        run1.json run2.json run3.json --metric sessions_per_s
+
 ``--record FILE`` additionally appends one ``{"manifest", "metrics"}``
 line for the candidate to a bench-history JSONL file (conventionally
 ``BENCH_history.jsonl``); ``python -m repro.obs diff --history FILE``
@@ -41,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -56,6 +64,26 @@ def load(path: Path) -> dict:
         sys.exit(f"error: benchmark file not found: {path}")
     except json.JSONDecodeError as exc:
         sys.exit(f"error: {path} is not valid JSON: {exc}")
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def median_payload(payloads: list[dict]) -> dict:
+    """One payload whose numeric figures are medians over ``payloads``.
+
+    Non-numeric fields (and ``cores``, which identifies the machine class)
+    come from the first payload; a figure is the median of the payloads
+    that carry it as a number, and stays absent or null when none does.
+    """
+    merged = dict(payloads[0])
+    keys = {key for payload in payloads for key in payload}
+    for key in sorted(keys - {"cores"}):
+        values = [p[key] for p in payloads if _is_number(p.get(key))]
+        if values:
+            merged[key] = statistics.median(values)
+    return merged
 
 
 def throughput(payload: dict, label: str, metric: str = "cells_per_s") -> float:
@@ -87,11 +115,7 @@ def record_history(history: Path, candidate: dict, source: Path) -> None:
     from repro.obs.ledger import LEDGER_SCHEMA, git_sha
     from repro.version import __version__
 
-    metrics = {
-        key: value
-        for key, value in candidate.items()
-        if isinstance(value, (int, float)) and not isinstance(value, bool)
-    }
+    metrics = {key: value for key, value in candidate.items() if _is_number(value)}
     entry = {
         "manifest": {
             "ledger_schema": LEDGER_SCHEMA,
@@ -111,7 +135,14 @@ def record_history(history: Path, candidate: dict, source: Path) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path, help="committed BENCH_sweep.json")
-    parser.add_argument("candidate", type=Path, help="freshly generated JSON")
+    parser.add_argument(
+        "candidates",
+        type=Path,
+        nargs="+",
+        metavar="candidate",
+        help="freshly generated JSON; several runs gate on their per-figure "
+        "median",
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
@@ -135,10 +166,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     baseline = load(args.baseline)
-    candidate = load(args.candidate)
+    candidate = median_payload([load(path) for path in args.candidates])
 
     if args.record is not None:
-        record_history(args.record, candidate, args.candidate)
+        record_history(args.record, candidate, args.candidates[0])
 
     base_tp = throughput(baseline, "baseline", args.metric)
     cand_tp = throughput(candidate, "candidate", args.metric)
@@ -146,7 +177,11 @@ def main(argv: list[str] | None = None) -> int:
     figures = unit(args.metric)
 
     print(f"baseline  : {base_tp:.2f} {figures} ({baseline.get('cores')} cores)")
-    print(f"candidate : {cand_tp:.2f} {figures} ({candidate.get('cores')} cores)")
+    runs = len(args.candidates)
+    print(
+        f"candidate : {cand_tp:.2f} {figures} ({candidate.get('cores')} cores"
+        + (f", median of {runs} runs)" if runs > 1 else ")")
+    )
     print(f"ratio     : {ratio:.3f} (floor {1 - args.tolerance:.2f})")
 
     if baseline.get("cores") != candidate.get("cores"):

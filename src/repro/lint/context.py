@@ -1,20 +1,23 @@
 """Per-module analysis context shared by every rule.
 
 One parse per file: the engine builds a :class:`ModuleContext` and hands
-it to each rule, so rules stay cheap (pure AST walks) and consistent
-(every rule sees the same import table and class graph).
+it to each rule, so rules stay cheap and consistent (every rule sees the
+same import table and class graph).  The tree is walked once, at parse
+time: rules iterate :attr:`ModuleContext.nodes` / :attr:`~ModuleContext.classes`
+and take subtrees through :meth:`ModuleContext.walk`, which walks each
+node at most once per run.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.lint.pragmas import PragmaIndex, parse_pragmas
 
 
-def _build_import_table(tree: ast.Module) -> Dict[str, str]:
+def _build_import_table(nodes: Iterable[ast.AST]) -> Dict[str, str]:
     """Map local names to the dotted path they were imported as.
 
     ``import random`` -> ``{"random": "random"}``;
@@ -28,7 +31,7 @@ def _build_import_table(tree: ast.Module) -> Dict[str, str]:
     which is never one of the watched stdlib modules, so they are inert.
     """
     table: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 table[alias.asname or alias.name.split(".")[0]] = (
@@ -51,27 +54,51 @@ class ModuleContext:
     tree: ast.Module
     imports: Dict[str, str]
     pragmas: PragmaIndex
+    #: Every node of ``tree``, in ``ast.walk`` order.
+    nodes: List[ast.AST]
     #: Class name -> direct base names (as written), for same-module MRO walks.
     class_bases: Dict[str, List[str]] = field(default_factory=dict)
+    #: The module's class definitions, in ``nodes`` order.
+    classes: List[ast.ClassDef] = field(default_factory=list)
+    _subtrees: Dict[int, List[ast.AST]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @classmethod
     def parse(cls, path: str, source: str) -> "ModuleContext":
         tree = ast.parse(source, filename=path)
+        nodes = list(ast.walk(tree))
         context = cls(
             path=path,
             source=source,
             tree=tree,
-            imports=_build_import_table(tree),
+            imports=_build_import_table(nodes),
             pragmas=parse_pragmas(source),
+            nodes=nodes,
         )
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.ClassDef):
+                context.classes.append(node)
                 context.class_bases[node.name] = [
                     base_name
                     for base in node.bases
                     if (base_name := _base_name(base)) is not None
                 ]
         return context
+
+    def walk(self, node: ast.AST) -> List[ast.AST]:
+        """``list(ast.walk(node))`` for a node of this module, walked once.
+
+        Several rules inspect the same function bodies; the first to ask
+        pays for the walk and the rest reuse it (same order as
+        :func:`ast.walk`).  Callers must not mutate the returned list.
+        """
+        if node is self.tree:
+            return self.nodes
+        found = self._subtrees.get(id(node))
+        if found is None:
+            found = self._subtrees[id(node)] = list(ast.walk(node))
+        return found
 
     def resolve_call(self, node: ast.AST) -> Optional[str]:
         """The dotted path a name/attribute chain refers to, if importable.
@@ -110,11 +137,6 @@ class ModuleContext:
             seen.add(base)
             stack.extend(self.class_bases.get(base, ()))
         return seen
-
-    def iter_classes(self) -> Iterator[ast.ClassDef]:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ClassDef):
-                yield node
 
 
 def _base_name(base: ast.expr) -> Optional[str]:

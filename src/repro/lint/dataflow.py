@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 
 def attr_path(node: ast.expr) -> Optional[str]:
@@ -128,11 +128,11 @@ def statement_facts(
     return result
 
 
-def read_names(node: ast.AST) -> Set[str]:
-    """All Name loads inside ``node`` (nested defs included)."""
+def read_names(nodes: Iterable[ast.AST]) -> Set[str]:
+    """All Name loads among ``nodes`` (pass a walk: nested defs included)."""
     return {
         child.id
-        for child in ast.walk(node)
+        for child in nodes
         if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
     }
 

@@ -240,7 +240,7 @@ class Project:
         self.functions.setdefault(qual, info)
         # Nested defs become addressable functions too (closures used as
         # helpers/callbacks), namespaced under their parent.
-        for child in ast.walk(node):
+        for child in mod.context.walk(node):
             if child is node:
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -460,7 +460,7 @@ class Project:
             # ``self.x = ...`` in method bodies, annotation or inference.
             for fn in cls.methods.values():
                 env = self._seed_env(mod, fn)
-                for stmt in ast.walk(fn.node):
+                for stmt in mod.context.walk(fn.node):
                     if isinstance(stmt, ast.AnnAssign):
                         target = stmt.target
                         if (
@@ -828,7 +828,7 @@ class Project:
         if self._call_index is None:
             index: Dict[str, List[Tuple[ProjectModule, ast.Call]]] = {}
             for mod in self.modules.values():
-                for node in ast.walk(mod.context.tree):
+                for node in mod.context.nodes:
                     if not isinstance(node, ast.Call):
                         continue
                     dotted = mod.context.resolve_call(node.func)
@@ -852,7 +852,7 @@ class Project:
             refs = set()
             mod = self.modules.get(module_name)
             if mod is not None:
-                for node in ast.walk(mod.context.tree):
+                for node in mod.context.nodes:
                     if isinstance(node, ast.Name) and isinstance(
                         node.ctx, ast.Load
                     ):

@@ -77,7 +77,7 @@ def iter_ambient_calls(
     context: ModuleContext, root: ast.AST
 ) -> Iterator[Tuple[ast.Call, str, str]]:
     """Every ambient call under ``root`` as ``(node, target, reason)``."""
-    for node in ast.walk(root):
+    for node in context.walk(root):
         if isinstance(node, ast.Call):
             found = ambient_call(context, node)
             if found is not None:

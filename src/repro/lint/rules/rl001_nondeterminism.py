@@ -131,7 +131,7 @@ class AmbientNondeterminismRule(Rule):
     # -- set iteration ----------------------------------------------------
 
     def _check_set_iteration(self, context: ModuleContext) -> Iterator[Violation]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             iters: List[ast.expr] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)

@@ -64,7 +64,7 @@ class SensingPurityRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for cls in context.iter_classes():
+        for cls in context.classes:
             bases = context.transitive_bases(cls.name)
             if _is_monitor_class(bases):
                 for method in iter_methods(cls, {"observe"}):
@@ -86,7 +86,7 @@ class SensingPurityRule(Rule):
         self, context: ModuleContext, where: str, method: ast.FunctionDef
     ) -> Iterator[Violation]:
         record = _record_param(method)
-        for node in ast.walk(method):
+        for node in context.walk(method):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]

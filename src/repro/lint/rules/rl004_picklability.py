@@ -39,7 +39,7 @@ class PicklabilityRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for cls in context.iter_classes():
+        for cls in context.classes:
             yield from self._check_class_body(context, cls)
             for method in [n for n in cls.body if isinstance(n, ast.FunctionDef)]:
                 yield from self._check_method(context, cls, method)
@@ -76,13 +76,14 @@ class PicklabilityRule(Rule):
     def _check_method(
         self, context: ModuleContext, cls: ast.ClassDef, method: ast.FunctionDef
     ) -> Iterator[Violation]:
+        nodes = context.walk(method)
         local_defs: Set[str] = {
             node.name
-            for node in ast.walk(method)
+            for node in nodes
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             and node is not method
         }
-        for node in ast.walk(method):
+        for node in nodes:
             if not isinstance(node, ast.Assign):
                 continue
             for target in node.targets:

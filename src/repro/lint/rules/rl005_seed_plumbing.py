@@ -72,7 +72,7 @@ class SeedPlumbingRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for cls in context.iter_classes():
+        for cls in context.classes:
             if cls.name.startswith("_"):
                 continue
             for node in cls.body:
@@ -104,7 +104,7 @@ class SeedPlumbingRule(Rule):
                 "control the stream — plumb the seed through the signature",
             )
         for call, target, _reason in iter_ambient_calls(context, fn):
-            if _inside_nested_function(fn, call):
+            if _inside_nested_function(context, fn, call):
                 continue
             yield self.violation(
                 context,
@@ -115,14 +115,16 @@ class SeedPlumbingRule(Rule):
             )
 
 
-def _inside_nested_function(fn: ast.FunctionDef, target: ast.Call) -> bool:
+def _inside_nested_function(
+    context: ModuleContext, fn: ast.FunctionDef, target: ast.Call
+) -> bool:
     """Whether ``target`` sits inside a def/lambda nested under ``fn``."""
-    for node in ast.walk(fn):
+    for node in context.walk(fn):
         if (
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
             and node is not fn
         ):
-            for sub in ast.walk(node):
+            for sub in context.walk(node):
                 if sub is target:
                     return True
     return False

@@ -40,8 +40,8 @@ from repro.lint.rules.base import Rule
 from repro.lint.violations import Violation
 
 
-def _iter_async_defs(tree: ast.Module) -> Iterator[ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
+def _iter_async_defs(context: ModuleContext) -> Iterator[ast.AsyncFunctionDef]:
+    for node in context.nodes:
         if isinstance(node, ast.AsyncFunctionDef):
             yield node
 
@@ -72,7 +72,7 @@ class AwaitInterleavingRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for fn in _iter_async_defs(context.tree):
+        for fn in _iter_async_defs(context):
             yield from self._check_split_expressions(context, fn)
             yield from self._check_stale_locals(context, fn)
             yield from self._check_stale_guards(context, fn)

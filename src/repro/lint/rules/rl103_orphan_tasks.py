@@ -54,7 +54,7 @@ class OrphanTaskRule(ProjectRule):
         sites: Dict[int, "tuple[str, ...]"] = {
             id(site.node): site.targets for site in fn.calls
         }
-        reads = read_names(fn.node)
+        reads = read_names(fn.module.context.walk(fn.node))
         for stmt in _own_statements(fn.node):
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
                 call = stmt.value

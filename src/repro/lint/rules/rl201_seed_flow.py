@@ -228,7 +228,7 @@ def _classify_uses(
                     edges.update(kw_edges)
                     transfer_loads.add(id(keyword.value))
     terminal = False
-    for node in ast.walk(fn.node):
+    for node in fn.module.context.walk(fn.node):
         if (
             isinstance(node, ast.Name)
             and isinstance(node.ctx, ast.Load)

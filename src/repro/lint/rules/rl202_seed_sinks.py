@@ -94,9 +94,9 @@ def _is_seed_expression(node: ast.expr) -> bool:
 
 
 def _iter_functions(
-    tree: ast.Module,
+    context: ModuleContext,
 ) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
+    for node in context.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
@@ -125,9 +125,10 @@ class SeedSinkRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for fn in _iter_functions(context.tree):
-            reads = read_names(fn)
-            for stmt in ast.walk(fn):
+        for fn in _iter_functions(context):
+            nodes = context.walk(fn)
+            reads = read_names(nodes)
+            for stmt in nodes:
                 if isinstance(stmt, ast.Expr) and isinstance(
                     stmt.value, ast.Call
                 ):
@@ -182,7 +183,7 @@ class SeedAliasRule(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Violation]:
-        for fn in _iter_functions(context.tree):
+        for fn in _iter_functions(context):
             by_seed: Dict[str, List[Tuple[ast.Call, str]]] = {}
             for call in _own_calls(fn):
                 entry = _stream_constructor_seed(context, call)

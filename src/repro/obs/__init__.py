@@ -47,6 +47,7 @@ from repro.obs.events import (
     TrialStarted,
     event_from_dict,
     event_kinds,
+    event_line,
 )
 from repro.obs.flight import FlightBuffer, TeeSink, dump_flight
 from repro.obs.sinks import (
@@ -71,6 +72,7 @@ _LAZY_EXPORTS = {
     "RunManifest": "repro.obs.ledger",
     "SweepManifest": "repro.obs.ledger",
     "record_run": "repro.obs.ledger",
+    "OverheadFold": "repro.obs.overhead",
     "OverheadReport": "repro.obs.overhead",
     "StrategyAttribution": "repro.obs.overhead",
     "compute_overhead": "repro.obs.overhead",
@@ -135,6 +137,7 @@ __all__ = [
     "SessionAbandoned",
     "event_from_dict",
     "event_kinds",
+    "event_line",
     "FlightBuffer",
     "TeeSink",
     "dump_flight",
@@ -169,6 +172,7 @@ __all__ = [
     "RunManifest",
     "SweepManifest",
     "record_run",
+    "OverheadFold",
     "OverheadReport",
     "StrategyAttribution",
     "compute_overhead",

@@ -52,7 +52,17 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.comm.messages import SILENCE
 from repro.faults.channel import (
@@ -87,9 +97,11 @@ from repro.obs.events import (
     StrategySwitch,
     TrialFinished,
     TrialStarted,
+    TypeCache,
+    dispatch_table,
     rng_chain_digest,
 )
-from repro.obs.overhead import compute_overhead
+from repro.obs.overhead import OverheadFold
 from repro.obs.sinks import (
     TRACE_SCHEMA_MINOR,
     MemorySink,
@@ -282,9 +294,8 @@ class _Checker:
         self._proof: Optional[_ProofState] = None
         self._proofs_finished = 0
 
-        # Overhead recomputation input (message events carry no trial
-        # attribution and dominate the stream, so they are not buffered).
-        self._buffer: List[Event] = []
+        # Overhead recomputation, folded as the stream goes by.
+        self._overhead = OverheadFold()
 
     # ------------------------------------------------------------------
     def issue(self, check: str, message: str, line: Optional[int] = None) -> None:
@@ -292,11 +303,13 @@ class _Checker:
 
     def feed(self, line: Optional[int], event: Event) -> None:
         self.events_seen += 1
-        if not isinstance(event, MessageSent):
-            self._buffer.append(event)
-        if self._finished is not None and isinstance(
-            event, (ExecutionStarted, MessageSent, RoundExecuted, FaultInjected, FaultRecovered)
-        ):
+        self._overhead.feed(event)
+        route = _ROUTES[type(event)]
+        if route is None:
+            handler, engine_level = None, False
+        else:
+            handler, engine_level = route
+        if engine_level and self._finished is not None:
             self.issue(
                 "stream",
                 f"{event.kind} event after execution-finished",
@@ -309,34 +322,13 @@ class _Checker:
                 f"event terminates the stream)",
                 line,
             )
-        if isinstance(event, SessionAbandoned):
-            self._feed_abandoned(line, event)
-        elif isinstance(event, ExecutionStarted):
-            self._feed_started(line, event)
-        elif isinstance(event, MessageSent):
-            self._feed_message(line, event)
-        elif isinstance(event, (FaultInjected, FaultRecovered)):
-            self._feed_fault(line, event)
-        elif isinstance(event, RoundExecuted):
-            self._feed_round(line, event)
-        elif isinstance(event, ExecutionFinished):
-            self._feed_finished(line, event)
-        elif isinstance(event, SensingIndication):
-            self._last_indication = event
-        elif isinstance(event, TrialStarted):
-            self._feed_trial_started(line, event)
-        elif isinstance(event, TrialFinished):
-            self._feed_trial_finished(line, event)
-        elif isinstance(event, StrategySwitch):
-            self._feed_switch(line, event)
-        elif isinstance(event, GoalVerdict):
-            self._feed_verdict(line, event)
-        elif isinstance(event, ProofStarted):
-            self._feed_proof_started(line, event)
-        elif isinstance(event, ProofRoundChecked):
-            self._feed_proof_round(line, event)
-        elif isinstance(event, ProofFinished):
-            self._feed_proof_finished(line, event)
+        if handler is not None:
+            handler(self, line, event)
+
+    def _feed_indication(
+        self, line: Optional[int], event: SensingIndication
+    ) -> None:
+        self._last_indication = event
 
     # ------------------------------------------------------------------
     # Stream shape + seed chain.
@@ -1014,7 +1006,7 @@ class _Checker:
         self._check_manifest(trace_sha256)
 
     def _check_overhead(self) -> None:
-        report = compute_overhead(self._buffer)
+        report = self._overhead.report()
         if report.productive_rounds + report.overhead_rounds != report.total_rounds:
             self.issue(
                 "overhead",
@@ -1115,6 +1107,30 @@ class _Checker:
                     f"manifest goal={manifest.get('goal')!r} disagrees with "
                     f"the recorded verdict ({verdict.goal!r})",
                 )
+
+
+#: Event type -> (``_Checker`` handler, whether the type is an engine-level
+#: event that may not follow ``execution-finished``).
+_Route = Tuple[Callable[["_Checker", Optional[int], Any], None], bool]
+_ROUTES: "TypeCache[Optional[_Route]]" = dispatch_table(
+    {
+        SessionAbandoned: (_Checker._feed_abandoned, False),
+        ExecutionStarted: (_Checker._feed_started, True),
+        MessageSent: (_Checker._feed_message, True),
+        FaultInjected: (_Checker._feed_fault, True),
+        FaultRecovered: (_Checker._feed_fault, True),
+        RoundExecuted: (_Checker._feed_round, True),
+        ExecutionFinished: (_Checker._feed_finished, False),
+        SensingIndication: (_Checker._feed_indication, False),
+        TrialStarted: (_Checker._feed_trial_started, False),
+        TrialFinished: (_Checker._feed_trial_finished, False),
+        StrategySwitch: (_Checker._feed_switch, False),
+        GoalVerdict: (_Checker._feed_verdict, False),
+        ProofStarted: (_Checker._feed_proof_started, False),
+        ProofRoundChecked: (_Checker._feed_proof_round, False),
+        ProofFinished: (_Checker._feed_proof_finished, False),
+    }
+)
 
 
 def _format_faults(entries: List[Tuple[str, str, str]]) -> str:
@@ -1246,20 +1262,21 @@ def certify_trace(
 ) -> CertificateReport:
     """Certify a JSONL trace file (the ``repro.obs certify`` entry point).
 
-    Streams the file once via :func:`~repro.obs.sinks.iter_trace_numbered`
-    so every issue is anchored to its 1-based file line.  A malformed or
-    truncated line mid-stream becomes a ``stream`` issue (the certificate
-    *fails*, exit 1) rather than an error — tampering must never look
-    like a usage mistake.  Header-level schema errors (an unsupported
-    major) still raise :class:`~repro.obs.sinks.TraceSchemaError`.
+    Reads the file once via :func:`~repro.obs.sinks.iter_trace_numbered`:
+    the same bytes are hashed for the manifest's tamper check and parsed
+    line by line, so every issue is anchored to its 1-based file line.  A
+    malformed or truncated line mid-stream becomes a ``stream`` issue (the
+    certificate *fails*, exit 1) rather than an error — tampering must
+    never look like a usage mistake.  Header-level schema errors (an
+    unsupported major) still raise :class:`~repro.obs.sinks.TraceSchemaError`.
 
     ``fragment=True`` (the CLI's ``--fragment``) checks a flight dump:
     the invariants that survive a missing prefix and a missing end.
     """
     resolved = Path(path)
-    trace_sha256 = _file_sha256(resolved)
+    digest = hashlib.sha256()
+    header, numbered = iter_trace_numbered(resolved, digest=digest)
     manifest, manifest_label = _load_manifest(resolved, manifest_path)
-    header, numbered = iter_trace_numbered(resolved)
     reason = _uncertifiable_reason(header)
     checker = _Checker(header, manifest, fragment=fragment)
     count = 0
@@ -1275,6 +1292,8 @@ def certify_trace(
             message=f"trace unreadable past this point: {exc}",
             line=exc.line,
         )
+    # The event iterator has ended, so the digest covers the whole file.
+    trace_sha256 = digest.hexdigest()
     checks = FRAGMENT_CHECKS if fragment else CHECKS
     if reason:
         return CertificateReport(

@@ -25,6 +25,9 @@ The taxonomy mirrors the paper's dynamics:
 Serialisation is deterministic: :meth:`Event.to_dict` emits ``kind`` first
 and then the dataclass fields in declaration order, and
 :func:`event_from_dict` inverts it via the ``kind`` registry.
+:func:`event_line` is the one producer of trace lines: it writes exactly
+``json.dumps(event.to_dict(), separators=(",", ":"))`` through a line
+writer compiled once per event class.
 
 The ``reason`` vocabularies of :class:`StrategySwitch` and
 :class:`TrialFinished` are exported as constants (``SWITCH_*`` /
@@ -36,8 +39,21 @@ strings by construction.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Type
+from json.encoder import encode_basestring_ascii
+from typing import (
+    AbstractSet,
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Mapping,
+    Optional,
+    Sequence,
+    Type,
+    TypeVar,
+)
 
 #: ``StrategySwitch.reason`` vocabulary.
 SWITCH_SENSING_NEGATIVE = "sensing-negative"
@@ -99,7 +115,107 @@ class Event:
         return data
 
 
+V = TypeVar("V")
+
+
+class TypeCache(Dict[type, V]):
+    """A ``type -> value`` table that resolves each miss once and keeps it.
+
+    Hot paths look up ``table[type(event)]`` — one dict probe per event —
+    and the first event of a new class pays for ``resolve(cls)``.
+    """
+
+    def __init__(self, resolve: Callable[[type], V]) -> None:
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, cls: type) -> V:
+        value = self[cls] = self._resolve(cls)
+        return value
+
+
+def dispatch_table(handlers: Mapping[type, V]) -> "TypeCache[Optional[V]]":
+    """A handler table with ``isinstance`` semantics and one probe per event.
+
+    A subclass resolves to the handler of its nearest registered base
+    (``None`` when it has none) the first time it is seen.
+    """
+
+    def resolve(cls: type) -> Optional[V]:
+        for base in cls.__mro__:
+            if base in handlers:
+                return handlers[base]
+        return None
+
+    return TypeCache(resolve)
+
+
+def _stock_line(event: "Event") -> str:
+    """The reference encoding every compiled line writer reproduces."""
+    return json.dumps(event.to_dict(), separators=(",", ":"))
+
+
+def _compile_line_writer(cls: type) -> Callable[["Event"], str]:
+    """Generate ``cls``'s line writer: one f-string, no per-event encoder.
+
+    Each field value is dispatched on its exact runtime type: ``str``
+    through ``encode_basestring_ascii``, ``int`` through ``int.__repr__``,
+    and ``None``/``True``/``False`` as their JSON literals — exactly what
+    :func:`json.dumps` writes for them.  Any other value (floats, ``int``
+    subclasses such as ``bool`` or ``IntEnum`` in an int field, anything
+    else) hands the whole line back to :func:`_stock_line`, so the output
+    is byte-identical to the stock encoder by construction.
+    """
+
+    def literal(text: str) -> str:
+        return text.replace("{", "{{").replace("}", "}}")
+
+    kind: str = getattr(cls, "kind")
+    body = ["def line(event):"]
+    template = literal("{" + encode_basestring_ascii("kind") + ":")
+    template += literal(encode_basestring_ascii(kind))
+    for i, name in enumerate(f.name for f in fields(cls)):
+        body += [
+            f"    v = event.{name}",
+            "    t = type(v)",
+            f"    if t is str: s{i} = _str(v)",
+            f"    elif t is int: s{i} = _int(v)",
+            f"    elif v is None: s{i} = 'null'",
+            f"    elif v is True: s{i} = 'true'",
+            f"    elif v is False: s{i} = 'false'",
+            "    else: return _stock(event)",
+        ]
+        template += literal("," + encode_basestring_ascii(name) + ":") + f"{{s{i}}}"
+    template += "}}"
+    body.append(f"    return f{template!r}")
+    namespace: Dict[str, Any] = {
+        "_str": encode_basestring_ascii,
+        "_int": int.__repr__,
+        "_stock": _stock_line,
+    }
+    exec(compile("\n".join(body), f"<line writer {cls.__name__}>", "exec"), namespace)
+    writer: Callable[["Event"], str] = namespace["line"]
+    return writer
+
+
+_LINE_WRITERS: "TypeCache[Callable[[Event], str]]" = TypeCache(_compile_line_writer)
+
+
+def event_line(event: Event) -> str:
+    """One compact JSON line (no newline) for ``event``.
+
+    Byte-identical to ``json.dumps(event.to_dict(), separators=(",", ":"))``
+    — the trace codec every event line in a trace or flight dump goes
+    through.
+    """
+    return _LINE_WRITERS[type(event)](event)
+
+
 _REGISTRY: Dict[str, Type[Event]] = {}
+
+#: Per registered class: its wire keys (``kind`` + field names), for the
+#: decoder's fast path.
+_WIRE_KEYS: Dict[Type[Event], AbstractSet[str]] = {}
 
 
 def register(cls: Type[Event]) -> Type[Event]:
@@ -107,6 +223,8 @@ def register(cls: Type[Event]) -> Type[Event]:
     if cls.kind in _REGISTRY:
         raise ValueError(f"duplicate event kind: {cls.kind!r}")
     _REGISTRY[cls.kind] = cls
+    if not hasattr(cls, "__post_init__"):
+        _WIRE_KEYS[cls] = frozenset({"kind", *(f.name for f in fields(cls))})
     return cls
 
 
@@ -116,11 +234,20 @@ def event_from_dict(data: Mapping[str, Any]) -> Event:
     Raises ``KeyError`` on an unknown ``kind`` and ``TypeError`` on a
     payload that does not match the event's fields — a parsed trace either
     round-trips exactly or fails loudly.
+
+    A record that carries exactly the class's fields (every line this
+    build writes) fills the new instance's ``__dict__`` directly, which is
+    all the generated ``__init__`` would do with them; anything else goes
+    through the constructor, which applies defaults and rejects strays.
     """
-    payload = dict(data)
-    kind = payload.pop("kind")
-    cls = _REGISTRY[kind]
-    return cls(**payload)
+    cls = _REGISTRY[data["kind"]]
+    if data.keys() == _WIRE_KEYS.get(cls):
+        event = cls.__new__(cls)
+        state = event.__dict__
+        state.update(data)
+        del state["kind"]
+        return event
+    return cls(**{key: value for key, value in data.items() if key != "kind"})
 
 
 def event_kinds() -> Dict[str, Type[Event]]:

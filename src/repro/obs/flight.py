@@ -21,13 +21,12 @@ tracer (and therefore the byte-identical trace guarantee) intact.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.obs.events import Event
-from repro.obs.sinks import TRACE_SCHEMA, TRACE_SCHEMA_MINOR, Sink
+from repro.obs.sinks import JsonlSink, Sink
 
 
 class FlightBuffer(Sink):
@@ -101,6 +100,8 @@ def dump_flight(
 ) -> Path:
     """Write a flight dump: schema header + the buffered events.
 
+    The dump is written by a :class:`~repro.obs.sinks.JsonlSink`, so its
+    lines are byte for byte what full tracing writes for the same events.
     The header is a normal trace header (current schema major/minor) plus
     ``"flight": true`` and, for a :class:`FlightBuffer`, the ``evicted``
     count — so downstream tooling can both read it with the stock trace
@@ -108,23 +109,15 @@ def dump_flight(
     """
     resolved = Path(path)
     resolved.parent.mkdir(parents=True, exist_ok=True)
-    head: Dict[str, Any] = {
-        "trace_schema": TRACE_SCHEMA,
-        "trace_schema_minor": TRACE_SCHEMA_MINOR,
-        "flight": True,
-    }
+    extras: Dict[str, Any] = {"flight": True}
     if isinstance(events, FlightBuffer):
-        head["evicted"] = events.evicted
+        extras["evicted"] = events.evicted
         records = events.events
     else:
         records = list(events)
     for key, value in (header or {}).items():
-        if key not in head:
-            head[key] = value
-    with resolved.open("w", encoding="utf-8") as handle:
-        handle.write(json.dumps(head, separators=(",", ":")))
-        handle.write("\n")
+        extras.setdefault(key, value)
+    with JsonlSink(resolved, header=extras) as sink:
         for event in records:
-            handle.write(json.dumps(event.to_dict(), separators=(",", ":")))
-            handle.write("\n")
+            sink.emit(event)
     return resolved

@@ -313,7 +313,8 @@ def record_run(
     The trace doubles as a certificate: the header carries the channel's
     fault spec (when it can describe itself), the goal's verdict is
     recorded as a :class:`~repro.obs.events.GoalVerdict` event with its
-    evidence, and the manifest stamps the trace's SHA-256.  With
+    evidence, and the manifest stamps the trace's SHA-256 (taken by the
+    sink as it wrote the file).  With
     ``certify=True`` the freshly written pair is immediately re-checked by
     :func:`repro.obs.certify.certify_trace`;
     :class:`~repro.obs.certify.CertificationError` means the recording
@@ -328,7 +329,8 @@ def record_run(
     spec = channel_spec(channel)
     if spec is not None:
         header["channel"] = spec
-    tracer = Tracer(sink=JsonlSink(trace_path, header=header))
+    sink = JsonlSink(trace_path, header=header)
+    tracer = Tracer(sink=sink)
     user_traced = hasattr(user, "tracer")
     saved = user.tracer if user_traced else None
     wall_start = time.perf_counter()
@@ -366,7 +368,7 @@ def record_run(
         wall_time_s=round(wall, 6),
         cpu_time_s=round(cpu, 6),
         trace_path=trace_path.name,
-        trace_sha256=file_sha256(trace_path),
+        trace_sha256=sink.sha256(),
         git_sha=git_sha(),
     )
     write_manifest(manifest, manifest_path)

@@ -4,7 +4,8 @@ Theorem 1's universal user pays an *enumeration overhead* — rounds spent
 on candidate strategies that sensing later evicts — and the paper's
 lower bound (the password server class, E3) shows this overhead is
 necessary in general.  This module turns that story into a measured
-quantity: :func:`compute_overhead` replays a trace (a live
+quantity: :class:`OverheadFold` consumes a trace one event at a time,
+and :func:`compute_overhead` folds a whole one (a live
 :class:`~repro.obs.sinks.MemorySink` buffer or a JSONL file parsed by
 :func:`~repro.obs.sinks.read_jsonl`) and attributes every round to the
 enumerated strategy that consumed it.
@@ -30,7 +31,7 @@ belief-weighted traces, live or replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.obs.events import (
     TRIAL_ENDORSED,
@@ -41,6 +42,8 @@ from repro.obs.events import (
     StrategySwitch,
     TrialFinished,
     TrialStarted,
+    TypeCache,
+    dispatch_table,
 )
 
 #: ``TrialFinished.reason`` values that mean the candidate *succeeded*.
@@ -146,119 +149,170 @@ class _TrialTally:
     switched_away: bool = False
 
 
+class OverheadFold:
+    """The overhead accounting as a one-event-at-a-time fold.
+
+    :meth:`feed` each event of one execution in stream order, then read
+    :meth:`report`.  Memory stays one tally per enumerated strategy, so a
+    consumer that already walks the stream (the certificate checker) gets
+    the decomposition without buffering it.
+    """
+
+    def __init__(self) -> None:
+        self._tallies: Dict[int, _TrialTally] = {}
+        self._engine_rounds: Optional[int] = None
+        self._rounds_executed = 0
+        self._switches = 0
+        self._wraps = 0
+        self._trials = 0
+        self._closed_trial_rounds = 0
+        self._open_index: Optional[int] = None
+        self._open_rounds = 0  # Sensing consultations seen in the open trial.
+        self._endorsed_index: Optional[int] = None
+        self._endorsed_rounds = 0
+
+    def _tally(self, index: int) -> _TrialTally:
+        found = self._tallies.get(index)
+        if found is None:
+            found = self._tallies[index] = _TrialTally(index=index)
+        return found
+
+    def feed(self, event: Event) -> None:
+        """Account one event (events the accounting ignores cost one probe)."""
+        handler = _FEEDERS[type(event)]
+        if handler is not None:
+            handler(self, event)
+
+    def _feed_round(self, event: RoundExecuted) -> None:
+        self._rounds_executed += 1
+
+    def _feed_finished(self, event: ExecutionFinished) -> None:
+        self._engine_rounds = event.rounds_executed
+
+    def _feed_trial_started(self, event: TrialStarted) -> None:
+        self._open_index = event.candidate_index
+        self._open_rounds = 0
+        self._endorsed_index = None  # A new trial supersedes any endorsement.
+        self._trials += 1
+        self._tally(event.candidate_index).trials += 1
+
+    def _feed_indication(self, event: SensingIndication) -> None:
+        t = self._tally(event.candidate_index)
+        t.indications += 1
+        if not event.positive:
+            t.negative_indications += 1
+        if event.candidate_index == self._open_index:
+            self._open_rounds += 1
+
+    def _feed_trial_finished(self, event: TrialFinished) -> None:
+        t = self._tally(event.candidate_index)
+        t.rounds += event.rounds_used
+        self._closed_trial_rounds += event.rounds_used
+        if event.reason in _SUCCESS_REASONS:
+            self._endorsed_index = event.candidate_index
+            self._endorsed_rounds = event.rounds_used
+        else:
+            t.switched_away = True
+        if event.candidate_index == self._open_index:
+            self._open_index = None
+            self._open_rounds = 0
+
+    def _feed_switch(self, event: StrategySwitch) -> None:
+        self._switches += 1
+        if event.wrapped:
+            self._wraps += 1
+
+    def report(self) -> OverheadReport:
+        """The decomposition of everything fed so far (the fold is unchanged)."""
+        closed_trial_rounds = self._closed_trial_rounds
+        open_index = self._open_index
+        engine_rounds = self._engine_rounds
+        total_rounds = (
+            engine_rounds if engine_rounds is not None else self._rounds_executed
+        )
+        if total_rounds == 0:
+            # User-only trace (tracer attached to the user but not the
+            # engine): every user round produced one sensing consultation.
+            total_rounds = closed_trial_rounds + self._open_rounds
+
+        # The open trial's rounds: whatever the closed trials did not
+        # consume.  (More robust than counting its indications — a
+        # patience budget or a grace wrapper can consult sensing on a
+        # subset of rounds.)
+        open_trial_rounds = max(0, total_rounds - closed_trial_rounds)
+        settled_index: Optional[int]
+        if open_index is not None:
+            settled_index = open_index
+            productive_rounds = open_trial_rounds
+        elif self._endorsed_index is not None:
+            # The finite user's successful halt: exactly the endorsed
+            # trial's own rounds were productive; earlier trials of the
+            # same candidate (budget re-runs) still count as overhead.
+            settled_index = self._endorsed_index
+            productive_rounds = self._endorsed_rounds
+        else:
+            settled_index = None
+            productive_rounds = 0
+
+        overhead_rounds = max(0, total_rounds - productive_rounds)
+        ratio = overhead_rounds / total_rounds if total_rounds else 0.0
+        per_strategy = tuple(
+            StrategyAttribution(
+                index=t.index,
+                trials=t.trials,
+                rounds=t.rounds + (
+                    open_trial_rounds if t.index == open_index else 0
+                ),
+                indications=t.indications,
+                negative_indications=t.negative_indications,
+                switched_away=t.switched_away,
+            )
+            for t in sorted(self._tallies.values(), key=lambda t: t.index)
+        )
+        return OverheadReport(
+            total_rounds=total_rounds,
+            productive_rounds=productive_rounds,
+            overhead_rounds=overhead_rounds,
+            overhead_ratio=ratio,
+            settled_index=settled_index,
+            switches=self._switches,
+            wraps=self._wraps,
+            trials=self._trials,
+            per_strategy=per_strategy,
+        )
+
+
+_FEEDERS: "TypeCache[Optional[Callable[[OverheadFold, Any], None]]]" = dispatch_table(
+    {
+        RoundExecuted: OverheadFold._feed_round,
+        ExecutionFinished: OverheadFold._feed_finished,
+        TrialStarted: OverheadFold._feed_trial_started,
+        SensingIndication: OverheadFold._feed_indication,
+        TrialFinished: OverheadFold._feed_trial_finished,
+        StrategySwitch: OverheadFold._feed_switch,
+    }
+)
+
+
 def compute_overhead(events: Iterable[Event]) -> OverheadReport:
     """Attribute a traced execution's rounds to its enumerated strategies.
 
     Accepts any ordered event stream — ``MemorySink.events``, the list
-    from :func:`~repro.obs.sinks.read_jsonl`, or a generator.  Traces
-    without universal-user events (no trials) yield an all-zero report
-    with ``settled_index=None`` and an overhead ratio of 0.0: a
-    non-enumerating user has no enumeration overhead by definition.
+    from :func:`~repro.obs.sinks.read_jsonl`, or a generator — and makes
+    one pass of :class:`OverheadFold` over it.  Traces without
+    universal-user events (no trials) yield an all-zero report with
+    ``settled_index=None`` and an overhead ratio of 0.0: a non-enumerating
+    user has no enumeration overhead by definition.
     """
-    tallies: Dict[int, _TrialTally] = {}
-    engine_rounds: Optional[int] = None
-    rounds_executed = 0
-    switches = 0
-    wraps = 0
-    trials = 0
-    closed_trial_rounds = 0
-
-    open_index: Optional[int] = None
-    open_rounds = 0  # Sensing consultations seen in the open trial.
-    endorsed_index: Optional[int] = None
-    endorsed_rounds = 0
-
-    def tally(index: int) -> _TrialTally:
-        found = tallies.get(index)
-        if found is None:
-            found = tallies[index] = _TrialTally(index=index)
-        return found
-
+    fold = OverheadFold()
     for event in events:
-        if isinstance(event, RoundExecuted):
-            rounds_executed += 1
-        elif isinstance(event, ExecutionFinished):
-            engine_rounds = event.rounds_executed
-        elif isinstance(event, TrialStarted):
-            open_index = event.candidate_index
-            open_rounds = 0
-            endorsed_index = None  # A new trial supersedes any endorsement.
-            trials += 1
-            tally(event.candidate_index).trials += 1
-        elif isinstance(event, SensingIndication):
-            t = tally(event.candidate_index)
-            t.indications += 1
-            if not event.positive:
-                t.negative_indications += 1
-            if event.candidate_index == open_index:
-                open_rounds += 1
-        elif isinstance(event, TrialFinished):
-            t = tally(event.candidate_index)
-            t.rounds += event.rounds_used
-            closed_trial_rounds += event.rounds_used
-            if event.reason in _SUCCESS_REASONS:
-                endorsed_index = event.candidate_index
-                endorsed_rounds = event.rounds_used
-            else:
-                t.switched_away = True
-            if event.candidate_index == open_index:
-                open_index = None
-                open_rounds = 0
-        elif isinstance(event, StrategySwitch):
-            switches += 1
-            if event.wrapped:
-                wraps += 1
-
-    total_rounds = engine_rounds if engine_rounds is not None else rounds_executed
-    if total_rounds == 0:
-        # User-only trace (tracer attached to the user but not the engine):
-        # every user round produced one sensing consultation.
-        total_rounds = closed_trial_rounds + open_rounds
-
-    # The open trial's rounds: whatever the closed trials did not consume.
-    # (More robust than counting its indications — a patience budget or a
-    # grace wrapper can consult sensing on a subset of rounds.)
-    open_trial_rounds = max(0, total_rounds - closed_trial_rounds)
-    if open_index is not None:
-        tally(open_index).rounds += open_trial_rounds
-
-    if open_index is not None:
-        settled_index: Optional[int] = open_index
-        productive_rounds = open_trial_rounds
-    elif endorsed_index is not None:
-        # The finite user's successful halt: exactly the endorsed trial's
-        # own rounds were productive; earlier trials of the same candidate
-        # (budget re-runs) still count as overhead.
-        settled_index = endorsed_index
-        productive_rounds = endorsed_rounds
-    else:
-        settled_index = None
-        productive_rounds = 0
-
-    overhead_rounds = max(0, total_rounds - productive_rounds)
-    ratio = overhead_rounds / total_rounds if total_rounds else 0.0
-    per_strategy = tuple(
-        StrategyAttribution(
-            index=t.index,
-            trials=t.trials,
-            rounds=t.rounds,
-            indications=t.indications,
-            negative_indications=t.negative_indications,
-            switched_away=t.switched_away,
-        )
-        for t in sorted(tallies.values(), key=lambda t: t.index)
-    )
-    return OverheadReport(
-        total_rounds=total_rounds,
-        productive_rounds=productive_rounds,
-        overhead_rounds=overhead_rounds,
-        overhead_ratio=ratio,
-        settled_index=settled_index,
-        switches=switches,
-        wraps=wraps,
-        trials=trials,
-        per_strategy=per_strategy,
-    )
+        fold.feed(event)
+    return fold.report()
 
 
-__all__ = ["OverheadReport", "StrategyAttribution", "compute_overhead"]
+__all__ = [
+    "OverheadFold",
+    "OverheadReport",
+    "StrategyAttribution",
+    "compute_overhead",
+]

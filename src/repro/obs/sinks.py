@@ -25,15 +25,19 @@ as uncertifiable.
 :func:`read_trace` materialises the whole event list; :func:`iter_trace`
 streams it (header eagerly, events lazily), and
 :func:`iter_trace_numbered` additionally yields each event's 1-based file
-line number so downstream diagnostics can anchor to the exact line.
+line number so downstream diagnostics can anchor to the exact line, and
+can hash the bytes it reads — the one read a certificate check needs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections import deque
+from contextlib import closing
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Deque,
     Dict,
@@ -47,7 +51,10 @@ from typing import (
     Union,
 )
 
-from repro.obs.events import Event, event_from_dict
+from repro.obs.events import Event, event_from_dict, event_line
+
+if TYPE_CHECKING:
+    from hashlib import _Hash
 
 E = TypeVar("E", bound=Event)
 
@@ -138,12 +145,21 @@ class JsonlSink(Sink):
     Field order is deterministic (insertion order of
     :meth:`~repro.obs.events.Event.to_dict`), separators are fixed, and
     nothing machine-dependent (timestamps, pids) is ever written — two
-    traces of the same seeded run diff clean.
+    traces of the same seeded run diff clean.  Every event line comes from
+    :func:`~repro.obs.events.event_line`.
 
     The first line is the schema header (``{"trace_schema": 1}`` plus any
     ``header`` extras, which must themselves be deterministic values for
     the byte-identity guarantee to hold).
+
+    The sink hashes the bytes as it writes them: :meth:`sha256` is the
+    file's SHA-256 without reading the file back.
     """
+
+    #: Lines buffered before one encode + hash + write: about as many
+    #: bytes as the file's own buffer holds, so the writes (and the
+    #: hashing) happen as the run goes and ``close`` flushes only a tail.
+    CHUNK_LINES = 64
 
     def __init__(
         self,
@@ -151,7 +167,8 @@ class JsonlSink(Sink):
         header: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.path = Path(path)
-        self._file = self.path.open("w", encoding="utf-8")
+        self._file = self.path.open("wb")
+        self._digest = hashlib.sha256()
         head: Dict[str, Any] = {
             "trace_schema": TRACE_SCHEMA,
             "trace_schema_minor": TRACE_SCHEMA_MINOR,
@@ -159,16 +176,34 @@ class JsonlSink(Sink):
         for key, value in (header or {}).items():
             if key not in head:
                 head[key] = value
-        self._file.write(json.dumps(head, separators=(",", ":")))
-        self._file.write("\n")
+        self._pending: List[str] = [json.dumps(head, separators=(",", ":"))]
 
     def emit(self, event: Event) -> None:
-        self._file.write(json.dumps(event.to_dict(), separators=(",", ":")))
-        self._file.write("\n")
+        pending = self._pending
+        pending.append(event_line(event))
+        if len(pending) >= self.CHUNK_LINES:
+            self._flush()
+
+    def _flush(self) -> None:
+        pending = self._pending
+        if pending:
+            data = "\n".join(pending).encode("utf-8") + b"\n"
+            pending.clear()
+            self._digest.update(data)
+            self._file.write(data)
+
+    def sha256(self) -> str:
+        """Hex SHA-256 of every byte written so far (the file, once closed)."""
+        if not self._file.closed:
+            self._flush()
+        return self._digest.hexdigest()
 
     def close(self) -> None:
         if not self._file.closed:
-            self._file.close()
+            try:
+                self._flush()
+            finally:
+                self._file.close()
 
 
 def _check_trace_header(header: Mapping[str, Any], path: Path) -> None:
@@ -185,14 +220,25 @@ def _check_trace_header(header: Mapping[str, Any], path: Path) -> None:
         )
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+#: Bytes per read when streaming a trace file.
+_READ_CHUNK = 1 << 16
+
+
 def _parse_record(text: str, path: Path, number: int) -> Any:
-    """One line of a trace file → parsed JSON, or a line-anchored error."""
+    """One stripped line of a trace file → parsed JSON, or a line-anchored error."""
     try:
-        return json.loads(text)
+        record, end = _raw_decode(text)
     except json.JSONDecodeError as exc:
         raise TraceSchemaError(
             f"{path}:{number}: not valid JSON: {exc.msg}", line=number
         ) from exc
+    if end != len(text):
+        raise TraceSchemaError(
+            f"{path}:{number}: not valid JSON: Extra data", line=number
+        )
+    return record
 
 
 def _parse_event(record: Any, path: Path, number: int) -> Event:
@@ -215,8 +261,58 @@ def _parse_event(record: Any, path: Path, number: int) -> Event:
         ) from exc
 
 
+def _numbered_lines(
+    path: Path, digest: "Optional[_Hash]"
+) -> Iterator[Tuple[int, str]]:
+    """The non-blank stripped lines of ``path`` with their 1-based numbers.
+
+    Reads the file once, in binary chunks, splitting lines the way text
+    mode's universal newlines does (``\\n``, ``\\r\\n`` and a lone
+    ``\\r``).  Every chunk read goes into ``digest``, and closing the
+    iterator early reads and hashes the rest, so once the iterator is
+    exhausted or closed the digest covers the whole file.
+    """
+    with path.open("rb") as handle:
+        try:
+            number = 0
+            tail = b""
+            while True:
+                chunk = handle.read(_READ_CHUNK)
+                if digest is not None:
+                    digest.update(chunk)
+                # At the end of the file the tail is the last, unterminated line.
+                pieces = (tail + chunk).split(b"\n")
+                tail = pieces.pop() if chunk else b""
+                for raw in pieces:
+                    if b"\r" in raw:
+                        if raw.endswith(b"\r"):  # \r\n
+                            raw = raw[:-1]
+                        split = raw.split(b"\r")
+                    else:
+                        split = [raw]
+                    for piece in split:
+                        number += 1
+                        try:
+                            text = piece.decode("utf-8").strip()
+                        except UnicodeDecodeError as exc:
+                            raise TraceSchemaError(
+                                f"{path}:{number}: not valid UTF-8: {exc.reason}",
+                                line=number,
+                            ) from exc
+                        if text:
+                            yield number, text
+                if not chunk:
+                    return
+        finally:
+            if digest is not None:
+                for rest in iter(lambda: handle.read(_READ_CHUNK), b""):
+                    digest.update(rest)
+
+
 def iter_trace_numbered(
     path: Union[str, Path],
+    *,
+    digest: "Optional[_Hash]" = None,
 ) -> Tuple[Dict[str, Any], Iterator[Tuple[int, Event]]]:
     """Stream a trace as ``(header, iterator of (line_number, event))``.
 
@@ -225,43 +321,37 @@ def iter_trace_numbered(
     paired with its 1-based file line number.  Malformed lines raise
     :class:`TraceSchemaError` anchored to that line; the file handle is
     closed when the iterator is exhausted or garbage-collected.
+
+    With ``digest`` (a :mod:`hashlib` object), every byte of the file is
+    fed to it as it is read; once the event iterator has ended — exhausted
+    or stopped by a malformed line — the digest covers the whole file.
     """
     resolved = Path(path)
-    handle = resolved.open("r", encoding="utf-8")
+    lines = _numbered_lines(resolved, digest)
     header: Dict[str, Any] = {}
     first_event: Optional[Tuple[int, Event]] = None
-    consumed = 0
     try:
-        for line in handle:
-            consumed += 1
-            text = line.strip()
-            if not text:
-                continue
-            record = _parse_record(text, resolved, consumed)
+        for number, text in lines:
+            record = _parse_record(text, resolved, number)
             if isinstance(record, dict) and "kind" not in record:
                 _check_trace_header(record, resolved)
                 header = record
             else:
-                first_event = (consumed, _parse_event(record, resolved, consumed))
+                first_event = (number, _parse_event(record, resolved, number))
             break
     except BaseException:
-        handle.close()
+        lines.close()
         raise
 
-    def events(start: int) -> Iterator[Tuple[int, Event]]:
-        with handle:
+    def events() -> Iterator[Tuple[int, Event]]:
+        with closing(lines):
             if first_event is not None:
                 yield first_event
-            number = start
-            for line in handle:
-                number += 1
-                text = line.strip()
-                if not text:
-                    continue
+            for number, text in lines:
                 record = _parse_record(text, resolved, number)
                 yield number, _parse_event(record, resolved, number)
 
-    return header, events(consumed)
+    return header, events()
 
 
 def iter_trace(

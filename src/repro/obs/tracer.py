@@ -14,7 +14,7 @@ branch per round (benchmarked in ``benchmarks/bench_engine.py``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Union
 
 if TYPE_CHECKING:
     from repro.obs.timers import _Span
@@ -33,6 +33,41 @@ from repro.obs.events import (
 )
 from repro.obs.sinks import NullSink, Sink
 from repro.obs.timers import PhaseTimer
+
+
+def _count_sensing(counters: CounterSet, event: SensingIndication) -> None:
+    counters.inc("sensing_positive" if event.positive else "sensing_negative")
+
+
+def _count_message(counters: CounterSet, event: MessageSent) -> None:
+    counters.inc("messages")
+    counters.inc("message_bytes", len(event.payload))
+
+
+def _count_switch(counters: CounterSet, event: StrategySwitch) -> None:
+    counters.inc("switches")
+    if event.wrapped:
+        counters.inc("wraps")
+
+
+def _count_one(name: str) -> Callable[[CounterSet, Event], None]:
+    def count(counters: CounterSet, event: Event) -> None:
+        counters.inc(name)
+
+    return count
+
+
+#: Exact event type -> the counters it bumps (other types bump none).
+_COUNT: Dict[type, Callable[[CounterSet, Any], None]] = {
+    RoundExecuted: _count_one("rounds"),
+    MessageSent: _count_message,
+    SensingIndication: _count_sensing,
+    StrategySwitch: _count_switch,
+    TrialStarted: _count_one("trials"),
+    GraceSuppressed: _count_one("grace_suppressed"),
+    FaultInjected: _count_one("faults_injected"),
+    FaultRecovered: _count_one("faults_recovered"),
+}
 
 
 class NoopTracer:
@@ -82,28 +117,9 @@ class Tracer:
 
     def emit(self, event: Event) -> None:
         """Record one event: update counters, then forward to the sink."""
-        counters = self.counters
-        if type(event) is RoundExecuted:
-            counters.inc("rounds")
-        elif type(event) is MessageSent:
-            counters.inc("messages")
-            counters.inc("message_bytes", len(event.payload))
-        elif type(event) is SensingIndication:
-            counters.inc(
-                "sensing_positive" if event.positive else "sensing_negative"
-            )
-        elif type(event) is StrategySwitch:
-            counters.inc("switches")
-            if event.wrapped:
-                counters.inc("wraps")
-        elif type(event) is TrialStarted:
-            counters.inc("trials")
-        elif type(event) is GraceSuppressed:
-            counters.inc("grace_suppressed")
-        elif type(event) is FaultInjected:
-            counters.inc("faults_injected")
-        elif type(event) is FaultRecovered:
-            counters.inc("faults_recovered")
+        count = _COUNT.get(type(event))
+        if count is not None:
+            count(self.counters, event)
         self.sink.emit(event)
 
     def phase(self, name: str) -> "_Span":

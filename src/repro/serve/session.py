@@ -8,8 +8,9 @@ share one process while each keeps its enumeration state alive across
 steps.  :meth:`Session.close` seals the run exactly the way
 :func:`repro.obs.ledger.record_run` does: the goal is judged, the verdict
 goes into the trace as evidence, and a :class:`~repro.obs.ledger.RunManifest`
-with the trace's SHA-256 lands beside it — a served session is certifiable
-by ``python -m repro.obs certify`` like any batch run.
+with the trace's SHA-256 (taken as the trace was written) lands beside it
+— a served session is certifiable by ``python -m repro.obs certify`` like
+any batch run.
 
 Determinism is per-session: seeds derive through the same
 :func:`~repro.core.execution.derive_party_seeds` chain the engine uses, so a
@@ -44,6 +45,7 @@ from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:
     from repro.obs.ledger import RunManifest
+    from repro.obs.sinks import JsonlSink
 
 
 def derive_session_seeds(seed: int, count: int) -> List[int]:
@@ -163,6 +165,7 @@ class Session:
 
         self.trace_path: Optional[Path] = None
         self.flight_path: Optional[Path] = None
+        self._trace_sink: Optional["JsonlSink"] = None
         self._tracer: Optional[Tracer] = None
         self._flight: Optional[FlightBuffer] = None
         if trace or flight:
@@ -179,7 +182,8 @@ class Session:
                 if described is not None:
                     header["channel"] = described
                 self.trace_path = self._ledger_dir / f"{session_id}.jsonl"
-                sinks.append(JsonlSink(self.trace_path, header=header))
+                self._trace_sink = JsonlSink(self.trace_path, header=header)
+                sinks.append(self._trace_sink)
             if flight:
                 self._flight = FlightBuffer(flight)
                 sinks.append(self._flight)
@@ -278,7 +282,7 @@ class Session:
         manifest = None
         manifest_path = None
         if self._ledger_dir is not None:
-            from repro.obs.ledger import RunManifest, file_sha256, write_manifest
+            from repro.obs.ledger import RunManifest, write_manifest
 
             manifest = RunManifest(
                 kind="run",
@@ -300,7 +304,7 @@ class Session:
                 cpu_time_s=round(self._cpu, 6),
                 trace_path=None if self.trace_path is None else self.trace_path.name,
                 trace_sha256=(
-                    None if self.trace_path is None else file_sha256(self.trace_path)
+                    None if self._trace_sink is None else self._trace_sink.sha256()
                 ),
                 git_sha=_cached_git_sha(),
             )
