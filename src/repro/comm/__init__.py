@@ -2,9 +2,9 @@
 
 This subpackage implements the plumbing under the Goldreich–Juba–Sudan model:
 the message profiles exchanged each synchronous round (:mod:`.messages`), the
-channel bookkeeping between the three parties (:mod:`.channels`), the
-bijective string codecs that model *language mismatch* between user and
-server (:mod:`.codecs`), and transcript recording (:mod:`.transcripts`).
+party roles (:mod:`.channels`), the bijective string codecs that model
+*language mismatch* between user and server (:mod:`.codecs`), and
+transcript recording (:mod:`.transcripts`).
 """
 
 from repro.comm.messages import (
@@ -18,7 +18,7 @@ from repro.comm.messages import (
     parse_tagged,
     tagged,
 )
-from repro.comm.channels import ChannelState, Roles
+from repro.comm.channels import Roles
 from repro.comm.codecs import (
     Codec,
     IdentityCodec,
@@ -43,7 +43,6 @@ __all__ = [
     "WorldOutbox",
     "parse_tagged",
     "tagged",
-    "ChannelState",
     "Roles",
     "Codec",
     "IdentityCodec",

@@ -1,28 +1,14 @@
-"""Channel bookkeeping for the synchronous engine.
+"""Party roles of the three-party model.
 
 The execution engine (:mod:`repro.core.execution`) steps all three parties
 simultaneously: messages emitted at round *t* are delivered at round *t+1*.
-:class:`ChannelState` holds the six directed channels between the parties
-and performs the exchange.
-
-Keeping this in its own module (rather than inline in the engine) lets the
-multiparty reduction (:mod:`repro.multiparty`) reuse the same delivery
-discipline with composite parties.
+The six directed channels between the parties are not an object of their
+own: :class:`~repro.core.execution.ExecutionStepper` holds the message in
+flight on each as a plain string and replaces all six wholesale every
+round.  This module names the parties, for transcripts and trace events.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.comm.messages import (
-    SILENCE,
-    ServerInbox,
-    ServerOutbox,
-    UserInbox,
-    UserOutbox,
-    WorldInbox,
-    WorldOutbox,
-)
 
 
 class Roles:
@@ -33,53 +19,3 @@ class Roles:
     WORLD = "world"
 
     ALL = (USER, SERVER, WORLD)
-
-
-@dataclass
-class ChannelState:
-    """The six directed channels of the three-party system.
-
-    Attributes hold the message *in flight*: written during round *t* via
-    :meth:`deliver`, read at round *t+1* via the ``*_inbox`` methods.
-    All channels start silent, matching the paper's convention that the
-    execution begins with no messages pending.
-    """
-
-    user_to_server: str = SILENCE
-    user_to_world: str = SILENCE
-    server_to_user: str = SILENCE
-    server_to_world: str = SILENCE
-    world_to_user: str = SILENCE
-    world_to_server: str = SILENCE
-
-    def user_inbox(self) -> UserInbox:
-        """Messages the user will read this round."""
-        return UserInbox(from_server=self.server_to_user, from_world=self.world_to_user)
-
-    def server_inbox(self) -> ServerInbox:
-        """Messages the server will read this round."""
-        return ServerInbox(from_user=self.user_to_server, from_world=self.world_to_server)
-
-    def world_inbox(self) -> WorldInbox:
-        """Messages the world will read this round."""
-        return WorldInbox(from_user=self.user_to_world, from_server=self.server_to_world)
-
-    def deliver(
-        self,
-        user_out: UserOutbox,
-        server_out: ServerOutbox,
-        world_out: WorldOutbox,
-    ) -> None:
-        """Replace all in-flight messages with this round's outboxes.
-
-        The replacement is wholesale: a party that stays silent on a channel
-        clears it.  This matches the synchronous model, where each round's
-        message profile fully determines what the counterpart sees next
-        round (there is no implicit buffering).
-        """
-        self.user_to_server = user_out.to_server
-        self.user_to_world = user_out.to_world
-        self.server_to_user = server_out.to_user
-        self.server_to_world = server_out.to_world
-        self.world_to_user = world_out.to_user
-        self.world_to_server = world_out.to_server

@@ -32,13 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
+    Hashable,
     List,
     Optional,
     Protocol,
     Sequence,
     Tuple,
+    TypeVar,
     runtime_checkable,
 )
 
@@ -314,8 +317,9 @@ def run_tabular_batch(
     s_tab, s_tables = _dedupe([c.server for c in casts])
     # Worlds dedupe on (tables, referee mask): two slots may share world
     # dynamics yet answer to different referees.
-    w_keyed = _dedupe_keyed([(c.world, c.acceptable) for c in casts])
-    w_tab, w_pairs = w_keyed
+    w_tab, w_pairs = _dedupe(
+        [(c.world, c.acceptable) for c in casts], _pair_identity
+    )
     w_tables = [party for party, _ in w_pairs]
     u_next, u_oa, u_ob = _stack(u_tables, n_symbols)
     s_next, s_oa, s_ob = _stack(s_tables, n_symbols)
@@ -426,38 +430,38 @@ def run_tabular_batch(
     return outcomes
 
 
+_T = TypeVar("_T", bound=Hashable)
+
+
 def _dedupe(
-    parties: Sequence[TabularParty],
-) -> Tuple[List[int], List[TabularParty]]:
-    """Map each slot to an index into the list of distinct tables."""
+    items: Sequence[_T], identity: Callable[[_T], Hashable] = id
+) -> Tuple[List[int], List[_T]]:
+    """Map each slot to an index into the list of distinct items.
+
+    Keyed on ``identity`` first — tiled slots share their table objects,
+    and hashing a table walks all of its S×A×A entries — and on value
+    equality only the first time an object is seen.
+    """
     indices: List[int] = []
-    uniques: List[TabularParty] = []
-    seen: Dict[TabularParty, int] = {}
-    for party in parties:
-        index = seen.get(party)
+    uniques: List[_T] = []
+    by_identity: Dict[Hashable, int] = {}
+    by_value: Dict[_T, int] = {}
+    for item in items:
+        key = identity(item)
+        index = by_identity.get(key)
         if index is None:
-            index = len(uniques)
-            seen[party] = index
-            uniques.append(party)
+            index = by_value.get(item)
+            if index is None:
+                index = len(uniques)
+                by_value[item] = index
+                uniques.append(item)
+            by_identity[key] = index
         indices.append(index)
     return indices, uniques
 
 
-def _dedupe_keyed(
-    pairs: Sequence[Tuple[TabularParty, Tuple[bool, ...]]],
-) -> Tuple[List[int], List[Tuple[TabularParty, Tuple[bool, ...]]]]:
-    """Dedupe (world tables, referee mask) pairs — both parts are hashable."""
-    indices: List[int] = []
-    uniques: List[Tuple[TabularParty, Tuple[bool, ...]]] = []
-    seen: Dict[Tuple[TabularParty, Tuple[bool, ...]], int] = {}
-    for pair in pairs:
-        index = seen.get(pair)
-        if index is None:
-            index = len(uniques)
-            seen[pair] = index
-            uniques.append(pair)
-        indices.append(index)
-    return indices, uniques
+def _pair_identity(pair: Tuple[Any, Any]) -> Tuple[int, int]:
+    return id(pair[0]), id(pair[1])
 
 
 def _stack(tables: Sequence[TabularParty], n_symbols: int) -> Tuple[Any, Any, Any]:

@@ -22,14 +22,25 @@ session service (:mod:`repro.serve`) drives the same object a slice at a
 time, so a served session is bitwise identical to ``run_execution`` by
 construction.
 
+The round is lean: the six in-flight messages (one per directed channel)
+are plain strings the stepper owns.  For the length of a slice they live
+in locals with the party states and the round count, the inboxes are
+built with ``tuple.__new__`` and the outboxes read by unpacking; the
+stepper's slots hold them between slices.  Per round, the loop calls only
+the three party steps and, when present, the fault channel's ``apply``,
+the referee monitor's ``observe`` and the tracer (plus the history appends
+under :data:`FULL_RECORDING`); the metrics-only view's round count is
+advanced once per slice.
+
 Reproducibility: the engine derives an independent PRNG per party from the
 master seed (:func:`derive_party_seeds`), so a strategy that consumes more
 randomness does not perturb the other parties' random streams.
 
 Observability: pass ``tracer=`` (see :mod:`repro.obs`) to stream typed
 round/message events.  Tracing is read-only — it never touches the RNGs or
-channel state — so a traced run is bitwise-identical to an untraced one,
-and the off path (``tracer=None`` or a disabled tracer) allocates nothing.
+the in-flight messages — so a traced run is bitwise-identical to an
+untraced one, and the off path (``tracer=None`` or a disabled tracer)
+allocates nothing.
 
 Recording policies: by default the engine retains everything
 (:data:`FULL_RECORDING`) — every world state, one :class:`RoundRecord` and
@@ -51,8 +62,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple
 
-from repro.comm.channels import ChannelState, Roles
-from repro.comm.messages import ServerInbox, ServerOutbox, UserInbox, UserOutbox, WorldInbox, WorldOutbox
+from repro.comm.channels import Roles
+from repro.comm.messages import SILENCE, ServerInbox, ServerOutbox, UserInbox, UserOutbox, WorldInbox, WorldOutbox
 from repro.core.interfaces import (
     ChannelLike,
     ChannelRunLike,
@@ -201,8 +212,9 @@ class ExecutionStepper:
     __slots__ = (
         "user", "server", "world", "max_rounds", "channel", "tracer",
         "user_rng", "server_rng", "world_rng", "user_state", "server_state",
-        "world_state", "channels", "channel_run", "result", "tracing",
-        "full", "live", "finished",
+        "world_state", "user_to_server", "user_to_world", "server_to_user",
+        "server_to_world", "world_to_user", "world_to_server", "channel_run",
+        "result", "tracing", "full", "live", "finished",
     )
 
     def __init__(
@@ -251,7 +263,10 @@ class ExecutionStepper:
         self.user_state = user.initial_state(self.user_rng)
         self.server_state = server.initial_state(self.server_rng)
         self.world_state = world.initial_state(self.world_rng)
-        self.channels = ChannelState()
+        # The six in-flight messages, all silent before the first round.
+        self.user_to_server = self.user_to_world = SILENCE
+        self.server_to_user = self.server_to_world = SILENCE
+        self.world_to_user = self.world_to_server = SILENCE
         monitor = None if referee is None else referee.monitor()
         self.full = recording.full
         self.result = ExecutionResult(
@@ -291,16 +306,18 @@ class ExecutionStepper:
         the execution settles, and is a no-op (returning 0) on an already
         settled stepper — schedulers may race a settle without guarding.
 
-        The loop runs on locals and writes them back in a ``finally``, so
-        a strategy that raises mid-slice leaves the stepper at the last
-        completed round and :meth:`finish` still returns the partial run.
+        The loop runs on locals — the six in-flight messages, the party
+        states and the round count — and writes them back in a
+        ``finally``, so a strategy that raises mid-slice leaves the stepper
+        at the last completed round and :meth:`finish` still returns the
+        partial run.
         """
         if rounds < 0:
             raise ExecutionError(f"rounds must be non-negative: {rounds}")
         if not self.live:
             return 0
         result = self.result
-        start = result.rounds_completed
+        start = completed = result.rounds_completed
         stop = min(start + rounds, self.max_rounds)
 
         # Hoisted once: the loop pays one local lookup per artefact, and
@@ -311,7 +328,9 @@ class ExecutionStepper:
         user_state, server_state, world_state = (
             self.user_state, self.server_state, self.world_state
         )
-        channels = self.channels
+        u2s, u2w = self.user_to_server, self.user_to_world
+        s2u, s2w = self.server_to_user, self.server_to_world
+        w2u, w2s = self.world_to_user, self.world_to_server
         channel_run = self.channel_run
         full = self.full
         monitor = result.referee_monitor
@@ -322,31 +341,36 @@ class ExecutionStepper:
         transcript = result.transcript
         tracing = self.tracing
         tracer = self.tracer
+        # Inboxes are built by ``tuple.__new__``: the profiles are
+        # NamedTuples, and this skips their generated ``__new__``.
+        new = tuple.__new__
         try:
             for round_index in range(start, stop):
-                user_inbox = channels.user_inbox()
-                server_inbox = channels.server_inbox()
-                world_inbox = channels.world_inbox()
+                user_inbox = new(UserInbox, (s2u, w2u))
+                server_inbox = new(ServerInbox, (u2s, w2s))
+                world_inbox = new(WorldInbox, (u2w, s2w))
 
-                user_state_before = user_state
-                user_state, user_out = user_step(user_state, user_inbox, user_rng)
-                server_state, server_out = server_step(server_state, server_inbox, server_rng)
-                world_state, world_out = world_step(world_state, world_inbox, world_rng)
+                next_user, user_out = user_step(user_state, user_inbox, user_rng)
+                next_server, server_out = server_step(server_state, server_inbox, server_rng)
+                next_world, world_out = world_step(world_state, world_inbox, world_rng)
 
-                if not isinstance(user_out, UserOutbox):
+                # Exact class first; ``isinstance`` still admits subclasses.
+                if user_out.__class__ is not UserOutbox and not isinstance(user_out, UserOutbox):
                     raise ExecutionError(f"user strategy {user.name} returned {type(user_out).__name__}")
-                if not isinstance(server_out, ServerOutbox):
+                if server_out.__class__ is not ServerOutbox and not isinstance(server_out, ServerOutbox):
                     raise ExecutionError(f"server strategy {server.name} returned {type(server_out).__name__}")
-                if not isinstance(world_out, WorldOutbox):
+                if world_out.__class__ is not WorldOutbox and not isinstance(world_out, WorldOutbox):
                     raise ExecutionError(f"world strategy {world.name} returned {type(world_out).__name__}")
 
-                channels.deliver(user_out, server_out, world_out)
+                # Delivery replaces every in-flight message wholesale: a
+                # party silent on a channel clears it (no buffering).
+                u2s, u2w, halt, _ = user_out
+                s2u, s2w = server_out
+                w2u, w2s = world_out
                 if channel_run is not None:
-                    channels.user_to_server, channels.server_to_user = channel_run.apply(
-                        round_index, channels.user_to_server, channels.server_to_user
-                    )
+                    u2s, s2u = channel_run.apply(round_index, u2s, s2u)
 
-                result.rounds_completed += 1
+                completed += 1
                 if full:
                     rounds_list.append(
                         RoundRecord(
@@ -357,24 +381,22 @@ class ExecutionStepper:
                             server_outbox=server_out,
                             world_inbox=world_inbox,
                             world_outbox=world_out,
-                            user_state_after=user_state,
-                            server_state_after=server_state,
-                            world_state_after=world_state,
+                            user_state_after=next_user,
+                            server_state_after=next_server,
+                            world_state_after=next_world,
                         )
                     )
-                    world_states.append(world_state)
+                    world_states.append(next_world)
                     user_view.append(
                         ViewRecord(
                             round_index=round_index,
-                            state_before=user_state_before,
+                            state_before=user_state,
                             inbox=user_inbox,
                             outbox=user_out,
-                            state_after=user_state,
+                            state_after=next_user,
                         )
                     )
-                else:
-                    world_states[0] = world_state
-                    user_view.advance()
+                user_state, server_state, world_state = next_user, next_server, next_world
                 if observe is not None:
                     observe(world_state)
                 if transcript is not None:
@@ -408,11 +430,11 @@ class ExecutionStepper:
                     tracer.emit(
                         RoundExecuted(
                             round_index=round_index, messages=messages,
-                            message_bytes=message_bytes, halted=user_out.halt,
+                            message_bytes=message_bytes, halted=halt,
                         )
                     )
 
-                if user_out.halt:
+                if halt:
                     result.halted = True
                     result.user_output = user_out.output
                     break
@@ -420,9 +442,16 @@ class ExecutionStepper:
             self.user_state = user_state
             self.server_state = server_state
             self.world_state = world_state
-            if result.halted or result.rounds_completed >= self.max_rounds:
+            self.user_to_server, self.user_to_world = u2s, u2w
+            self.server_to_user, self.server_to_world = s2u, s2w
+            self.world_to_user, self.world_to_server = w2u, w2s
+            result.rounds_completed = completed
+            if not full:
+                world_states[0] = world_state
+                user_view.advance(completed - start)
+            if result.halted or completed >= self.max_rounds:
                 self.live = False
-        return result.rounds_completed - start
+        return completed - start
 
     def finish(self) -> ExecutionResult:
         """Seal and return the result (idempotent after the first call).
@@ -493,7 +522,7 @@ def run_execution(
 
     Raises :class:`ExecutionError` if ``max_rounds`` is not positive or a
     strategy returns an outbox of the wrong type (catching wiring mistakes
-    early rather than corrupting channel state).
+    early rather than corrupting the in-flight messages).
     """
     stepper = ExecutionStepper(
         user, server, world,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from typing import (
+    Any,
     Callable,
     Dict,
     FrozenSet,
@@ -75,6 +76,8 @@ class _TabularBase:
         self._alphabet = alphabet
         self._index: Dict[str, int] = {s: i for i, s in enumerate(alphabet)}
         self._label = label
+        self._next = party.next_state
+        self._outboxes = self._outbox_table()
 
     @property
     def name(self) -> str:
@@ -95,14 +98,39 @@ class _TabularBase:
     def _in(self, message: str) -> int:
         return self._index.get(message, 0)
 
-    def _step_indices(self, state: int, in_a: str, in_b: str) -> Tuple[int, str, str]:
-        a, b = self._in(in_a), self._in(in_b)
-        party = self._party
-        return (
-            party.next_state[state][a][b],
-            self._alphabet[party.out_a[state][a][b]],
-            self._alphabet[party.out_b[state][a][b]],
-        )
+    #: The outbox type this party emits; set by each role's subclass.
+    _outbox_type: Callable[[str, str], Any]
+
+    def _outbox_table(self) -> Tuple[Tuple[Tuple[Any, ...], ...], ...]:
+        """The outbox for every (state, a, b), indexed as ``party.next_state``.
+
+        Built once, so a step reads its reply instead of building it.  The
+        table is interned: one outbox object per distinct (out_a, out_b)
+        pair, and one object per distinct row and plane, so it grows with
+        the distinct replies rather than with S×A×A.
+        """
+        alphabet = self._alphabet
+        make = self._outbox_type
+        outboxes: Dict[Tuple[int, int], Any] = {}
+        rows: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+        planes: Dict[Tuple[Any, ...], Tuple[Any, ...]] = {}
+
+        def outbox(oa: int, ob: int) -> Any:
+            if (oa, ob) not in outboxes:
+                outboxes[oa, ob] = make(alphabet[oa], alphabet[ob])
+            return outboxes[oa, ob]
+
+        table: List[Tuple[Tuple[Any, ...], ...]] = []
+        for plane_a, plane_b in zip(self._party.out_a, self._party.out_b):
+            plane = tuple(
+                rows.setdefault(row, row)
+                for row in (
+                    tuple(outbox(oa, ob) for oa, ob in zip(row_a, row_b))
+                    for row_a, row_b in zip(plane_a, plane_b)
+                )
+            )
+            table.append(planes.setdefault(plane, plane))
+        return tuple(table)
 
     # -- TabularStrategy protocol -------------------------------------------
 
@@ -167,26 +195,30 @@ class TabularUser(_TabularBase, UserStrategy):
     """A user strategy defined by a table: in (from_server, from_world),
     out (to_server, to_world).  Never halts (compact goals)."""
 
+    _outbox_type = UserOutbox
+
     def step(
         self, state: int, inbox: UserInbox, rng: random.Random
     ) -> Tuple[int, UserOutbox]:
-        nxt, to_server, to_world = self._step_indices(
-            state, inbox.from_server, inbox.from_world
-        )
-        return nxt, UserOutbox(to_server=to_server, to_world=to_world)
+        index = self._index
+        a = index.get(inbox.from_server, 0)
+        b = index.get(inbox.from_world, 0)
+        return self._next[state][a][b], self._outboxes[state][a][b]
 
 
 class TabularServer(_TabularBase, ServerStrategy):
     """A server strategy defined by a table: in (from_user, from_world),
     out (to_user, to_world)."""
 
+    _outbox_type = ServerOutbox
+
     def step(
         self, state: int, inbox: ServerInbox, rng: random.Random
     ) -> Tuple[int, ServerOutbox]:
-        nxt, to_user, to_world = self._step_indices(
-            state, inbox.from_user, inbox.from_world
-        )
-        return nxt, ServerOutbox(to_user=to_user, to_world=to_world)
+        index = self._index
+        a = index.get(inbox.from_user, 0)
+        b = index.get(inbox.from_world, 0)
+        return self._next[state][a][b], self._outboxes[state][a][b]
 
 
 class TabularWorld(_TabularBase, WorldStrategy):
@@ -195,13 +227,15 @@ class TabularWorld(_TabularBase, WorldStrategy):
     (:class:`~repro.core.referees.LastStateCompactReferee`) reduce to a
     per-state flag lookup — which is what the vectorized kernel exploits."""
 
+    _outbox_type = WorldOutbox
+
     def step(
         self, state: int, inbox: WorldInbox, rng: random.Random
     ) -> Tuple[int, WorldOutbox]:
-        nxt, to_user, to_server = self._step_indices(
-            state, inbox.from_user, inbox.from_server
-        )
-        return nxt, WorldOutbox(to_user=to_user, to_server=to_server)
+        index = self._index
+        a = index.get(inbox.from_user, 0)
+        b = index.get(inbox.from_server, 0)
+        return self._next[state][a][b], self._outboxes[state][a][b]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ is the whole game.
 from __future__ import annotations
 
 import random
-from typing import List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.comm.codecs import Codec
 from repro.comm.messages import ServerInbox, ServerOutbox, parse_tagged
@@ -33,6 +33,15 @@ class AdvisorServer(ServerStrategy):
         if not law:
             raise ValueError("advisor law must be non-empty")
         self._law = dict(law)
+        # The reply is a pure function of the world's message: ``OBS:<o>``
+        # for an observation of the law gets its advice, anything else
+        # (``OBS:-``, a foreign symbol, another tag) none.  Advice names
+        # the observation it answers, mirroring the world's
+        # ``ACT:<obs>=<action>`` scoring format.
+        self._advice: Dict[str, ServerOutbox] = {
+            f"OBS:{observation}": ServerOutbox(to_user=f"ADV:{observation}={action}")
+            for observation, action in self._law.items()
+        }
 
     @property
     def name(self) -> str:
@@ -44,16 +53,7 @@ class AdvisorServer(ServerStrategy):
     def step(
         self, state: int, inbox: ServerInbox, rng: random.Random
     ) -> Tuple[int, ServerOutbox]:
-        parsed = parse_tagged(inbox.from_world)
-        if parsed is None or parsed[0] != "OBS":
-            return state + 1, _NO_ADVICE
-        observation = parsed[1]
-        action = self._law.get(observation)
-        if action is None:  # "-" (no new observation) or foreign symbol.
-            return state + 1, _NO_ADVICE
-        # Advice names the observation it answers, mirroring the world's
-        # ``ACT:<obs>=<action>`` scoring format.
-        return state + 1, ServerOutbox(to_user=f"ADV:{observation}={action}")
+        return state + 1, self._advice.get(inbox.from_world, _NO_ADVICE)
 
 
 class MisleadingAdvisorServer(ServerStrategy):

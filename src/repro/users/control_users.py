@@ -28,11 +28,6 @@ from repro.errors import CodecError
 _NO_ACTION = UserOutbox()
 
 
-@dataclass
-class _FollowerState:
-    rounds: int = 0
-
-
 class AdvisorFollowingUser(UserStrategy):
     """Acts on each piece of advice, decoded via one codec guess.
 
@@ -40,6 +35,10 @@ class AdvisorFollowingUser(UserStrategy):
     garbage would only add mistakes, and silence is already penalised by
     the world's deadline, so "don't understand, don't act" is the right
     policy for a candidate that is going to be evicted anyway.
+
+    Memoryless: each round's action depends only on that round's advice,
+    so the state is the constant ``None``.  (An immutable value, so the
+    engine's per-round records never alias a state mutated later.)
     """
 
     def __init__(self, codec: Codec) -> None:
@@ -49,13 +48,12 @@ class AdvisorFollowingUser(UserStrategy):
     def name(self) -> str:
         return f"follow@{self._codec.name}"
 
-    def initial_state(self, rng: random.Random) -> _FollowerState:
-        return _FollowerState()
+    def initial_state(self, rng: random.Random) -> None:
+        return None
 
     def step(
-        self, state: _FollowerState, inbox: UserInbox, rng: random.Random
-    ) -> Tuple[_FollowerState, UserOutbox]:
-        state.rounds += 1
+        self, state: None, inbox: UserInbox, rng: random.Random
+    ) -> Tuple[None, UserOutbox]:
         advice = self._decode_advice(inbox.from_server)
         if advice is None:
             return state, _NO_ACTION

@@ -90,6 +90,18 @@ class ControlWorld(WorldStrategy):
         self._symbols = tuple(sorted(law))
         self._obs_period = obs_period
         self._deadline = deadline
+        # Every announcement, by (oldest pending symbol or "-", event):
+        # the world's outbox is a pure function of that pair.
+        self._announce: Dict[str, Dict[str, WorldOutbox]] = {
+            obs_text: {
+                event: WorldOutbox(
+                    to_user=f"OBS:{obs_text};FB:{event}",
+                    to_server=f"OBS:{obs_text}",
+                )
+                for event in (EVENT_OK, EVENT_BAD, EVENT_NONE)
+            }
+            for obs_text in (*self._symbols, "-")
+        }
 
     @property
     def name(self) -> str:
@@ -153,10 +165,7 @@ class ControlWorld(WorldStrategy):
         # lets advice lost to a flaky server be re-derived instead of
         # turning into an unavoidable deadline mistake.
         obs_text = pending[0][0] if pending else "-"
-        return new_state, WorldOutbox(
-            to_user=f"OBS:{obs_text};FB:{event}",
-            to_server=f"OBS:{obs_text}",
-        )
+        return new_state, self._announce[obs_text][event]
 
 
 def _state_not_bad(state: object) -> bool:

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.comm.messages import SILENCE
+from repro.comm.messages import SILENCE, ServerInbox, UserInbox, WorldInbox
 from repro.core.batch import (
     HAVE_NUMPY,
     TabularParty,
@@ -26,7 +26,9 @@ from repro.core.execution import run_execution
 from repro.machines.tabular import (
     RELAY_LATENCY,
     StateFlagPredicate,
+    TabularServer,
     TabularUser,
+    TabularWorld,
     coded_server,
     coded_server_class,
     cycle_world,
@@ -204,3 +206,59 @@ class TestMachineBridges:
         cast = compile_tabular_cast(user, server, goal.world, goal)
         assert cast is not None
         assert SILENCE == cast.alphabet[0]
+
+
+class TestOutboxTables:
+    """Each adapter's step reads a table built once; it must match the
+    party's ``next_state``/``out_a``/``out_b`` on every input."""
+
+    FOREIGN = "not-a-symbol"
+
+    @staticmethod
+    def _parties():
+        symbols = tuple("abcd")
+        world, _ = cycle_world(symbols)
+        return [
+            *relay_decoder_class(symbols),
+            relay_user(symbols),
+            *coded_server_class(symbols),
+            world,
+            relay_goal(SYMBOLS).world,
+        ]
+
+    def test_every_entry_matches_the_reference(self):
+        for strategy in self._parties():
+            party, alphabet = strategy.party, strategy.alphabet
+            if isinstance(strategy, TabularWorld):
+                inbox, kind = WorldInbox, "world"
+            elif isinstance(strategy, TabularServer):
+                inbox, kind = ServerInbox, "server"
+            else:
+                inbox, kind = UserInbox, "user"
+            messages = (*alphabet, self.FOREIGN)
+            rng = random.Random(0)
+            for state in range(party.n_states):
+                for in_a in messages:
+                    for in_b in messages:
+                        a = alphabet.index(in_a) if in_a in alphabet else 0
+                        b = alphabet.index(in_b) if in_b in alphabet else 0
+                        nxt, out = strategy.step(state, inbox(in_a, in_b), rng)
+                        assert nxt == party.next_state[state][a][b]
+                        assert type(out).__name__.lower().startswith(kind)
+                        assert tuple(out[:2]) == (
+                            alphabet[party.out_a[state][a][b]],
+                            alphabet[party.out_b[state][a][b]],
+                        ), (strategy.name, state, in_a, in_b)
+
+    def test_tables_are_interned(self):
+        for strategy in self._parties():
+            table = strategy._outboxes
+            outboxes = {id(o) for plane in table for row in plane for o in row}
+            party = strategy.party
+            distinct = {
+                (party.out_a[s][a][b], party.out_b[s][a][b])
+                for s in range(party.n_states)
+                for a in range(party.n_symbols)
+                for b in range(party.n_symbols)
+            }
+            assert len(outboxes) == len(distinct), strategy.name

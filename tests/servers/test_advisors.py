@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from repro.comm.codecs import codec_family
-from repro.comm.messages import ServerInbox
+from repro.comm.codecs import ReverseCodec, codec_family
+from repro.comm.messages import SILENCE, ServerInbox, parse_tagged
+from repro.faults.channel import garble
 from repro.servers.advisors import (
     AdvisorServer,
     MisleadingAdvisorServer,
@@ -70,3 +71,30 @@ class TestAdvisorClass:
         for server, codec in zip(servers, codecs):
             wire = advise(server, "OBS:red")
             assert codec.decode(wire) == "ADV:red=blue"
+
+
+def _parse_tagged_advice(law, message):
+    """The advisor's reply as the tag parser derives it, step by step."""
+    parsed = parse_tagged(message)
+    if parsed is None or parsed[0] != "OBS":
+        return SILENCE
+    action = law.get(parsed[1])
+    if action is None:
+        return SILENCE
+    return f"ADV:{parsed[1]}={action}"
+
+
+class TestAdviceTable:
+    def test_table_matches_the_tag_parser(self):
+        corpus = [f"OBS:{symbol}" for symbol in LAW]
+        corpus += ["OBS:-", "OBS:", "OBS:red=x", "XOBS:red", "", "OBS:purple"]
+        corpus += [garble("OBS:red", salt=3), ReverseCodec().encode("OBS:blue")]
+        server = AdvisorServer(LAW)
+        for message in corpus:
+            assert advise(server, message) == _parse_tagged_advice(LAW, message), message
+
+    def test_state_counts_rounds_and_no_advice_is_silent(self):
+        server = AdvisorServer(LAW)
+        rng = random.Random(0)
+        state, out = server.step(5, ServerInbox(from_world="OBS:-"), rng)
+        assert state == 6 and out.to_user == "" and out.to_world == ""

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
 
 from repro.comm.codecs import IdentityCodec, ReverseCodec, codec_family
 from repro.comm.messages import UserInbox
-from repro.core.execution import run_execution
+from repro.core.execution import ExecutionStepper, run_execution
 from repro.servers.advisors import AdvisorServer
 from repro.servers.password import PasswordServer
 from repro.servers.wrappers import EncodedServer
@@ -54,6 +55,21 @@ class TestAdvisorFollowingUser:
         server = EncodedServer(AdvisorServer(LAW), codec)
         result = run_execution(user, server, GOAL.world, max_rounds=300, seed=3)
         assert GOAL.evaluate(result).achieved
+
+    def test_full_recording_keeps_each_rounds_state(self):
+        """Per-round records hold the state of their round, not a later one."""
+        stepper = ExecutionStepper(
+            AdvisorFollowingUser(IdentityCodec()), AdvisorServer(LAW),
+            GOAL.world, max_rounds=5, seed=0,
+        )
+        snapshots = [copy.deepcopy(stepper.user_state)]
+        while stepper.live:
+            stepper.step_many(1)
+            snapshots.append(copy.deepcopy(stepper.user_state))
+        result = stepper.finish()
+        assert [r.user_state_after for r in result.rounds] == snapshots[1:]
+        assert [v.state_before for v in result.user_view] == snapshots[:-1]
+        assert [v.state_after for v in result.user_view] == snapshots[1:]
 
     def test_class_builder_order(self):
         codecs = codec_family(3)

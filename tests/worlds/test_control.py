@@ -11,7 +11,7 @@ from repro.core.execution import run_execution
 from repro.core.strategy import SilentServer, SilentUser
 from repro.servers.advisors import AdvisorServer
 from repro.users.control_users import AdvisorFollowingUser
-from repro.comm.codecs import IdentityCodec
+from repro.comm.codecs import IdentityCodec, ReverseCodec
 from repro.worlds.control import (
     ControlState,
     ControlWorld,
@@ -157,3 +157,24 @@ class TestSensing:
         assert not sensing.indicate(view)  # Past grace, last is bad.
         short = UserView(view.records[:2])
         assert sensing.indicate(short)  # Within grace.
+
+
+class TestAnnouncementTable:
+    def test_outboxes_equal_the_formatted_announcement(self):
+        """Every outbox equals the f-string form of the state it came with."""
+        law = {"red": "blue", "blue": "green", "green": "red"}
+        world = ControlWorld(law, obs_period=2, deadline=5)
+        events = set()
+        # A wrong codec makes mistakes, the right one scores ok: every event.
+        for codec in (IdentityCodec(), ReverseCodec()):
+            result = run_execution(
+                AdvisorFollowingUser(codec), AdvisorServer(law), world,
+                max_rounds=120, seed=4,
+            )
+            for record in result.rounds:
+                state = record.world_state_after
+                obs = state.pending[0][0] if state.pending else "-"
+                assert record.world_outbox.to_user == f"OBS:{obs};FB:{state.last_event}"
+                assert record.world_outbox.to_server == f"OBS:{obs}"
+                events.add(state.last_event)
+        assert events == {"ok", "bad", "none"}
