@@ -12,9 +12,10 @@ and :func:`~repro.analysis.runner.sweep_goals` accept via ``executor=``.
   identical to ``sweep(...)`` with no executor.
 * :class:`ProcessExecutor` — fans the cells out over a **persistent**
   :class:`concurrent.futures.ProcessPoolExecutor`.  The pool is created
-  on first use and reused across ``sweep`` calls (process spawning was
-  the dominant cost of the old per-call pool — the ``parallel_speedup:
-  0.81`` regression in ``BENCH_history.jsonl``); the sweep's shared cast
+  (and :mod:`multiprocessing` imported) on first use and reused across
+  ``sweep`` calls (process spawning was the dominant cost of the old
+  per-call pool — the ``parallel_speedup: 0.81`` regression in
+  ``BENCH_history.jsonl``); the sweep's shared cast
   (user/server/goal/channel objects) is pickled **once** into a
   content-addressed blob that each worker unpickles once and caches, so
   per-chunk payloads are light :class:`CellRef` index tuples; and chunk
@@ -44,15 +45,17 @@ import math
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.analysis.runner import CellTask, SweepCell
 from repro.core.execution import FaultyChannelLike
 from repro.core.goals import Goal
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.errors import ExecutionError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Adaptive chunking aims for work items of roughly this wall time — long
 #: enough to amortise dispatch/IPC, short enough to load-balance.
@@ -274,7 +277,7 @@ class ProcessExecutor:
             raise ValueError(f"chunk_size must be an int or 'auto': {chunk_size!r}")
         self._max_workers = max_workers
         self._chunk_size = chunk_size
-        self._pool: Optional[_PoolExecutor] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._atexit_registered = False
 
     @property
@@ -304,9 +307,13 @@ class ProcessExecutor:
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def _ensure_pool(self) -> _PoolExecutor:
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = _PoolExecutor(max_workers=self.workers)
+            # Imported here: concurrent.futures.process pulls in
+            # multiprocessing, which no serial sweep needs.
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
             if not self._atexit_registered:
                 # Exactly one live registration per open pool: close()
                 # unregisters, so close/recreate cycles cannot stack

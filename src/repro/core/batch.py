@@ -16,10 +16,14 @@ Casts that do not compile run on the ordinary engine
 arbitrary strategies round-robin in one process measured no faster than
 running them serially, so there is no scalar lockstep tier.
 
-numpy is **optional**: this module imports it lazily and everything except
-:func:`run_tabular_batch` works without it (:data:`HAVE_NUMPY` reports the
-outcome; :func:`compile_tabular_cast` simply returns ``None`` so callers
-fall back to the serial engine).
+numpy is **optional** and loads on first vectorized use: importing this
+module never imports it, so serial sweeps, served sessions and the
+certifier do not pay for it.  :data:`HAVE_NUMPY` reports whether numpy is
+installed; the first :func:`compile_tabular_cast` that gets as far as
+compiling imports it.  Everything except :func:`run_tabular_batch` works
+without it: when numpy is absent or fails to import,
+:func:`compile_tabular_cast` returns ``None`` and callers fall back to the
+serial engine.
 
 Determinism contract: the vectorized tier may change *where and how* runs
 execute, never what they compute.  ``tests/core/test_batch.py`` asserts
@@ -29,7 +33,10 @@ casts.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 from dataclasses import dataclass
+from types import ModuleType
 from typing import (
     Any,
     Callable,
@@ -62,13 +69,26 @@ __all__ = [
     "run_tabular_batch",
 ]
 
-try:  # pragma: no cover - exercised via the HAVE_NUMPY branches in tests
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
+#: True when numpy is installed, so the vectorized tier can run.  Found on
+#: the import path without importing it (that waits for :func:`_numpy`).
+HAVE_NUMPY: bool = importlib.util.find_spec("numpy") is not None
 
-#: True when numpy imported and the vectorized tier is available.
-HAVE_NUMPY: bool = _np is not None
+
+@functools.lru_cache(maxsize=None)
+def _numpy() -> Optional[ModuleType]:
+    """numpy, imported on the first call; ``None`` if absent or broken.
+
+    An installed numpy that raises :class:`ImportError` (a missing shared
+    library, a mismatched build) is treated exactly like an absent one:
+    nothing compiles and every cell runs on the serial engine.
+    """
+    if not HAVE_NUMPY:
+        return None
+    try:
+        import numpy
+    except ImportError:
+        return None
+    return numpy
 
 
 #: Ceiling on the interned alphabet; a cast whose symbol closure exceeds it
@@ -204,16 +224,17 @@ def compile_tabular_cast(
 ) -> Optional[TabularCast]:
     """Compile a cell to its vectorizable form, or ``None`` to fall back.
 
-    Vectorization requires *all* of: numpy importable, a perfect link
+    Vectorization requires *all* of: a perfect link
     (``channel is None`` — fault clauses rewrite payloads outside the
     alphabet), a :class:`~repro.core.goals.CompactGoal` judged by a
     :class:`~repro.core.referees.LastStateCompactReferee` (locality — the
-    verdict is a function of the current world state id), and all three
-    parties implementing :class:`TabularStrategy`.  Every ``None`` return
-    is a silent, semantics-preserving fallback to the serial engine,
-    never an error.
+    verdict is a function of the current world state id), all three
+    parties implementing :class:`TabularStrategy`, and numpy importable
+    (checked after the others, so a cast that could never vectorize does
+    not import it).  Every ``None`` return is a silent,
+    semantics-preserving fallback to the serial engine, never an error.
     """
-    if _np is None or channel is not None:
+    if channel is not None:
         return None
     if not isinstance(goal, CompactGoal):
         return None
@@ -224,6 +245,8 @@ def compile_tabular_cast(
         and isinstance(server, TabularStrategy)
         and isinstance(world, TabularStrategy)
     ):
+        return None
+    if _numpy() is None:
         return None
     parties: Tuple[TabularStrategy, ...] = (user, server, world)
     try:
@@ -297,7 +320,8 @@ def run_tabular_batch(
     callers are expected to have compiled their casts via
     :func:`compile_tabular_cast`, which already gates on numpy.
     """
-    if _np is None:
+    np = _numpy()
+    if np is None:
         raise ExecutionError(
             "run_tabular_batch requires numpy; use run_execution instead"
         )
@@ -321,9 +345,9 @@ def run_tabular_batch(
         [(c.world, c.acceptable) for c in casts], _pair_identity
     )
     w_tables = [party for party, _ in w_pairs]
-    u_next, u_oa, u_ob = _stack(u_tables, n_symbols)
-    s_next, s_oa, s_ob = _stack(s_tables, n_symbols)
-    w_next, w_oa, w_ob = _stack(w_tables, n_symbols)
+    u_next, u_oa, u_ob = _stack(np, u_tables, n_symbols)
+    s_next, s_oa, s_ob = _stack(np, s_tables, n_symbols)
+    w_next, w_oa, w_ob = _stack(np, w_tables, n_symbols)
 
     # Pack each party's (next_state, out_a, out_b) into one composite
     # entry and flatten: a round then costs one flat ``take`` plus two
@@ -337,16 +361,16 @@ def run_tabular_batch(
     # The referee verdict is a per-(world-table, state) lookup; pad ragged
     # state counts with True (unreachable states judge as acceptable).
     max_w_states = max(t.n_states for t in w_tables)
-    accept = _np.ones((len(w_tables), max_w_states), dtype=bool)
+    accept = np.ones((len(w_tables), max_w_states), dtype=bool)
     for index, (_party, acceptable) in enumerate(w_pairs):
-        accept[index, : len(acceptable)] = _np.asarray(acceptable, dtype=bool)
+        accept[index, : len(acceptable)] = np.asarray(acceptable, dtype=bool)
 
-    u_tab_arr = _np.asarray(u_tab, dtype=_np.int64)
-    s_tab_arr = _np.asarray(s_tab, dtype=_np.int64)
-    w_tab_arr = _np.asarray(w_tab, dtype=_np.int64)
-    u_state = _np.asarray([c.user.initial_state for c in casts], dtype=_np.int64)
-    s_state = _np.asarray([c.server.initial_state for c in casts], dtype=_np.int64)
-    w_state = _np.asarray([c.world.initial_state for c in casts], dtype=_np.int64)
+    u_tab_arr = np.asarray(u_tab, dtype=np.int64)
+    s_tab_arr = np.asarray(s_tab, dtype=np.int64)
+    w_tab_arr = np.asarray(w_tab, dtype=np.int64)
+    u_state = np.asarray([c.user.initial_state for c in casts], dtype=np.int64)
+    s_state = np.asarray([c.server.initial_state for c in casts], dtype=np.int64)
+    w_state = np.asarray([c.world.initial_state for c in casts], dtype=np.int64)
 
     # Per-slot flat-index bases are loop constants: slot i's entry for
     # (state, in_a, in_b) lives at base[i] + state*A*A + in_a*A + in_b.
@@ -357,34 +381,34 @@ def run_tabular_batch(
     accept_flat = accept.reshape(-1)
     w_acc_base = w_tab_arr * max_w_states
 
-    zeros = _np.zeros(n, dtype=_np.int64)
+    zeros = np.zeros(n, dtype=np.int64)
     u2s = zeros.copy(); u2w = zeros.copy()
     s2u = zeros.copy(); s2w = zeros.copy()
     w2u = zeros.copy(); w2s = zeros.copy()
 
-    bad_count = _np.zeros(n, dtype=_np.int64)
-    last_bad = _np.zeros(n, dtype=_np.int64)  # 0 = never bad (1-based rounds)
+    bad_count = np.zeros(n, dtype=np.int64)
+    last_bad = np.zeros(n, dtype=np.int64)  # 0 = never bad (1-based rounds)
 
     # Prefix t=1: the initial world state, judged before any round runs.
     bad0 = ~accept_flat.take(w_acc_base + w_state)
     bad_count += bad0
     last_bad[bad0] = 1
 
-    messages = _np.zeros(n, dtype=_np.int64) if count_messages else None
-    message_bytes = _np.zeros(n, dtype=_np.int64) if count_messages else None
-    first_msgs = _np.zeros(n, dtype=bool) if count_messages else None
-    sym_len = _np.asarray([len(s) for s in casts[0].alphabet], dtype=_np.int64)
+    messages = np.zeros(n, dtype=np.int64) if count_messages else None
+    message_bytes = np.zeros(n, dtype=np.int64) if count_messages else None
+    first_msgs = np.zeros(n, dtype=bool) if count_messages else None
+    sym_len = np.asarray([len(s) for s in casts[0].alphabet], dtype=np.int64)
 
     for round_index in range(max_rounds):
         pu = u_flat.take(u_base + u_state * AA + s2u * A + w2u)
         ps = s_flat.take(s_base + s_state * AA + u2s * A + w2s)
         pw = w_flat.take(w_base + w_state * AA + u2w * A + s2w)
-        pu, ub = _np.divmod(pu, A)
-        nu, ua = _np.divmod(pu, A)
-        ps, sb = _np.divmod(ps, A)
-        ns, sa = _np.divmod(ps, A)
-        pw, wb = _np.divmod(pw, A)
-        nw, wa = _np.divmod(pw, A)
+        pu, ub = np.divmod(pu, A)
+        nu, ua = np.divmod(pu, A)
+        ps, sb = np.divmod(ps, A)
+        ns, sa = np.divmod(ps, A)
+        pw, wb = np.divmod(pw, A)
+        nw, wa = np.divmod(pw, A)
 
         if count_messages:
             assert messages is not None and message_bytes is not None
@@ -464,18 +488,19 @@ def _pair_identity(pair: Tuple[Any, Any]) -> Tuple[int, int]:
     return id(pair[0]), id(pair[1])
 
 
-def _stack(tables: Sequence[TabularParty], n_symbols: int) -> Tuple[Any, Any, Any]:
+def _stack(
+    np: ModuleType, tables: Sequence[TabularParty], n_symbols: int
+) -> Tuple[Any, Any, Any]:
     """Stack distinct party tables into padded [table, S, A, A] arrays."""
-    assert _np is not None
     max_states = max(t.n_states for t in tables)
     shape = (len(tables), max_states, n_symbols, n_symbols)
-    next_state = _np.zeros(shape, dtype=_np.int64)
-    out_a = _np.zeros(shape, dtype=_np.int64)
-    out_b = _np.zeros(shape, dtype=_np.int64)
+    next_state = np.zeros(shape, dtype=np.int64)
+    out_a = np.zeros(shape, dtype=np.int64)
+    out_b = np.zeros(shape, dtype=np.int64)
     for index, table in enumerate(tables):
-        next_state[index, : table.n_states] = _np.asarray(
-            table.next_state, dtype=_np.int64
+        next_state[index, : table.n_states] = np.asarray(
+            table.next_state, dtype=np.int64
         )
-        out_a[index, : table.n_states] = _np.asarray(table.out_a, dtype=_np.int64)
-        out_b[index, : table.n_states] = _np.asarray(table.out_b, dtype=_np.int64)
+        out_a[index, : table.n_states] = np.asarray(table.out_a, dtype=np.int64)
+        out_b[index, : table.n_states] = np.asarray(table.out_b, dtype=np.int64)
     return next_state, out_a, out_b

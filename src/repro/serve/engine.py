@@ -40,25 +40,22 @@ import asyncio
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Union
 
 from repro.errors import ServeError
 from repro.obs.counters import CounterSet
 from repro.obs.events import ABANDON_ABORT, ABANDON_FAILURE
-from repro.obs.live import (
-    AdminRoute,
-    AdminServer,
-    MetricsSampler,
-    json_route,
-    render_prometheus,
-    write_metrics,
-)
 from repro.serve.session import (
     Session,
     SessionOutcome,
     SessionSpec,
     _cached_git_sha,
 )
+
+if TYPE_CHECKING:
+    # The live-telemetry plane loads where an engine first uses it
+    # (metrics stream, admin endpoint, ledger summary), never at import.
+    from repro.obs.live import AdminRoute, AdminServer, MetricsSampler
 
 
 class SessionRejected(ServeError):
@@ -213,6 +210,8 @@ class ServeEngine:
             _cached_git_sha()
         self._started_at = time.monotonic()
         if self._metrics_path is not None:
+            from repro.obs.live import MetricsSampler
+
             # Constructing the sampler opens + flushes the stream header:
             # startup-time I/O, same budget as the git-sha warm above.
             self._sampler = MetricsSampler(
@@ -225,6 +224,8 @@ class ServeEngine:
                 self._sampler.run(), name="serve-metrics"
             )
         if self._admin_spec is not None:
+            from repro.obs.live import AdminServer
+
             self._admin = AdminServer(self._admin_routes())
             self._admin_task = asyncio.create_task(
                 self._admin.start(self._admin_spec), name="serve-admin"
@@ -528,6 +529,8 @@ class ServeEngine:
         ]
 
     def _admin_routes(self) -> Dict[str, AdminRoute]:
+        from repro.obs.live import json_route, render_prometheus
+
         return {
             "/status": json_route(self._status_payload),
             "/sessions": json_route(self._sessions_payload),
@@ -553,6 +556,8 @@ class ServeEngine:
         """
         if self._ledger_dir is None:
             return
+        from repro.obs.live import write_metrics
+
         write_metrics(
             self._ledger_dir / "engine.json",
             self.stats(),

@@ -81,8 +81,11 @@ def follower_user_class(codecs: Sequence[Codec]) -> List[AdvisorFollowingUser]:
     return [AdvisorFollowingUser(codec) for codec in codecs]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _AuthState:
+    """An immutable value: each round returns a new one, so the engine's
+    per-round records never alias a state changed by a later round."""
+
     sent_auth: bool = False
     inner_state: Any = None
     inner_started: bool = False
@@ -115,13 +118,16 @@ class AuthenticatingUser(UserStrategy):
         self, state: _AuthState, inbox: UserInbox, rng: random.Random
     ) -> Tuple[_AuthState, UserOutbox]:
         if not state.sent_auth:
-            state.sent_auth = True
-            return state, UserOutbox(to_server=f"AUTH:{self._password}")
-        if not state.inner_started:
-            state.inner_state = self._inner.initial_state(rng)
-            state.inner_started = True
-        state.inner_state, outbox = self._inner.step(state.inner_state, inbox, rng)
-        return state, outbox
+            return _AuthState(sent_auth=True), UserOutbox(to_server=f"AUTH:{self._password}")
+        # The inner user starts on the first round after the auth round,
+        # and draws its initial state from that round's RNG.
+        inner_state = (
+            state.inner_state
+            if state.inner_started
+            else self._inner.initial_state(rng)
+        )
+        inner_state, outbox = self._inner.step(inner_state, inbox, rng)
+        return _AuthState(True, inner_state, True), outbox
 
 
 def password_user_class(

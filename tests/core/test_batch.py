@@ -15,6 +15,8 @@ declines and the batched backend runs every cell on the serial engine.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import repro.core.batch as batch_module
@@ -252,19 +254,24 @@ class TestVectorizedKernel:
         assert run_tabular_batch([], max_rounds=5) == []
 
 
+def hide_numpy(monkeypatch):
+    """Make the numpy accessor report numpy as unavailable."""
+    monkeypatch.setattr(batch_module, "_numpy", lambda: None)
+
+
 class TestNumpyOptional:
     def test_compile_declines_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
+        hide_numpy(monkeypatch)
         user, server, goal = relay_cast()
         assert compile_tabular_cast(user, server, goal.world, goal) is None
 
     def test_kernel_raises_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
+        hide_numpy(monkeypatch)
         with pytest.raises(ExecutionError, match="numpy"):
             run_tabular_batch([], max_rounds=5)
 
     def test_scalar_lockstep_runs_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(batch_module, "_np", None)
+        hide_numpy(monkeypatch)
         got = lockstep_one(SilentUser(), SilentServer(), CountingWorld(),
                            max_rounds=3, seed=0)
         assert got.rounds_executed == 3
@@ -273,7 +280,7 @@ class TestNumpyOptional:
         """Nothing compiles without numpy; ``batch=`` still equals serial."""
         from repro.analysis.runner import sweep
 
-        monkeypatch.setattr(batch_module, "_np", None)
+        hide_numpy(monkeypatch)
         user, _, goal = relay_cast()
         servers = coded_server_class(SYMBOLS)
         expected = sweep(user, servers, goal, seeds=(0, 1), max_rounds=20)
@@ -281,3 +288,27 @@ class TestNumpyOptional:
             user, servers, goal, seeds=(0, 1), max_rounds=20, batch=4
         )
         assert batched == expected
+
+    def test_numpy_that_fails_to_import_falls_back_to_serial(
+        self, monkeypatch
+    ):
+        """An installed numpy whose import raises acts as an absent one."""
+        from repro.analysis.runner import sweep
+
+        # ``None`` in sys.modules makes ``import numpy`` raise ImportError.
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.setattr(batch_module, "HAVE_NUMPY", True)
+        batch_module._numpy.cache_clear()
+        try:
+            assert batch_module._numpy() is None
+            user, server, goal = relay_cast()
+            assert compile_tabular_cast(user, server, goal.world, goal) is None
+            servers = coded_server_class(SYMBOLS)
+            expected = sweep(user, servers, goal, seeds=(0, 1), max_rounds=20)
+            batched = sweep(
+                user, servers, goal, seeds=(0, 1), max_rounds=20, batch=4
+            )
+            assert batched == expected
+        finally:
+            # Forget the failure so later callers import the real numpy.
+            batch_module._numpy.cache_clear()

@@ -8,8 +8,9 @@ import random
 import pytest
 
 from repro.comm.codecs import IdentityCodec, ReverseCodec, codec_family
-from repro.comm.messages import UserInbox
+from repro.comm.messages import UserInbox, UserOutbox
 from repro.core.execution import ExecutionStepper, run_execution
+from repro.core.strategy import UserStrategy
 from repro.servers.advisors import AdvisorServer
 from repro.servers.password import PasswordServer
 from repro.servers.wrappers import EncodedServer
@@ -23,6 +24,16 @@ from repro.worlds.control import control_goal
 
 LAW = {"red": "blue", "blue": "red"}
 GOAL = control_goal(LAW)
+
+
+class CoinStateUser(UserStrategy):
+    """A silent user whose initial state is one draw of its RNG."""
+
+    def initial_state(self, rng):
+        return rng.random()
+
+    def step(self, state, inbox, rng):
+        return state, UserOutbox()
 
 
 class TestAdvisorFollowingUser:
@@ -101,6 +112,35 @@ class TestAuthenticatingUser:
     def test_empty_password_rejected(self):
         with pytest.raises(ValueError):
             AuthenticatingUser("", AdvisorFollowingUser(IdentityCodec()))
+
+    def test_full_recording_keeps_each_rounds_state(self):
+        """The auth state is a value: no round's record aliases a later one."""
+        stepper = ExecutionStepper(
+            AuthenticatingUser("101", AdvisorFollowingUser(IdentityCodec())),
+            PasswordServer("101", AdvisorServer(LAW)),
+            GOAL.world, max_rounds=3, seed=0,
+        )
+        snapshots = [copy.deepcopy(stepper.user_state)]
+        while stepper.live:
+            stepper.step_many(1)
+            snapshots.append(copy.deepcopy(stepper.user_state))
+        result = stepper.finish()
+        assert not result.user_view[0].state_before.sent_auth
+        assert all(v.state_before is not v.state_after for v in result.user_view)
+        assert [r.user_state_after for r in result.rounds] == snapshots[1:]
+        assert [v.state_before for v in result.user_view] == snapshots[:-1]
+        assert [v.state_after for v in result.user_view] == snapshots[1:]
+
+    def test_inner_user_starts_on_the_round_after_auth(self):
+        """The inner initial state is drawn then, from that round's RNG."""
+        user = AuthenticatingUser("1", CoinStateUser())
+        rng = random.Random(5)
+        state = user.initial_state(rng)
+        state, _ = user.step(state, UserInbox(), rng)  # the auth round
+        assert not state.inner_started
+        state, _ = user.step(state, UserInbox(), rng)
+        assert state.inner_started
+        assert state.inner_state == random.Random(5).random()
 
     def test_class_builder_makes_fresh_inners(self):
         users = password_user_class(
