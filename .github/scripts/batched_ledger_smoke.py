@@ -2,15 +2,15 @@
 
 Writes into the directory named by argv[1]:
 
-* ``sweep/`` — per-cell manifests plus ``sweep.json`` from a relay-grid
-  sweep run through the vectorized batch backend
+* ``sweep/manifests.ndjson`` — one line per cell, then the sweep index
+  line, from a relay-grid sweep run through the vectorized batch backend
   (``sweep(..., batch=8, ledger_dir=..., certify=True)``).
 
 Gates, in order:
 
 1. the sweep manifest round-trips and is stamped ``backend="batch"``
    with the requested ``batch_width``;
-2. every cell manifest round-trips with a unique run id;
+2. every cell line reads back with a unique run id, listed by the index;
 3. the batched report equals a serial re-run of the same grid — the
    ledger records a backend, never a different result.
 
@@ -30,7 +30,7 @@ from repro.machines.tabular import (
     relay_decoder_class,
     relay_goal,
 )
-from repro.obs.ledger import read_manifest
+from repro.obs.ledger import MANIFEST_STREAM, read_manifest, read_manifests
 
 SYMBOLS = ("a", "b", "c", "d")
 BATCH_WIDTH = 8
@@ -50,17 +50,15 @@ def main() -> int:
         batch=BATCH_WIDTH, ledger_dir=ledger, certify=True,
     )
 
-    index = read_manifest(ledger / "sweep.json")
+    *cells, index = read_manifests(ledger / MANIFEST_STREAM)
+    assert read_manifest(ledger / MANIFEST_STREAM) == index
     assert index.backend == "batch", f"backend stamp: {index.backend!r}"
     assert index.batch_width == BATCH_WIDTH, (
         f"batch_width stamp: {index.batch_width!r}"
     )
-    ids = set()
-    for cell_file in index.cells:
-        manifest = read_manifest(ledger / cell_file)
-        assert read_manifest(ledger / cell_file) == manifest
-        ids.add(manifest.run_id())
-    assert len(ids) == len(index.cells), "cell run_ids are not unique"
+    ids = [manifest.run_id() for manifest in cells]
+    assert tuple(ids) == index.cells, "index does not list the cell lines"
+    assert len(set(ids)) == len(index.cells), "cell run_ids are not unique"
 
     serial = sweep(user, servers, goal, seeds=(0, 1), max_rounds=200)
     assert batched == serial, "batched sweep diverged from serial"

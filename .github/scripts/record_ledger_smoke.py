@@ -2,12 +2,13 @@
 
 Writes into the directory named by argv[1]:
 
-* ``run.jsonl`` / ``run.json`` — one traced execution of a compact
-  universal user over a lossy channel, via ``record_run``;
-* ``qbf.jsonl`` / ``qbf.json`` — one QBF delegation run whose trace
-  carries the interactive-proof transcript;
-* ``sweep/`` — per-cell manifests plus ``sweep.json`` from a small
-  faulted sweep, via ``sweep(..., ledger_dir=)``.
+* ``run.jsonl`` — one traced execution of a compact universal user over
+  a lossy channel, via ``record_run``;
+* ``qbf.jsonl`` — one QBF delegation run whose trace carries the
+  interactive-proof transcript;
+* ``manifests.ndjson`` — the two runs' manifests, one line each;
+* ``sweep/manifests.ndjson`` — one line per cell, then the sweep index
+  line, from a small faulted sweep, via ``sweep(..., ledger_dir=)``.
 
 Everything is recorded with ``certify=True``, so each artefact is
 checked against its own trace before it is ever uploaded; the CI job
@@ -28,7 +29,7 @@ from repro.analysis.runner import sweep
 from repro.comm.codecs import IdentityCodec, codec_family
 from repro.faults.channel import drop_channel
 from repro.mathx.modular import Field
-from repro.obs.ledger import read_manifest, record_run
+from repro.obs.ledger import MANIFEST_STREAM, read_manifest, read_manifests, record_run
 from repro.qbf.generators import random_qbf
 from repro.servers.advisors import advisor_server_class
 from repro.servers.provers import HonestProverServer
@@ -58,7 +59,7 @@ def main() -> int:
         channel=drop_channel(0.05), certify=True,
     )
     assert recorded.manifest.achieved == 1, "smoke run failed to achieve"
-    assert read_manifest(recorded.manifest_path) == recorded.manifest
+    assert read_manifest(recorded.manifest_location) == recorded.manifest
 
     field = Field()
     delegated = record_run(
@@ -68,6 +69,9 @@ def main() -> int:
         max_rounds=300, seed=0, out_dir=out, name="qbf", certify=True,
     )
     assert delegated.manifest.achieved == 1, "delegation smoke failed"
+    assert read_manifests(out / MANIFEST_STREAM)[-2:] == (
+        recorded.manifest, delegated.manifest,
+    )
 
     ledger = out / "sweep"
     sweep(
@@ -75,15 +79,12 @@ def main() -> int:
         seeds=(0, 1), max_rounds=1200,
         faults=[None, drop_channel(0.05)], ledger_dir=ledger, certify=True,
     )
-    index = read_manifest(ledger / "sweep.json")
-    ids = set()
-    for cell_file in index.cells:
-        manifest = read_manifest(ledger / cell_file)
-        assert read_manifest(ledger / cell_file) == manifest
-        ids.add(manifest.run_id())
-    assert len(ids) == len(index.cells), "cell run_ids are not unique"
+    *cells, index = read_manifests(ledger / MANIFEST_STREAM)
+    ids = [manifest.run_id() for manifest in cells]
+    assert tuple(ids) == index.cells, "index does not list the cell lines"
+    assert len(set(ids)) == len(index.cells), "cell run_ids are not unique"
 
-    print(f"ledger smoke OK: {recorded.manifest_path}, "
+    print(f"ledger smoke OK: {recorded.manifest_location}, "
           f"{len(index.cells)} sweep cells under {ledger}")
     return 0
 

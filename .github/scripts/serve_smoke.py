@@ -10,8 +10,9 @@ repo's standard of evidence:
   .ExecutionResult` **equal** to ``run_execution`` on the same cast/seed
   (the serve layer may change where rounds run, never what they compute),
   and the same goal verdict;
-* every session leaves a manifest + trace in the ledger directory named
-  by ``argv[1]``, each certified in-process here (``certify_run``) and
+* every session leaves one file, its trace, in the ledger directory
+  named by ``argv[1]``, and one line in the ledger's ``manifests.ndjson``;
+  each trace is certified in-process here (``certify_run``) and
   re-certified by the CI job through the engine-free
   ``python -m repro.obs certify`` CLI before upload;
 * the live telemetry plane holds up under the same load: a mid-run
@@ -37,6 +38,7 @@ from pathlib import Path
 from repro.core.execution import run_execution
 from repro.core.strategy import UserStrategy
 from repro.obs.certify import certify_run, certify_trace
+from repro.obs.ledger import MANIFEST_STREAM, read_manifests
 from repro.obs.live import (
     cumulative_counters,
     fetch_admin,
@@ -123,8 +125,20 @@ def main() -> int:
         assert outcome.outcome == verdict, (
             f"served verdict diverged from batch evaluation: {spec.label}"
         )
-        certify_run(outcome.trace_path, outcome.manifest_path)
+        certify_run(outcome.trace_path, outcome.manifest_location)
+        certify_run(outcome.trace_path)
         achieved += int(verdict.achieved)
+
+    # One file per session (its trace); every manifest is a line of the
+    # one stream, in which each trace is named exactly once.
+    files = sorted(p.name for p in out.iterdir() if p.is_file())
+    expected = sorted(
+        [f"{o.session_id}.jsonl" for o in outcomes]
+        + [MANIFEST_STREAM, "engine.json", metrics.name]
+    )
+    assert files == expected, sorted(set(files) ^ set(expected))
+    named = [m.trace_path for m in read_manifests(out / MANIFEST_STREAM)]
+    assert sorted(named) == sorted(o.trace_path.name for o in outcomes)
 
     # The metrics stream and the final summary are two views of one
     # CounterSet: summed per-tick deltas must equal engine.json exactly,

@@ -2,16 +2,21 @@
 
 Serves the same mixed relay/control/universal fleet (60 rounds, 10%
 Bernoulli drop — the ``serve-open`` session shape) four ways and prints
-the process CPU time per session, best of ``--repeats`` passes::
+the process CPU time per session over ``--repeats`` passes: the best,
+and the median with its quartiles, because file-system costs swing from
+pass to pass and best-of hides that::
 
     PYTHONPATH=src python benchmarks/ledger_cost.py [--sessions 300] [--repeats 5]
 
 * ``session``  — ``Session(spec)`` stepped and closed, no ledger;
-* ``manifest`` — plus a ``RunManifest`` per session (``ledger_dir``);
+* ``manifest`` — plus a ``RunManifest`` line per session in the ledger's
+  ``manifests.ndjson`` (``ledger_dir``);
 * ``trace``    — plus the JSONL trace (``trace=True``);
-* ``certify``  — plus ``certify_run`` on the fresh pair (``certify=True``).
+* ``certify``  — plus ``certify_run`` on the fresh trace and its manifest
+  line (``certify=True``).
 
-The table reports each mode and its increment over the previous one, so
+The table reports each mode and its increment over the previous one
+(best against best, median against median), so
 the ``trace``, ``manifest`` and ``certify`` rows are what writing the
 trace, stamping the manifest and certifying cost on top of the bare
 session.  Pointing ``PYTHONPATH`` at another checkout measures that
@@ -23,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import statistics
 import tempfile
 import time
 from typing import Any, Dict, List
@@ -69,7 +75,7 @@ def main(argv: List[str] | None = None) -> int:
 
     specs = demo_specs("mixed", args.sessions, seed=args.seed, max_rounds=60, drop=0.1)
     serve_once(specs[:30], ledger=True, trace=True, certify=True)  # Warm imports.
-    best = {name: float("inf") for name in MODES}
+    runs: Dict[str, List[float]] = {name: [] for name in MODES}
     for _ in range(args.repeats):
         for name, flags in MODES.items():
             seconds = serve_once(
@@ -78,17 +84,26 @@ def main(argv: List[str] | None = None) -> int:
                 trace=flags.get("trace", False),
                 certify=flags.get("certify", False),
             )
-            best[name] = min(best[name], seconds)
+            runs[name].append(seconds / args.sessions * 1e6)
 
     print(
-        f"{args.sessions} sessions, best of {args.repeats}, "
+        f"{args.sessions} sessions, {args.repeats} passes, "
         f"{os.cpu_count()} cores (CPU us per session)"
     )
-    previous = 0.0
+    print(f"{'mode':<9} {'best':>8} {'median':>8} {'q1':>8} {'q3':>8}  increment")
+    previous = (0.0, 0.0)
     for name in MODES:
-        per_session = best[name] / args.sessions * 1e6
-        print(f"{name:<9} {per_session:>8.0f}  (+{per_session - previous:.0f})")
-        previous = per_session
+        best = min(runs[name])
+        median = statistics.median(runs[name])
+        if len(runs[name]) > 1:
+            q1, _, q3 = statistics.quantiles(runs[name], n=4, method="inclusive")
+        else:
+            q1 = q3 = median
+        print(
+            f"{name:<9} {best:>8.0f} {median:>8.0f} {q1:>8.0f} {q3:>8.0f}  "
+            f"+{best - previous[0]:.0f} best, +{median - previous[1]:.0f} median"
+        )
+        previous = (best, median)
     return 0
 
 

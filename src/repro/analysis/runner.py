@@ -26,7 +26,8 @@ history of one run use :func:`repro.core.execution.run_execution` or
 :func:`repro.obs.ledger.record_run` directly.
 
 ``ledger_dir=`` writes run provenance — one :class:`repro.obs.ledger.RunManifest`
-per cell plus a linking sweep manifest — after the cells return, so every
+line per cell plus a sweep index line, appended to the directory's
+``manifests.ndjson`` — after the cells return, so every
 sweep output stays attributable to the seeds/config/version that produced
 it (see the "Run ledger" section of ``docs/OBSERVABILITY.md``).
 """
@@ -284,17 +285,18 @@ def sweep(
     :attr:`SweepCell.channel_name`.  Omitting ``faults`` keeps the
     classical one-cell-per-server sweep.
 
-    ``ledger_dir`` writes run provenance (see :mod:`repro.obs.ledger`):
-    one ``cell-NNN-<run_id>.json`` manifest per cell — seeds, goal, user,
-    server, channel (fault schedule included), recording policy (always
-    ``"metrics"``), rounds, wall/CPU time — plus a top-level
-    ``sweep.json`` linking them, so a directory of sweep outputs is
-    self-describing.  Ledger writing happens after the cells return and
-    never changes any result.
+    ``ledger_dir`` writes run provenance (see :mod:`repro.obs.ledger`) to
+    the directory's ``manifests.ndjson``: one manifest line per cell —
+    seeds, goal, user, server, channel (fault schedule included),
+    recording policy (always ``"metrics"``), rounds, wall/CPU time — and
+    then a :class:`~repro.obs.ledger.SweepManifest` index line listing the
+    cells' run ids, so a directory of sweep outputs is self-describing.
+    Ledger writing happens after the cells return and never changes any
+    result.
 
     ``certify=True`` (requires ``ledger_dir``) re-checks the written
-    ledger's integrity — every cell manifest present and the sweep
-    manifest's ``cells_sha256`` digest matching — raising
+    ledger's integrity — a cell line before the index for every cell it
+    lists, and the index's ``cells_sha256`` digest matching — raising
     :class:`repro.obs.certify.CertificationError` on any mismatch.
     """
     if certify and ledger_dir is None:
@@ -355,16 +357,26 @@ def _write_sweep_ledger(
     backend: str = "serial",
     batch_width: Optional[int] = None,
 ) -> "SweepManifest":
-    """One manifest per cell plus the linking sweep manifest.
+    """One manifest line per cell, then the sweep index line after them.
 
-    Deliberately a lazy import: the ledger is analysis-side code, and
-    sweeps without ``ledger_dir`` (the hot path) must not load it.
+    Runs in the parent after the executor returns, so the stream has one
+    writer even for pool sweeps.  Deliberately a lazy import: the ledger
+    is analysis-side code, and sweeps without ``ledger_dir`` (the hot
+    path) must not load it.
     """
     from repro.obs.certify import sweep_cells_digest
-    from repro.obs.ledger import RunManifest, SweepManifest, git_sha, write_manifest
+    from repro.obs.ledger import (
+        MANIFEST_STREAM,
+        RunManifest,
+        SweepManifest,
+        git_sha,
+        write_manifest,
+    )
 
     sha = git_sha()
-    cell_files: List[str] = []
+    stream = directory / MANIFEST_STREAM
+    cell_ids: List[str] = []
+    cell_lines: List[bytes] = []
     for task, cell in zip(tasks, result.cells):
         manifest = RunManifest(
             kind="cell",
@@ -382,22 +394,22 @@ def _write_sweep_ledger(
             cpu_time_s=cell.cpu_time_s,
             git_sha=sha,
         )
-        filename = f"cell-{task.index:03d}-{manifest.run_id()}.json"
-        write_manifest(manifest, directory / filename)
-        cell_files.append(filename)
+        write_manifest(manifest, stream)
+        cell_ids.append(manifest.run_id())
+        cell_lines.append(manifest.to_json().encode("utf-8"))
     sweep_manifest = SweepManifest(
         goal=result.goal_name,
         user=tasks[0].user.name if tasks else "",
-        cells=tuple(cell_files),
+        cells=tuple(cell_ids),
         seeds=tasks[0].seeds if tasks else (),
         max_rounds=tasks[0].max_rounds if tasks else 0,
-        cells_sha256=sweep_cells_digest(directory, cell_files),
+        cells_sha256=sweep_cells_digest(cell_lines),
         wall_time_s=round(wall_time_s, 6),
         git_sha=sha,
         backend=backend,
         batch_width=batch_width,
     )
-    write_manifest(sweep_manifest, directory / "sweep.json")
+    write_manifest(sweep_manifest, stream)
     return sweep_manifest
 
 

@@ -8,16 +8,19 @@ Subcommands (all stdlib-only, mirroring ``python -m repro.lint``):
   (:mod:`repro.obs.overhead`) of each trace;
 * ``timeline <trace.jsonl>`` — one plain-text line per event;
 * ``certify <trace.jsonl>`` — re-derive the run's claims from the trace
-  alone (:mod:`repro.obs.certify`), optionally cross-checked against a
-  manifest (``--manifest``, or the sibling ``.json`` when present);
+  alone (:mod:`repro.obs.certify`), cross-checked against its manifest:
+  the last line naming the trace in a manifest stream (``--manifest``,
+  or the sibling ``manifests.ndjson`` when present);
   ``--fragment`` certifies a flight dump's surviving invariants;
 * ``top <source>`` — live serve metrics: tail a ``metrics.jsonl`` file
   or scrape a running engine's admin endpoint (``--follow`` refreshes);
-* ``diff <old> <new>`` — compare two traces (``.jsonl``) or two ledger
-  manifests (``.json``); ``diff --history FILE`` compares the two newest
-  entries of a bench-history file.  ``--fail-on METRIC`` (repeatable,
-  comma-separable) plus ``--tolerance PCT`` configure which increases
-  count as regressions.
+* ``diff <old> <new>`` — compare two traces or two manifests (told apart
+  by their first line: ``trace_schema`` or ``ledger_schema``); a manifest
+  is named ``STREAM#TRACE`` (the last line naming the trace, as certify
+  looks it up) or ``STREAM`` (its last line); ``diff --history FILE``
+  compares the two newest entries of a bench-history file.
+  ``--fail-on METRIC`` (repeatable, comma-separable) plus
+  ``--tolerance PCT`` configure which increases count as regressions.
 
 Exit codes: 0 clean, 1 configured regression (``diff``) or failed /
 uncertifiable certificate (``certify``), 2 usage errors / malformed
@@ -81,7 +84,10 @@ def _parser() -> argparse.ArgumentParser:
     certify.add_argument("trace", metavar="TRACE")
     certify.add_argument(
         "--manifest", metavar="FILE", default=None,
-        help="manifest to cross-check (default: the sibling .json, if any)",
+        help=(
+            "manifest stream to look the trace's manifest up in (default: "
+            "the sibling manifests.ndjson, if any)"
+        ),
     )
     certify.add_argument(
         "--fragment", action="store_true",
@@ -118,7 +124,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     diff.add_argument(
         "inputs", nargs="*", metavar="FILE",
-        help="OLD and NEW: two .jsonl traces or two .json manifests",
+        help=(
+            "OLD and NEW: two traces, or two manifests named STREAM#TRACE "
+            "(or STREAM for its last line)"
+        ),
     )
     diff.add_argument(
         "--history", metavar="FILE",

@@ -430,11 +430,18 @@ def trace_metrics(path: Union[str, Path]) -> Dict[str, Any]:
     }
 
 
-def manifest_metrics(path: Union[str, Path]) -> Dict[str, Any]:
-    """The diffable metrics of one ledger manifest."""
+def manifest_metrics(
+    path: Union[str, Path], trace_name: Optional[str] = None
+) -> Dict[str, Any]:
+    """The diffable metrics of one manifest of a manifest stream.
+
+    The manifest is found by the lookup certify uses
+    (:func:`repro.obs.manifests.find_manifest`): the last line naming
+    ``trace_name`` as its trace, or the stream's last line without one.
+    """
     from repro.obs.ledger import RunManifest, read_manifest
 
-    manifest = read_manifest(path)
+    manifest = read_manifest(path, trace_name)
     metrics: Dict[str, Any] = {
         "wall_time_s": manifest.wall_time_s,
         "max_rounds": manifest.max_rounds,
@@ -450,15 +457,35 @@ def manifest_metrics(path: Union[str, Path]) -> Dict[str, Any]:
 
 
 def metrics_for(path: Union[str, Path]) -> Dict[str, Any]:
-    """Dispatch on suffix: ``.jsonl`` is a trace, ``.json`` a manifest."""
+    """Dispatch on the first line: a trace header or a manifest line.
+
+    A trace's first line declares ``trace_schema``; every line of a
+    manifest stream declares ``ledger_schema``.  The file name plays no
+    part.  ``STREAM#TRACE`` (when no file has that literal name) selects
+    the manifest of one trace in a stream; a bare stream stands for its
+    last manifest.
+    """
     resolved = Path(path)
-    if resolved.suffix == ".jsonl":
+    trace_name: Optional[str] = None
+    if "#" in resolved.name and not resolved.exists():
+        stream, _, trace_name = str(path).rpartition("#")
+        resolved = Path(stream)
+    with resolved.open("rb") as handle:
+        first = handle.readline()
+    try:
+        header = json.loads(first)
+    except ValueError:
+        header = None
+    if isinstance(header, dict) and "trace_schema" in header:
+        if trace_name is not None:
+            raise ValueError(f"{path}: only a manifest stream takes #TRACE")
         return trace_metrics(resolved)
-    if resolved.suffix == ".json":
-        return manifest_metrics(resolved)
+    if isinstance(header, dict) and "ledger_schema" in header:
+        return manifest_metrics(resolved, trace_name)
     raise ValueError(
-        f"{resolved}: cannot classify input (expected a .jsonl trace or a "
-        f".json manifest)"
+        f"{resolved}: cannot classify input (expected a trace, whose first "
+        f"line declares trace_schema, or a manifest stream, whose lines "
+        f"declare ledger_schema)"
     )
 
 

@@ -40,15 +40,14 @@ transcript whose recorded rounds all pass locally is therefore accepted
 as-recorded.  See ``docs/OBSERVABILITY.md`` for the full threat model.
 
 This module must stay **engine-free**: it imports only the emit-side
-observability modules, the fault-channel description (itself engine
-free), and the stdlib — never ``repro.core`` or the strategy packages.
-A subprocess test pins this down.
+observability modules, the manifest-stream reader, the fault-channel
+description (itself engine free), and the stdlib — never ``repro.core``
+or the strategy packages.  A subprocess test pins this down.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,6 +99,13 @@ from repro.obs.events import (
     TypeCache,
     dispatch_table,
     rng_chain_digest,
+)
+from repro.obs.manifests import (
+    MANIFEST_STREAM,
+    ManifestLocation,
+    find_manifest,
+    iter_manifest_lines,
+    read_at,
 )
 from repro.obs.overhead import OverheadFold
 from repro.obs.sinks import (
@@ -1222,41 +1228,45 @@ def certify_events(
     )
 
 
+#: What names a run's manifest: a location (one line, read back by
+#: offset), a stream to look the trace up in, or ``None`` for the stream
+#: beside the trace.
+ManifestSource = Union[str, Path, ManifestLocation, None]
+
+
 def _load_manifest(
-    trace_path: Path, manifest_path: Optional[Union[str, Path]]
+    trace_path: Path, manifest: ManifestSource
 ) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
-    """The manifest to check against, if any.
+    """The manifest to check against, if any, and its label.
 
-    An explicit path must exist and parse (``ValueError`` otherwise — a
-    named manifest that cannot be read is a usage error, not a finding).
-    Without one, the trace's sibling ``<name>.json`` is used when it
-    exists and parses as an object; junk siblings are silently ignored.
+    A :class:`~repro.obs.manifests.ManifestLocation` is read with one
+    positioned read.  A stream path is searched for the *last* line whose
+    ``trace_path`` is the trace's file name; a named stream without one is
+    a usage error (``ValueError``).  Without either, the trace's sibling
+    ``manifests.ndjson`` is searched the same way, and a trace with no
+    sibling stream or no line in it is checked without a manifest.  A
+    torn or garbled line after the trace's last line (it may be a newer
+    manifest of the trace) raises with its line number either way.
     """
-    if manifest_path is not None:
-        resolved = Path(manifest_path)
-        data = json.loads(resolved.read_text(encoding="utf-8"))
-        if not isinstance(data, dict):
-            raise ValueError(f"{resolved}: manifest is not a JSON object")
-        return data, str(resolved)
-    sibling = trace_path.with_suffix(".json")
-    if not sibling.exists():
+    if isinstance(manifest, ManifestLocation):
+        return read_at(manifest), str(manifest)
+    stream = (
+        trace_path.parent / MANIFEST_STREAM if manifest is None else Path(manifest)
+    )
+    if manifest is None and not stream.exists():
         return None, None
-    try:
-        data = json.loads(sibling.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None, None
-    if not isinstance(data, dict):
-        return None, None
-    return data, str(sibling)
-
-
-def _file_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    found = find_manifest(stream, trace_path.name)
+    if found is None:
+        if manifest is None:
+            return None, None
+        raise ValueError(f"{stream}: no manifest names {trace_path.name}")
+    number, data = found
+    return data, f"{stream}:{number}"
 
 
 def certify_trace(
     path: Union[str, Path],
-    manifest_path: Optional[Union[str, Path]] = None,
+    manifest_path: ManifestSource = None,
     *,
     fragment: bool = False,
 ) -> CertificateReport:
@@ -1326,7 +1336,7 @@ def certify_trace(
 
 def certify_run(
     trace_path: Union[str, Path],
-    manifest_path: Optional[Union[str, Path]] = None,
+    manifest_path: ManifestSource = None,
 ) -> CertificateReport:
     """Certify or raise — the hook behind ``record_run(..., certify=True)``."""
     report = certify_trace(trace_path, manifest_path)
@@ -1335,47 +1345,55 @@ def certify_run(
     return report
 
 
-def sweep_cells_digest(directory: Union[str, Path], cells: Iterable[str]) -> str:
-    """The sweep ledger's cell digest: SHA-256 over the per-cell digests.
+def sweep_cells_digest(lines: Iterable[bytes]) -> str:
+    """The sweep ledger's cell digest: SHA-256 over the per-line digests.
 
-    Defined as the hash of the newline-joined per-file SHA-256 hex digests
-    in manifest order, so a single edited cell manifest changes it.
+    Defined as the hash of the newline-joined SHA-256 hex digests of the
+    cell manifest lines (as written, newline included) in stream order, so
+    a single edited cell line changes it.
     """
-    root = Path(directory)
-    parts = [_file_sha256(root / name) for name in cells]
+    parts = [hashlib.sha256(line).hexdigest() for line in lines]
     return hashlib.sha256("\n".join(parts).encode("ascii")).hexdigest()
 
 
 def certify_sweep(directory: Union[str, Path]) -> None:
     """Check a sweep ledger directory's integrity; raise on tampering.
 
-    Verifies that ``sweep.json`` parses, every listed cell manifest
-    exists, and the recorded ``cells_sha256`` matches the recomputed
-    digest.  Used by ``analysis.runner.sweep(..., certify=True)``.
+    The sweep index is the last line of the directory's
+    ``manifests.ndjson`` and its cells are the lines right before it.
+    Verifies that the stream reads cleanly, that a cell line precedes
+    the index for every cell it lists, and that the recorded
+    ``cells_sha256`` matches the digest of those lines.  Used by
+    ``analysis.runner.sweep(..., certify=True)``.
     """
-    root = Path(directory)
-    sweep_path = root / "sweep.json"
-    data = json.loads(sweep_path.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or data.get("kind") != "sweep":
-        raise CertificationError(f"{sweep_path}: not a sweep manifest")
-    cells = data.get("cells")
+    stream = Path(directory) / MANIFEST_STREAM
+    try:
+        lines = [(raw, data) for _, raw, data in iter_manifest_lines(stream)]
+    except ValueError as exc:
+        raise CertificationError(str(exc)) from None
+    if not lines or lines[-1][1].get("kind") != "sweep":
+        raise CertificationError(f"{stream}: last line is not a sweep index")
+    index = lines[-1][1]
+    cells = index.get("cells")
     if not isinstance(cells, list):
-        raise CertificationError(f"{sweep_path}: manifest lists no cells")
-    missing = [name for name in cells if not (root / name).exists()]
-    if missing:
+        raise CertificationError(f"{stream}: sweep index lists no cells")
+    first = len(lines) - 1 - len(cells)
+    preceding = lines[max(first, 0):-1]
+    if first < 0 or any(data.get("kind") != "cell" for _, data in preceding):
         raise CertificationError(
-            f"{sweep_path}: missing cell manifest(s): {', '.join(missing)}"
+            f"{stream}: missing cell line(s): the index lists {len(cells)} "
+            f"cells, but the {len(cells)} lines before it are not all cells"
         )
-    recorded = data.get("cells_sha256")
+    recorded = index.get("cells_sha256")
     if recorded is None:
         raise CertificationError(
-            f"{sweep_path}: manifest carries no cells_sha256 digest"
+            f"{stream}: sweep index carries no cells_sha256 digest"
         )
-    actual = sweep_cells_digest(root, cells)
+    actual = sweep_cells_digest(raw for raw, _ in preceding)
     if recorded != actual:
         raise CertificationError(
-            f"{sweep_path}: cells digest mismatch: manifest stamps "
-            f"{recorded} but the cell files hash to {actual}"
+            f"{stream}: cells digest mismatch: the index stamps {recorded} "
+            f"but the cell lines hash to {actual}"
         )
 
 

@@ -13,17 +13,22 @@ Two manifest kinds share one schema version (``ledger_schema``):
 
 * :class:`RunManifest` — one execution (``kind="run"``) or one sweep cell
   aggregated over its seeds (``kind="cell"``);
-* :class:`SweepManifest` — the top-level index of a ledgered sweep,
-  linking the per-cell manifest files.
+* :class:`SweepManifest` — the index of a ledgered sweep, written as the
+  line after its cells.
 
-Serialisation is deterministic: ``ledger_schema`` first, then dataclass
-fields in declaration order, fixed separators — manifests of identical
-configurations differ only in their timing fields.  :func:`read_manifest`
-rejects schema majors it does not understand with a clear error.
+A ledger directory keeps every manifest as one line of its
+``manifests.ndjson`` stream (see :mod:`repro.obs.manifests` for the
+format and the lookup rules); :func:`write_manifest` appends a line and
+returns where it landed.  Serialisation is deterministic:
+``ledger_schema`` first, then dataclass fields in declaration order,
+compact separators — manifests of identical configurations differ only
+in their timing fields.  :func:`read_manifest` rejects schema majors it
+does not understand with a clear error, the per-file documents of
+schema 1 included.
 
 :func:`record_run` is the one-call provenance wrapper around
 :func:`~repro.core.execution.run_execution`: it traces the run to a JSONL
-file, times it, and writes the manifest beside the trace.
+file, times it, and appends its manifest to the trace directory's stream.
 
 This module is analysis-side: nothing in the engine (or any tracing-off
 code path) imports it — see the lazy re-exports in ``repro/obs/__init__``.
@@ -49,16 +54,20 @@ from repro.core.execution import (
 from repro.core.goals import Goal, GoalOutcome
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.obs.events import GoalVerdict
+from repro.obs.manifests import (
+    LEDGER_SCHEMA,
+    MANIFEST_STREAM,
+    LedgerSchemaError,
+    ManifestLocation,
+    append_line,
+    check_schema,
+    find_manifest,
+    iter_manifest_lines,
+    read_at,
+)
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 from repro.version import __version__
-
-#: The manifest schema major this build writes and understands.
-LEDGER_SCHEMA = 1
-
-
-class LedgerSchemaError(ValueError):
-    """A manifest declares a schema this build cannot interpret."""
 
 
 def git_sha() -> Optional[str]:
@@ -92,19 +101,6 @@ def _serialise(manifest: Any) -> Dict[str, Any]:
     return data
 
 
-def _check_schema(data: Mapping[str, Any], source: str) -> None:
-    declared = data.get("ledger_schema")
-    if not isinstance(declared, int) or declared <= 0:
-        raise LedgerSchemaError(
-            f"{source}: malformed ledger_schema value {declared!r}"
-        )
-    if declared > LEDGER_SCHEMA:
-        raise LedgerSchemaError(
-            f"{source}: ledger_schema {declared} is newer than the supported "
-            f"major {LEDGER_SCHEMA}; read it with a matching repro build"
-        )
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Provenance of one execution (``kind="run"``) or sweep cell (``"cell"``).
@@ -116,8 +112,9 @@ class RunManifest:
     into a stable short identifier.  ``rounds`` / ``achieved`` / ``halted``
     are totals over the seeds; ``wall_time_s`` / ``cpu_time_s`` are the
     only machine-dependent values.  ``trace_path`` names the JSONL trace
-    this manifest describes (relative to the manifest's directory), when
-    one was written.
+    this manifest describes (relative to the manifest stream's
+    directory), when one was written; it is the key certify looks the
+    manifest up by.
     """
 
     kind: str
@@ -150,12 +147,12 @@ class RunManifest:
         return hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12]
 
     def to_json(self) -> str:
-        """Deterministic single-document JSON (trailing newline included)."""
-        return json.dumps(_serialise(self), indent=2) + "\n"
+        """Deterministic one-line JSON (trailing newline included)."""
+        return json.dumps(_serialise(self), separators=(",", ":")) + "\n"
 
     @staticmethod
     def from_dict(data: Mapping[str, Any], source: str = "manifest") -> "RunManifest":
-        _check_schema(data, source)
+        check_schema(data, source)
         payload = {f.name: data[f.name] for f in fields(RunManifest) if f.name in data}
         payload["seeds"] = tuple(payload.get("seeds", ()))
         return RunManifest(**payload)
@@ -163,7 +160,11 @@ class RunManifest:
 
 @dataclass(frozen=True)
 class SweepManifest:
-    """Top-level index of a ledgered sweep: one entry per cell manifest.
+    """Index of a ledgered sweep: the run ids of its cells, in order.
+
+    The index is the stream line right after its cells, and
+    ``cells_sha256`` covers exactly those cell lines' bytes (see
+    :func:`repro.obs.certify.sweep_cells_digest`).
 
     ``backend`` names the executor that dispatched the cells (``serial``,
     ``process``, ``batch``, ``batch-process``) and ``batch_width`` records
@@ -186,12 +187,12 @@ class SweepManifest:
     batch_width: Optional[int] = None
 
     def to_json(self) -> str:
-        """Deterministic single-document JSON (trailing newline included)."""
-        return json.dumps(_serialise(self), indent=2) + "\n"
+        """Deterministic one-line JSON (trailing newline included)."""
+        return json.dumps(_serialise(self), separators=(",", ":")) + "\n"
 
     @staticmethod
     def from_dict(data: Mapping[str, Any], source: str = "manifest") -> "SweepManifest":
-        _check_schema(data, source)
+        check_schema(data, source)
         payload = {f.name: data[f.name] for f in fields(SweepManifest) if f.name in data}
         payload["cells"] = tuple(payload.get("cells", ()))
         payload["seeds"] = tuple(payload.get("seeds", ()))
@@ -201,31 +202,58 @@ class SweepManifest:
 Manifest = Union[RunManifest, SweepManifest]
 
 
-def write_manifest(manifest: Manifest, path: Union[str, Path]) -> Path:
-    """Write one manifest as a JSON document; returns the resolved path."""
-    resolved = Path(path)
-    resolved.parent.mkdir(parents=True, exist_ok=True)
-    resolved.write_text(manifest.to_json(), encoding="utf-8")
-    return resolved
+def write_manifest(
+    manifest: Manifest, path: Union[str, Path]
+) -> ManifestLocation:
+    """Append ``manifest`` as one line to the stream at ``path``.
 
-
-def read_manifest(path: Union[str, Path]) -> Manifest:
-    """Parse a manifest file back into its typed form (by ``kind``).
-
-    Raises :class:`LedgerSchemaError` on unknown schema majors and
-    ``ValueError`` on a missing/unknown ``kind`` — a ledger directory
-    either round-trips exactly or fails loudly.
+    Returns where the line landed, which :func:`read_manifest` and
+    :func:`repro.obs.certify.certify_run` read back with one positioned
+    read.
     """
-    resolved = Path(path)
-    data = json.loads(resolved.read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise ValueError(f"{resolved}: manifest is not a JSON object")
+    return append_line(path, manifest.to_json().encode("utf-8"))
+
+
+def _typed(data: Mapping[str, Any], source: str) -> Manifest:
     kind = data.get("kind")
     if kind == "sweep":
-        return SweepManifest.from_dict(data, source=str(resolved))
+        return SweepManifest.from_dict(data, source=source)
     if kind in ("run", "cell"):
-        return RunManifest.from_dict(data, source=str(resolved))
-    raise ValueError(f"{resolved}: unknown manifest kind {kind!r}")
+        return RunManifest.from_dict(data, source=source)
+    raise ValueError(f"{source}: unknown manifest kind {kind!r}")
+
+
+def read_manifest(
+    source: Union[str, Path, ManifestLocation], trace_name: Optional[str] = None
+) -> Manifest:
+    """One manifest in its typed form (by ``kind``).
+
+    A :class:`~repro.obs.manifests.ManifestLocation` reads exactly its
+    line.  A stream path yields the last line naming ``trace_name`` as
+    its trace (:func:`~repro.obs.manifests.find_manifest`), or the
+    stream's last manifest when no name is given.  Raises
+    :class:`LedgerSchemaError` on unknown schema majors,
+    :class:`~repro.obs.manifests.ManifestStreamError` on a torn or
+    garbled line and ``ValueError`` on a missing/unknown ``kind`` — a
+    ledger either round-trips exactly or fails loudly.
+    """
+    if isinstance(source, ManifestLocation):
+        return _typed(read_at(source), str(source))
+    found = find_manifest(source, trace_name)
+    if found is None:
+        if trace_name is not None:
+            raise ValueError(f"{source}: no manifest names {trace_name}")
+        raise ValueError(f"{source}: manifest stream is empty")
+    number, data = found
+    return _typed(data, f"{source}:{number}")
+
+
+def read_manifests(path: Union[str, Path]) -> Tuple[Manifest, ...]:
+    """Every manifest of the stream at ``path``, in the order written."""
+    return tuple(
+        _typed(data, f"{path}:{number}")
+        for number, _, data in iter_manifest_lines(path)
+    )
 
 
 @dataclass(frozen=True)
@@ -234,7 +262,7 @@ class RecordedRun:
 
     execution: ExecutionResult
     manifest: RunManifest
-    manifest_path: Path
+    manifest_location: ManifestLocation
     trace_path: Path
 
 
@@ -301,11 +329,13 @@ def record_run(
     channel: Optional[FaultyChannelLike] = None,
     certify: bool = False,
 ) -> RecordedRun:
-    """Run one traced execution and write ``<name>.jsonl`` + ``<name>.json``.
+    """Run one traced execution: write ``<name>.jsonl``, append its manifest.
 
     The provenance-first entry point: the trace captures the event stream,
-    the manifest captures what produced it, and the pair lands in
-    ``out_dir`` so the directory is self-describing.  Universal users
+    the manifest captures what produced it, and both land in ``out_dir``
+    (the manifest as a line of ``manifests.ndjson``) so the directory is
+    self-describing.  Recording a name again appends a newer manifest,
+    which the trace-name lookup then finds.  Universal users
     (anything exposing a reassignable ``tracer`` attribute) contribute
     their sensing/switch/trial events to the same trace; the attribute is
     restored afterwards.
@@ -323,7 +353,6 @@ def record_run(
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     trace_path = directory / f"{name}.jsonl"
-    manifest_path = directory / f"{name}.json"
 
     header: Dict[str, Any] = {}
     spec = channel_spec(channel)
@@ -371,23 +400,25 @@ def record_run(
         trace_sha256=sink.sha256(),
         git_sha=git_sha(),
     )
-    write_manifest(manifest, manifest_path)
+    location = write_manifest(manifest, directory / MANIFEST_STREAM)
     if certify:
         from repro.obs.certify import certify_run
 
-        certify_run(trace_path, manifest_path)
+        certify_run(trace_path, location)
     return RecordedRun(
         execution=execution,
         manifest=manifest,
-        manifest_path=manifest_path,
+        manifest_location=location,
         trace_path=trace_path,
     )
 
 
 __all__ = [
     "LEDGER_SCHEMA",
+    "MANIFEST_STREAM",
     "LedgerSchemaError",
     "Manifest",
+    "ManifestLocation",
     "RecordedRun",
     "RunManifest",
     "SweepManifest",
@@ -396,6 +427,7 @@ __all__ = [
     "file_sha256",
     "git_sha",
     "read_manifest",
+    "read_manifests",
     "record_run",
     "write_manifest",
 ]

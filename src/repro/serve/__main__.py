@@ -10,8 +10,9 @@ capacity figures::
 ``--out BENCH_serve.json`` writes the report in the bench-baseline shape
 consumed by ``benchmarks/check_bench_regression.py --metric
 sessions_per_s``; ``--format json`` prints the same payload to stdout.
-``--ledger DIR`` makes every session write a manifest (add ``--trace``
-for certifiable traces, ``--certify`` to re-check each one on the spot).
+``--ledger DIR`` makes every session append a manifest line to
+``DIR/manifests.ndjson`` (add ``--trace`` for certifiable traces, one file
+per session, and ``--certify`` to re-check each one on the spot).
 
 The live telemetry plane (:mod:`repro.obs.live`): ``--metrics FILE``
 streams flushed per-interval samples, ``--admin SPEC`` serves

@@ -30,8 +30,9 @@ Telemetry flows through a per-engine
 submitted/rejected/parked/settled/achieved/failed, rounds, open-session
 and queue-depth high-water marks) — the same plain-data snapshots the
 sweep runner ships, so serve metrics merge into existing tooling.  With
-``ledger_dir`` set, every session writes a manifest (and, with
-``trace=True``, a certifiable trace) through the :mod:`repro.obs` ledger.
+``ledger_dir`` set, every session appends a manifest line to the
+ledger's ``manifests.ndjson`` (and, with ``trace=True``, writes a
+certifiable trace) through the :mod:`repro.obs` ledger.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ class ServeEngine:
         large slices amortise scheduling overhead.
     ledger_dir / trace / certify:
         Per-session provenance, passed through to
-        :class:`~repro.serve.session.Session`: manifests (and traces,
-        and an immediate certification re-check) for every session.
+        :class:`~repro.serve.session.Session`: a manifest line in the
+        ledger's one stream (and a trace file, and an immediate
+        certification re-check) for every session.
     metrics_path / metrics_interval_s:
         With a path set, :meth:`start` spawns a
         :class:`~repro.obs.live.MetricsSampler` task that appends one
@@ -441,8 +443,8 @@ class ServeEngine:
         outcome: Optional[SessionOutcome] = None
         if error is None:
             try:
-                # Deliberate inline ledger I/O: settling writes manifest +
-                # trace tail on the loop — the single-threaded write path
+                # Deliberate inline ledger I/O: settling appends the manifest
+                # line and the trace tail on the loop — the single-threaded write path
                 # that keeps traces byte-identical (docs/SERVING.md).
                 outcome = handle.session.close()  # reprolint: disable=RL101
             except Exception as exc:

@@ -8,9 +8,10 @@ share one process while each keeps its enumeration state alive across
 steps.  :meth:`Session.close` seals the run exactly the way
 :func:`repro.obs.ledger.record_run` does: the goal is judged, the verdict
 goes into the trace as evidence, and a :class:`~repro.obs.ledger.RunManifest`
-with the trace's SHA-256 (taken as the trace was written) lands beside it
-— a served session is certifiable by ``python -m repro.obs certify`` like
-any batch run.
+with the trace's SHA-256 (taken as the trace was written) is appended to
+the ledger's ``manifests.ndjson`` — a served session is certifiable by
+``python -m repro.obs certify`` like any batch run, and leaves one file
+of its own (the trace).
 
 Determinism is per-session: seeds derive through the same
 :func:`~repro.core.execution.derive_party_seeds` chain the engine uses, so a
@@ -44,7 +45,7 @@ from repro.obs.flight import FlightBuffer, TeeSink, dump_flight
 from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:
-    from repro.obs.ledger import RunManifest
+    from repro.obs.ledger import ManifestLocation, RunManifest
     from repro.obs.sinks import JsonlSink
 
 
@@ -113,7 +114,7 @@ class SessionOutcome:
     wall_time_s: float
     cpu_time_s: float
     manifest: Optional["RunManifest"] = None
-    manifest_path: Optional[Path] = None
+    manifest_location: Optional["ManifestLocation"] = None
     trace_path: Optional[Path] = None
 
 
@@ -122,10 +123,11 @@ class Session:
 
     Construction performs the engine's prologue (seed derivation, initial
     states, the trace's start event); :meth:`step` advances up to a slice
-    of rounds; :meth:`close` seals the run, judges the goal, and writes
-    the trace/manifest pair when a ledger directory was given.  Sessions
-    are single-use and cooperative — many can interleave on one thread in
-    any order without affecting any session's results.
+    of rounds; :meth:`close` seals the run, judges the goal, and appends
+    the trace's manifest to the ledger's stream when a ledger directory
+    was given.  Sessions are single-use and cooperative — many can
+    interleave on one thread in any order without affecting any
+    session's results.
 
     Universal users expose a reassignable ``tracer`` attribute; a traced
     session *borrows* it for exactly the duration of each step slice (and
@@ -257,10 +259,11 @@ class Session:
 
         Finishes the stepper (an early close keeps the partial state —
         the goal then judges an unhalted run), evaluates the goal, emits
-        the verdict into the trace, and writes the manifest beside it when
-        a ledger directory was configured.  With ``certify=True`` the
-        freshly written pair is immediately re-checked by
-        :func:`repro.obs.certify.certify_run`.
+        the verdict into the trace, and appends the manifest to the
+        ledger's ``manifests.ndjson`` when a ledger directory was
+        configured.  With ``certify=True`` the trace is immediately
+        re-checked by :func:`repro.obs.certify.certify_run` against the
+        manifest line just written, read back by its offset.
         """
         if self._outcome is not None:
             return self._outcome
@@ -280,9 +283,9 @@ class Session:
         self._cpu += time.process_time() - cpu_start
 
         manifest = None
-        manifest_path = None
+        location = None
         if self._ledger_dir is not None:
-            from repro.obs.ledger import RunManifest, write_manifest
+            from repro.obs.ledger import MANIFEST_STREAM, RunManifest, write_manifest
 
             manifest = RunManifest(
                 kind="run",
@@ -308,13 +311,11 @@ class Session:
                 ),
                 git_sha=_cached_git_sha(),
             )
-            manifest_path = write_manifest(
-                manifest, self._ledger_dir / f"{self.session_id}.json"
-            )
+            location = write_manifest(manifest, self._ledger_dir / MANIFEST_STREAM)
             if self._certify and self.trace_path is not None:
                 from repro.obs.certify import certify_run
 
-                certify_run(self.trace_path, manifest_path)
+                certify_run(self.trace_path, location)
 
         self._outcome = SessionOutcome(
             session_id=self.session_id,
@@ -324,7 +325,7 @@ class Session:
             wall_time_s=self._wall,
             cpu_time_s=self._cpu,
             manifest=manifest,
-            manifest_path=manifest_path,
+            manifest_location=location,
             trace_path=self.trace_path,
         )
         return self._outcome

@@ -86,8 +86,11 @@ class BabblingUser(UserStrategy):
         return state + 1, UserOutbox(to_server=babble(), to_world=babble())
 
 
-@dataclass
+@dataclass(frozen=True)
 class _CompositeState:
+    """An immutable value: each round returns a new one, so the engine's
+    per-round records never alias a state changed by a later round."""
+
     rounds: int
     junk_state: Any
     then_state: Any
@@ -127,14 +130,18 @@ class JunkThenUser(UserStrategy):
     def step(
         self, state: _CompositeState, inbox: UserInbox, rng: random.Random
     ) -> Tuple[_CompositeState, UserOutbox]:
-        state.rounds += 1
-        if state.rounds <= self._junk_rounds:
-            state.junk_state, outbox = self._junk.step(state.junk_state, inbox, rng)
+        rounds = state.rounds + 1
+        if rounds <= self._junk_rounds:
+            junk_state, outbox = self._junk.step(state.junk_state, inbox, rng)
             if outbox.halt:
                 outbox = UserOutbox(to_server=outbox.to_server, to_world=outbox.to_world)
-            return state, outbox
-        if not state.then_started:
-            state.then_state = self._then.initial_state(rng)
-            state.then_started = True
-        state.then_state, outbox = self._then.step(state.then_state, inbox, rng)
-        return state, outbox
+            return _CompositeState(rounds, junk_state, None, False), outbox
+        # ``then`` starts on the first round past the junk phase, and draws
+        # its initial state from that round's RNG.
+        then_state = (
+            state.then_state
+            if state.then_started
+            else self._then.initial_state(rng)
+        )
+        then_state, outbox = self._then.step(then_state, inbox, rng)
+        return _CompositeState(rounds, state.junk_state, then_state, True), outbox

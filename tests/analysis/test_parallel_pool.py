@@ -31,7 +31,7 @@ from repro.machines.tabular import (
     relay_decoder_class,
     relay_goal,
 )
-from repro.obs.ledger import read_manifest
+from repro.obs.ledger import MANIFEST_STREAM, read_manifest, read_manifests
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
 from repro.users.control_users import follower_user_class
@@ -112,15 +112,26 @@ class TestBatchExecutorParity:
 class TestLedgerStamping:
     def test_serial_backend_stamp(self, tmp_path):
         relay_sweep(ledger_dir=tmp_path)
-        manifest = read_manifest(tmp_path / "sweep.json")
+        manifest = read_manifest(tmp_path / MANIFEST_STREAM)
         assert manifest.backend == "serial"
         assert manifest.batch_width is None
 
     def test_batch_backend_stamp(self, tmp_path):
         relay_sweep(ledger_dir=tmp_path, batch=8, certify=True)
-        manifest = read_manifest(tmp_path / "sweep.json")
+        manifest = read_manifest(tmp_path / MANIFEST_STREAM)
         assert manifest.backend == "batch"
         assert manifest.batch_width == 8
+
+    def test_pool_sweep_writes_one_stream(self, tmp_path):
+        """The parent writes the ledger after the pool returns: one stream
+        holding every cell line and then the index, and nothing else."""
+        with ProcessExecutor(max_workers=2) as executor:
+            relay_sweep(ledger_dir=tmp_path, executor=executor, certify=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [MANIFEST_STREAM]
+        *cells, index = read_manifests(tmp_path / MANIFEST_STREAM)
+        assert index.backend == "process"
+        assert index.cells == tuple(cell.run_id() for cell in cells)
+        assert len(cells) == len(RELAY_SERVERS)
 
 
 class TestPersistentPool:

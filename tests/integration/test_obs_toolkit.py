@@ -74,7 +74,7 @@ class TestObsToolkit:
             universal(), servers[POSITION], GOAL,
             max_rounds=6000, seed=0, out_dir=tmp_path, name="pw",
         )
-        manifest = read_manifest(recorded.manifest_path)
+        manifest = read_manifest(recorded.manifest_location)
         assert manifest == recorded.manifest
         assert manifest.seeds == (0,)
         assert manifest.server == servers[POSITION].name

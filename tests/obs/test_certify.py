@@ -33,7 +33,7 @@ from repro.obs.certify import (
     certify_sweep,
     certify_trace,
 )
-from repro.obs.ledger import record_run
+from repro.obs.ledger import MANIFEST_STREAM, record_run
 from repro.obs.sinks import read_trace
 from repro.qbf.generators import random_qbf
 from repro.servers.advisors import advisor_server_class
@@ -154,7 +154,7 @@ class TestCleanCertification:
     def test_cli_json_document(self, recorded, capsys):
         code, out = certify_cli(
             recorded.trace_path,
-            "--manifest", str(recorded.manifest_path),
+            "--manifest", str(recorded.manifest_location.path),
             "--format", "json",
             capsys=capsys,
         )
@@ -165,7 +165,7 @@ class TestCleanCertification:
         assert document["issues"] == []
 
     def test_certify_run_accepts_the_pair(self, recorded):
-        report = certify_run(recorded.trace_path, recorded.manifest_path)
+        report = certify_run(recorded.trace_path, recorded.manifest_location)
         assert report.ok
 
     def test_certify_events_on_in_memory_stream(self, recorded):
@@ -245,16 +245,31 @@ class TestTampering:
     def test_digest_mismatch_against_manifest(self, recorded, tmp_path, capsys):
         # Tamper the trace but keep the genuine manifest: even if a future
         # attack fooled every semantic check, the digest cross-check trips.
+        # The manifest is found by trace name, so the tampered copy takes
+        # the genuine trace's name beside a copy of the genuine stream.
         trace = tampered_copy(
             recorded, tmp_path,
             lambda lines: edit_event(lines, "goal-verdict", "achieved", False),
-        )
-        code, out = certify_cli(
-            trace, "--manifest", str(recorded.manifest_path), capsys=capsys
-        )
+        ).rename(tmp_path / recorded.trace_path.name)
+        stream = tmp_path / MANIFEST_STREAM
+        stream.write_bytes(recorded.manifest_location.path.read_bytes())
+        code, out = certify_cli(trace, "--manifest", str(stream), capsys=capsys)
         assert code == 1
         assert "[manifest]" in out
         assert "sha256" in out
+        with pytest.raises(CertificationError, match="sha256"):
+            certify_run(trace, recorded.manifest_location)
+
+    def test_named_stream_without_the_trace_is_a_usage_error(
+        self, recorded, tmp_path, capsys
+    ):
+        trace = tampered_copy(recorded, tmp_path, lambda lines: lines)
+        code = main([
+            "certify", str(trace),
+            "--manifest", str(recorded.manifest_location.path),
+        ])
+        assert code == 2
+        assert "no manifest names tampered.jsonl" in capsys.readouterr().err
 
     def test_certify_run_raises_on_tampered_trace(self, recorded, tmp_path):
         trace = tampered_copy(
@@ -360,13 +375,34 @@ class TestLedgerIntegration:
             make_user(), SERVERS[:2], GOAL,
             seeds=(3,), max_rounds=600, ledger_dir=ledger, certify=True,
         )
-        index = json.loads((ledger / "sweep.json").read_text())
-        assert index["cells_sha256"]
+        stream = ledger / MANIFEST_STREAM
+        lines = stream.read_text().splitlines(keepends=True)
+        index = json.loads(lines[-1])
+        assert index["kind"] == "sweep" and index["cells_sha256"]
         # certify_sweep on the untouched ledger is clean...
         certify_sweep(ledger)
-        # ...and any byte change to a cell manifest breaks the digest.
-        cell = sorted(ledger.glob("cell-*.json"))[0]
-        cell.write_text(cell.read_text() + "\n")
+        # ...and any edit to a cell line breaks the digest.
+        cell = json.loads(lines[0])
+        cell["rounds"] += 1
+        stream.write_text(
+            json.dumps(cell, separators=(",", ":")) + "\n" + "".join(lines[1:])
+        )
+        with pytest.raises(CertificationError, match="digest mismatch"):
+            certify_sweep(ledger)
+
+    def test_sweep_certify_detects_a_wrong_cells_digest(self, tmp_path):
+        ledger = tmp_path / "ledger"
+        sweep(
+            make_user(), SERVERS[:2], GOAL,
+            seeds=(3,), max_rounds=600, ledger_dir=ledger,
+        )
+        stream = ledger / MANIFEST_STREAM
+        lines = stream.read_text().splitlines(keepends=True)
+        index = json.loads(lines[-1])
+        index["cells_sha256"] = "0" * 64
+        stream.write_text(
+            "".join(lines[:-1]) + json.dumps(index, separators=(",", ":")) + "\n"
+        )
         with pytest.raises(CertificationError, match="digest mismatch"):
             certify_sweep(ledger)
 
@@ -376,9 +412,39 @@ class TestLedgerIntegration:
             make_user(), SERVERS[:1], GOAL,
             seeds=(3,), max_rounds=600, ledger_dir=ledger, certify=True,
         )
-        cell = sorted(ledger.glob("cell-*.json"))[0]
-        cell.unlink()
-        with pytest.raises(CertificationError):
+        stream = ledger / MANIFEST_STREAM
+        lines = stream.read_text().splitlines(keepends=True)
+        stream.write_text("".join(lines[1:]))
+        with pytest.raises(CertificationError, match="missing cell line"):
+            certify_sweep(ledger)
+
+    def test_sweep_certify_reads_the_last_sweep_of_a_reused_ledger(
+        self, tmp_path
+    ):
+        ledger = tmp_path / "ledger"
+        for servers in (SERVERS[:2], SERVERS[:1]):
+            sweep(
+                make_user(), servers, GOAL,
+                seeds=(3,), max_rounds=600, ledger_dir=ledger, certify=True,
+            )
+        stream = ledger / MANIFEST_STREAM
+        lines = stream.read_text().splitlines(keepends=True)
+        assert len(lines) == 5
+        # Drop the second sweep's one cell: its index now sits right after
+        # the first sweep's index, which is not a cell line.
+        stream.write_text("".join(lines[:3] + lines[4:]))
+        with pytest.raises(CertificationError, match="missing cell line"):
+            certify_sweep(ledger)
+
+    def test_sweep_certify_reports_a_torn_index(self, tmp_path):
+        ledger = tmp_path / "ledger"
+        sweep(
+            make_user(), SERVERS[:1], GOAL,
+            seeds=(3,), max_rounds=600, ledger_dir=ledger,
+        )
+        stream = ledger / MANIFEST_STREAM
+        stream.write_bytes(stream.read_bytes()[:-5])
+        with pytest.raises(CertificationError, match=":2: torn final line"):
             certify_sweep(ledger)
 
     def test_verify_robustness_certify_flag(self):

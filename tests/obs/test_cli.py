@@ -172,9 +172,59 @@ class TestDiff:
             recording="full", seeds=(0,), max_rounds=10, rounds=5,
             achieved=1, halted=1, wall_time_s=0.1, cpu_time_s=0.1,
         )
-        a = write_manifest(manifest, tmp_path / "a.json")
-        b = write_manifest(manifest, tmp_path / "b.json")
+        a = write_manifest(manifest, tmp_path / "a" / "manifests.ndjson").path
+        b = write_manifest(manifest, tmp_path / "b" / "manifests.ndjson").path
         assert main(["diff", str(a), str(b), "--fail-on", "rounds"]) == 0
+
+    def test_inputs_are_classified_by_first_line_not_name(
+        self, trace, tmp_path, capsys
+    ):
+        from repro.obs.ledger import RunManifest, write_manifest
+
+        def manifest(rounds):
+            return RunManifest(
+                kind="run", goal="g", user="u", server="s", channel=None,
+                recording="full", seeds=(0,), max_rounds=10, rounds=rounds,
+                achieved=1, halted=1, wall_time_s=0.1, cpu_time_s=0.1,
+            )
+
+        renamed = tmp_path / "trace.json"
+        renamed.write_bytes(trace.read_bytes())
+        assert main(["diff", str(trace), str(renamed), "--fail-on", "rounds"]) == 0
+        # A stream diffs as its newest manifest: the last line wins.
+        old = write_manifest(manifest(5), tmp_path / "old" / "manifests.ndjson").path
+        new = tmp_path / "new" / "manifests.ndjson"
+        write_manifest(manifest(9), new)
+        write_manifest(manifest(5), new)
+        capsys.readouterr()
+        assert main([
+            "diff", str(old), str(new), "--fail-on", "rounds", "--format", "json",
+        ]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert {"metric": "rounds", "old": 5, "new": 5, "delta": 0} in metrics
+
+    def test_stream_hash_trace_diffs_that_trace_manifest(self, tmp_path, capsys):
+        from repro.obs.ledger import RunManifest, write_manifest
+
+        def manifest(name, rounds):
+            return RunManifest(
+                kind="run", goal="g", user="u", server="s", channel=None,
+                recording="full", seeds=(0,), max_rounds=10, rounds=rounds,
+                achieved=1, halted=1, wall_time_s=0.1, cpu_time_s=0.1,
+                trace_path=name,
+            )
+
+        stream = tmp_path / "manifests.ndjson"
+        for name, rounds in (("a.jsonl", 3), ("b.jsonl", 7), ("a.jsonl", 4)):
+            write_manifest(manifest(name, rounds), stream)
+        capsys.readouterr()
+        assert main([
+            "diff", f"{stream}#a.jsonl", f"{stream}#b.jsonl", "--format", "json",
+        ]) == 0
+        metrics = json.loads(capsys.readouterr().out)["metrics"]
+        assert {"metric": "rounds", "old": 4, "new": 7, "delta": 3} in metrics
+        assert main(["diff", f"{stream}#a.jsonl", f"{stream}#c.jsonl"]) == 2
+        assert "no manifest names c.jsonl" in capsys.readouterr().err
 
     def test_wrong_arity_exits_2(self, trace):
         with pytest.raises(SystemExit) as excinfo:

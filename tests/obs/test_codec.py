@@ -258,7 +258,7 @@ class TestOneRead:
         # cross-check is the only defence, and it must fire.
         lines[1] = lines[1].replace(':', ': ', 1)
         recorded.trace_path.write_text("\n".join(lines) + "\n")
-        report = certify_trace(recorded.trace_path, recorded.manifest_path)
+        report = certify_trace(recorded.trace_path, recorded.manifest_location)
         assert not report.ok
         assert [issue.check for issue in report.issues] == ["manifest"]
         assert "digest mismatch" in report.issues[0].message

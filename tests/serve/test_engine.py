@@ -20,6 +20,7 @@ from repro.core.execution import FULL_RECORDING, run_execution
 from repro.core.strategy import UserStrategy
 from repro.errors import ServeError
 from repro.obs.certify import certify_run
+from repro.obs.ledger import MANIFEST_STREAM, read_manifests
 from repro.serve.engine import (
     EngineClosed,
     ServeEngine,
@@ -92,7 +93,7 @@ class TestEndToEndParity:
 
         outcomes = run(serve())
         for outcome in outcomes:
-            certify_run(outcome.trace_path, outcome.manifest_path)
+            certify_run(outcome.trace_path, outcome.manifest_location)
 
     def test_session_ids_unique_and_handles_awaitable(self):
         specs = demo_specs("relay", 5, seed=1, max_rounds=30)
@@ -293,8 +294,7 @@ class TestTelemetry:
         run(serve())
         summary = json.loads((tmp_path / "engine.json").read_text())
         assert summary["serve.sessions_settled"] == 3
-        manifests = [p for p in tmp_path.glob("s*.json")]
-        assert len(manifests) == 3
+        assert len(read_manifests(tmp_path / MANIFEST_STREAM)) == 3
 
 
 class TestValidation:

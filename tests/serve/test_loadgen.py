@@ -21,6 +21,7 @@ from repro.comm.codecs import codec_family
 from repro.core.execution import run_execution
 from repro.errors import ServeError
 from repro.faults.channel import drop_channel
+from repro.obs.ledger import MANIFEST_STREAM, read_manifests
 from repro.serve.engine import ServeEngine
 from repro.serve.loadgen import (
     LoadReport,
@@ -159,6 +160,7 @@ class TestRunLoadAndReport:
         assert isinstance(report, LoadReport)
         assert report.settled == 8
         assert len(list(tmp_path.glob("*.jsonl"))) == 8
+        assert len(read_manifests(tmp_path / MANIFEST_STREAM)) == 8
         payload = report.to_payload()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["sessions_per_s"] == round(report.sessions_per_s, 3)
@@ -249,5 +251,7 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert len(list(ledger.glob("*.jsonl"))) == 4
-        assert (ledger / "engine.json").exists()
+        assert sorted(p.name for p in ledger.iterdir()) == sorted(
+            [f"s{i:06d}.jsonl" for i in range(4)] + [MANIFEST_STREAM, "engine.json"]
+        )
+        assert len(read_manifests(ledger / MANIFEST_STREAM)) == 4

@@ -18,8 +18,8 @@ import pytest
 
 from repro.core.execution import FULL_RECORDING, METRICS_RECORDING, run_execution
 from repro.errors import ServeError
-from repro.obs.certify import certify_run
-from repro.obs.ledger import read_manifest, record_run
+from repro.obs.certify import CertificationError, certify_run, certify_trace
+from repro.obs.ledger import MANIFEST_STREAM, read_manifest, read_manifests, record_run
 from repro.serve.loadgen import demo_specs
 from repro.serve.session import Session, SessionSpec, derive_session_seeds
 
@@ -172,8 +172,9 @@ class TestLedgerIntegration:
             session.step(8)
         outcome = session.close()
         # certify=True already re-checked; check the engine-free path too.
-        certify_run(outcome.trace_path, outcome.manifest_path)
-        manifest = read_manifest(outcome.manifest_path)
+        certify_run(outcome.trace_path, outcome.manifest_location)
+        certify_run(outcome.trace_path)
+        manifest = read_manifest(outcome.manifest_location)
         assert manifest == outcome.manifest
         assert manifest.kind == "run"
         assert manifest.seeds == (spec.seed,)
@@ -189,7 +190,7 @@ class TestLedgerIntegration:
         outcome = session.close()
         assert outcome.trace_path is None
         assert outcome.manifest.trace_sha256 is None
-        assert outcome.manifest_path.exists()
+        assert read_manifests(outcome.manifest_location.path) == (outcome.manifest,)
 
     def test_abandon_flushes_without_verdict(self, tmp_path):
         spec = demo_specs("relay", 1, seed=3, max_rounds=60)[0]
@@ -200,7 +201,68 @@ class TestLedgerIntegration:
         kinds = [json.loads(line).get("kind") for line in lines[1:]]
         assert "execution-started" in kinds
         assert "goal-verdict" not in kinds
-        assert not (tmp_path / "a0.json").exists()
+        assert not (tmp_path / MANIFEST_STREAM).exists()
+
+
+def closed(spec, session_id, ledger, *, certify=False):
+    session = Session(
+        spec, session_id=session_id, ledger_dir=ledger, trace=True,
+        certify=certify,
+    )
+    while session.live:
+        session.step(16)
+    return session.close()
+
+
+def rewrite_line(stream, number, mutate):
+    """Apply ``mutate`` to the parsed 1-based line ``number``, same length."""
+    lines = stream.read_bytes().splitlines(keepends=True)
+    old = lines[number - 1]
+    new = (json.dumps(mutate(json.loads(old)), separators=(",", ":")) + "\n").encode()
+    assert len(new) == len(old)
+    lines[number - 1] = new
+    stream.write_bytes(b"".join(lines))
+
+
+class TestManifestStream:
+    def test_one_file_per_session_plus_one_stream(self, tmp_path):
+        specs = demo_specs("control", 3, seed=5, max_rounds=40, drop=0.1)
+        for i, spec in enumerate(specs):
+            closed(spec, f"s{i}", tmp_path, certify=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            MANIFEST_STREAM, "s0.jsonl", "s1.jsonl", "s2.jsonl",
+        ]
+        assert [m.trace_path for m in read_manifests(tmp_path / MANIFEST_STREAM)] == [
+            "s0.jsonl", "s1.jsonl", "s2.jsonl",
+        ]
+
+    def test_damage_to_an_earlier_line_spares_a_later_close(self, tmp_path):
+        first, second = demo_specs("control", 2, seed=5, max_rounds=40, drop=0.1)
+        early = closed(first, "early", tmp_path)
+        stream = tmp_path / MANIFEST_STREAM
+        rewrite_line(stream, 1, lambda data: {**data, "achieved": 1 - data["achieved"]})
+        with pytest.raises(CertificationError, match="achieved"):
+            certify_run(early.trace_path, early.manifest_location)
+        # The later session's close-time certify reads only its own line.
+        late = closed(second, "late", tmp_path, certify=True)
+        assert certify_run(late.trace_path, late.manifest_location).ok
+        rewrite_line(stream, 2, lambda data: {**data, "halted": 1 - data["halted"]})
+        with pytest.raises(CertificationError, match="halted"):
+            certify_run(late.trace_path, late.manifest_location)
+
+    def test_two_sessions_of_one_spec_certify_against_their_own_lines(
+        self, tmp_path
+    ):
+        spec = demo_specs("universal", 1, seed=4, max_rounds=60, drop=0.1)[0]
+        a = closed(spec, "a", tmp_path, certify=True)
+        b = closed(spec, "b", tmp_path, certify=True)
+        assert a.manifest.run_id() == b.manifest.run_id()
+        assert a.manifest_location.offset != b.manifest_location.offset
+        reports = [certify_trace(a.trace_path), certify_trace(b.trace_path)]
+        assert all(report.ok for report in reports)
+        assert [report.manifest for report in reports] == [
+            f"{tmp_path / MANIFEST_STREAM}:1", f"{tmp_path / MANIFEST_STREAM}:2",
+        ]
 
 
 class TestSeedDerivation:

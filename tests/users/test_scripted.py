@@ -6,8 +6,24 @@ import random
 
 import pytest
 
+from repro.comm.codecs import IdentityCodec
 from repro.comm.messages import UserInbox, UserOutbox
+from repro.core.execution import run_execution
+from repro.core.strategy import UserStrategy
+from repro.servers.advisors import AdvisorServer
+from repro.users.control_users import AdvisorFollowingUser
 from repro.users.scripted import BabblingUser, JunkThenUser, ScriptedUser
+from repro.worlds.control import control_goal
+
+
+class CoinStateUser(UserStrategy):
+    """A silent user whose initial state is one draw of its RNG."""
+
+    def initial_state(self, rng):
+        return rng.random()
+
+    def step(self, state, inbox, rng):
+        return state, UserOutbox()
 
 
 def drive(user, rounds, seed=0):
@@ -70,6 +86,36 @@ class TestJunkThenUser:
         outs = drive(user, 3)
         assert not outs[0].halt and not outs[1].halt
         assert outs[2].to_server == "real"
+
+    def test_full_recording_keeps_each_rounds_state(self):
+        """The composite state is a value: no round's record aliases another's."""
+        law = {"red": "blue", "blue": "red"}
+        user = JunkThenUser(
+            junk=BabblingUser(), then=AdvisorFollowingUser(IdentityCodec()),
+            junk_rounds=3,
+        )
+        result = run_execution(
+            user, AdvisorServer(law), control_goal(law).world,
+            max_rounds=8, seed=0,
+        )
+        views = result.user_view
+        assert len(views) == 8
+        states = [v.state_before for v in views] + [views[-1].state_after]
+        assert len({id(state) for state in states}) == len(states)
+        assert views[0].state_after.rounds == 1
+        assert [v.state_after.rounds for v in views] == list(range(1, 9))
+        assert [v.state_after.then_started for v in views] == [False] * 3 + [True] * 5
+
+    def test_then_starts_from_the_first_post_junk_rounds_rng(self):
+        """``then``'s initial state is drawn on its first round, not before."""
+        user = JunkThenUser(junk=ScriptedUser([]), then=CoinStateUser(), junk_rounds=1)
+        rng = random.Random(5)
+        state = user.initial_state(rng)
+        state, _ = user.step(state, UserInbox(), rng)  # the junk round
+        assert not state.then_started and state.then_state is None
+        state, _ = user.step(state, UserInbox(), rng)
+        assert state.then_started
+        assert state.then_state == random.Random(5).random()
 
     def test_negative_junk_rounds_rejected(self):
         with pytest.raises(ValueError):
