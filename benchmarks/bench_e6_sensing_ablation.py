@@ -8,6 +8,11 @@ reports goal achievement and failure mode.
 Expected shape: proper = achieved; unsafe = false success (finite: halts
 wrong / compact: sticks with a failing candidate); non-viable = starvation
 (never halts / cycles forever).
+
+Each run is judged by :func:`repro.core.properties.judge_run` under the
+ablated sensing, so the failure mode is the same verdict the property
+checkers use: a false positive is the false success (finite) or the stuck
+candidate (compact).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from conftest import emit
 
 from repro.analysis.tables import format_table
 from repro.comm.codecs import codec_family
-from repro.core.execution import run_execution
+from repro.core.properties import judge_run
 from repro.core.sensing import ConstantSensing
 from repro.core.strategy import SilentServer
 from repro.online.adapter import threshold_user_class
@@ -39,20 +44,28 @@ CAUTIOUS_USERS = printer_user_class(DIALECTS, CODECS)
 LOOKUP_GOAL = lookup_goal(threshold=3, domain=8)
 
 
+def failure_mode(judgement):
+    """The judge's reading of a run: which hypothesis the sensing broke."""
+    if judgement.outcome.achieved:
+        return "ok"
+    if judgement.outcome.compact_verdict is None:
+        if judgement.false_positive:
+            return "false success"
+        return "starvation" if not judgement.halted else "rejected halt"
+    return "stuck on failer" if judgement.false_positive else "cycling"
+
+
 def run_ablation_matrix():
     rows = []
 
     def finite_case(label, users, sensing):
         user = FiniteUniversalUser(ListEnumeration(users), sensing)
-        result = run_execution(
-            user, PRINT_SERVER, PRINT_GOAL.world, max_rounds=3000, seed=0
+        judgement = judge_run(
+            user, PRINT_SERVER, PRINT_GOAL, sensing, seed=0, max_rounds=3000
         )
-        achieved = PRINT_GOAL.evaluate(result).achieved
-        mode = (
-            "ok" if achieved
-            else ("false success" if result.halted else "starvation")
+        rows.append(
+            ["finite/printing", label, judgement.outcome.achieved, failure_mode(judgement)]
         )
-        rows.append(["finite/printing", label, achieved, mode])
 
     finite_case("proper", BLIND_USERS, printing_sensing())
     finite_case("unsafe (always+)", BLIND_USERS, ConstantSensing(True))
@@ -62,16 +75,12 @@ def run_ablation_matrix():
         user = CompactUniversalUser(
             ListEnumeration(threshold_user_class(8)), sensing
         )
-        result = run_execution(
-            user, SilentServer(), LOOKUP_GOAL.world, max_rounds=1500, seed=0
+        judgement = judge_run(
+            user, SilentServer(), LOOKUP_GOAL, sensing, seed=0, max_rounds=1500
         )
-        achieved = LOOKUP_GOAL.evaluate(result).achieved
-        state = result.rounds[-1].user_state_after
-        mode = (
-            "ok" if achieved
-            else ("stuck on failer" if state.switches == 0 else "cycling")
+        rows.append(
+            ["compact/lookup", label, judgement.outcome.achieved, failure_mode(judgement)]
         )
-        rows.append(["compact/lookup", label, achieved, mode])
 
     compact_case("proper", lookup_sensing())
     compact_case("unsafe (always+)", ConstantSensing(True))

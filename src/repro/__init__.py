@@ -25,7 +25,7 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.online` — the Juba–Vempala learning equivalence;
 - :mod:`repro.multiparty` — the N-party setting and its reduction;
 - :mod:`repro.obs` — structured tracing/metrics for all of the above
-  (typed events, counters, timers, deterministic JSONL sinks);
+  (typed events, counters, deterministic JSONL sinks);
 - :mod:`repro.analysis` — experiment sweeps, metrics, tables.
 
 Quickstart::

@@ -45,7 +45,7 @@ allocates nothing.
 Recording policies: by default the engine retains everything
 (:data:`FULL_RECORDING`) — every world state, one :class:`RoundRecord` and
 one :class:`~repro.core.views.ViewRecord` per round.  Metric-only callers
-(every sweep cell, served sessions, helpfulness checks) pass
+(every sweep cell, served sessions, helpfulness and property checks) pass
 ``recording=METRICS_RECORDING`` to run in bounded memory: the latest world
 state, the round count, the halt flag, the final user state, the referee's
 monitor and tracer counters are kept — exactly what
@@ -92,7 +92,7 @@ class RecordingPolicy:
     :class:`RoundRecord` list and the user's view.  Without it the result
     keeps the latest world state and counts rounds, in memory that does
     not grow with the horizon.  Use :data:`FULL_RECORDING` (the default —
-    property checkers and anything replaying histories need it) or
+    anything reading a run's history after it ends needs it) or
     :data:`METRICS_RECORDING`.
     """
 

@@ -19,6 +19,12 @@ Definitions implemented (paraphrasing Section 3):
 * **Compact viability** — with every helpful server, some user strategy
   eventually receives only positive indications while achieving the goal.
 
+Every run is judged as it goes by :func:`judge_run`, which feeds the
+goal's referee monitor and the sensing's monitor each round and keeps no
+history.  Its :class:`Judgement` derives the safety violation
+(``false_positive``) and the viability witness (``settled``) that these
+checkers, :func:`repro.faults.verify.verify_robustness` and E6 all read.
+
 Also here: the *forgivingness* check (every finite partial history can be
 extended to success), implemented as "after any junk prefix, a rescuer user
 still achieves the goal".
@@ -26,14 +32,16 @@ still achieves the goal".
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.core.execution import run_execution
-from repro.core.goals import CompactGoal, FiniteGoal, Goal
-from repro.core.sensing import Sensing
+from repro.comm.messages import UserInbox, UserOutbox
+from repro.core.execution import METRICS_RECORDING, FaultyChannelLike, run_execution
+from repro.core.goals import CompactGoal, FiniteGoal, Goal, GoalOutcome
+from repro.core.sensing import IncrementalSensing, Sensing
 from repro.core.strategy import ServerStrategy, UserStrategy
-from repro.core.views import UserView
+from repro.core.views import ViewRecord
 
 
 @dataclass(frozen=True)
@@ -59,14 +67,174 @@ class PropertyReport:
         return self.holds
 
 
-def _indications_per_round(sensing: Sensing, view: UserView) -> List[bool]:
-    """Sensing verdict on every prefix of the view (1-based lengths).
+@dataclass(frozen=True)
+class Judgement:
+    """One run judged against its goal and a sensing, as it went.
 
-    This is what the sensing's monitor computes by definition: one fresh
-    monitor fed the records in order, O(T) in total for a T-round view.
+    ``indication`` is the sensing's verdict on the whole view and
+    ``last_negative`` the last round whose indication was negative (−1 if
+    none), so ``last_negative < rounds // 2`` means every indication in
+    the second half of the run was positive.
     """
-    monitor = sensing.incremental()
-    return [monitor.observe(record) for record in view]
+
+    outcome: GoalOutcome
+    halted: bool
+    rounds: int
+    indication: bool
+    last_negative: int
+
+    @property
+    def false_positive(self) -> bool:
+        """Sensing endorsed a failure: the safety violation.
+
+        Compact: a bad prefix ended in the second half of the run while
+        every indication there was positive.  Finite: the user halted on a
+        positive indication and the referee rejected the history.
+        """
+        verdict = self.outcome.compact_verdict
+        if verdict is not None:
+            half = self.rounds // 2
+            last_bad = verdict.last_bad_round
+            return last_bad is not None and last_bad > half and self.last_negative < half
+        return self.halted and self.indication and not self.outcome.achieved
+
+    @property
+    def settled(self) -> bool:
+        """The run witnesses viability: achieved with all-positive
+        indications over the second half (compact), or halted on a
+        positive indication (finite)."""
+        if self.outcome.compact_verdict is not None:
+            return self.outcome.achieved and self.last_negative < self.rounds // 2
+        return self.halted and self.indication
+
+
+class _JudgedState(NamedTuple):
+    """The judged user's state: the inner state plus the sensing fold."""
+
+    inner: Any
+    monitor: IncrementalSensing
+    rounds: int
+    indication: bool
+    last_negative: int
+
+
+class _JudgedUser(UserStrategy):
+    """The user, with each round's view record fed to a sensing monitor.
+
+    The record is the one the engine's full recording builds; the inner
+    user gets the same RNG and its outbox is returned unchanged, so the
+    run is the bare user's.
+    """
+
+    def __init__(self, user: UserStrategy, sensing: Sensing) -> None:
+        self._user = user
+        self._sensing = sensing
+
+    @property
+    def name(self) -> str:
+        return self._user.name
+
+    def initial_state(self, rng: random.Random) -> _JudgedState:
+        monitor = self._sensing.incremental()
+        return _JudgedState(self._user.initial_state(rng), monitor, 0, monitor.empty, -1)
+
+    def step(
+        self, state: _JudgedState, inbox: UserInbox, rng: random.Random
+    ) -> Tuple[_JudgedState, UserOutbox]:
+        inner, monitor, round_index, _, last_negative = state
+        after, outbox = self._user.step(inner, inbox, rng)
+        indication = monitor.observe(ViewRecord(round_index, inner, inbox, outbox, after))
+        if not indication:
+            last_negative = round_index
+        return _JudgedState(after, monitor, round_index + 1, indication, last_negative), outbox
+
+
+def judge_run(
+    user: UserStrategy,
+    server: ServerStrategy,
+    goal: Goal,
+    sensing: Sensing,
+    *,
+    seed: int,
+    max_rounds: int,
+    channel: Optional[FaultyChannelLike] = None,
+) -> Judgement:
+    """Run ``user`` with ``server`` on ``goal``, judged as it goes in
+    bounded memory (metrics-only recording)."""
+    execution = run_execution(
+        _JudgedUser(user, sensing), server, goal.world,
+        max_rounds=max_rounds, seed=seed, recording=METRICS_RECORDING,
+        referee=goal.referee, channel=channel,
+    )
+    outcome = goal.evaluate(execution)
+    fold = execution.final_user_state
+    return Judgement(
+        outcome, outcome.halted, outcome.rounds, fold.indication, fold.last_negative
+    )
+
+
+def _report(name: str, violations: List[Violation], runs: int) -> PropertyReport:
+    return PropertyReport(
+        property_name=name,
+        holds=not violations,
+        violations=tuple(violations),
+        checked_runs=runs,
+    )
+
+
+def _safety(
+    name: str,
+    detail: str,
+    goal: Goal,
+    sensing: Sensing,
+    users: Sequence[UserStrategy],
+    servers: Sequence[ServerStrategy],
+    seeds: Sequence[int],
+    max_rounds: int,
+) -> PropertyReport:
+    """One violation per (user, server, seed) run that is a false positive."""
+    violations = [
+        Violation(user.name, server.name, seed, detail)
+        for user in users
+        for server in servers
+        for seed in seeds
+        if judge_run(
+            user, server, goal, sensing, seed=seed, max_rounds=max_rounds
+        ).false_positive
+    ]
+    return _report(name, violations, len(users) * len(servers) * len(seeds))
+
+
+def _viability(
+    name: str,
+    detail: str,
+    goal: Goal,
+    sensing: Sensing,
+    user_class: Sequence[UserStrategy],
+    servers: Sequence[ServerStrategy],
+    seeds: Sequence[int],
+    max_rounds: int,
+) -> PropertyReport:
+    """One violation per server no user settles with on every seed; a
+    user stops at its first unsettled seed, a server at its first witness."""
+    runs = 0
+
+    def witness(user: UserStrategy, server: ServerStrategy) -> bool:
+        nonlocal runs
+        for seed in seeds:
+            runs += 1
+            if not judge_run(
+                user, server, goal, sensing, seed=seed, max_rounds=max_rounds
+            ).settled:
+                return False
+        return True
+
+    violations = [
+        Violation("<class>", server.name, -1, detail)
+        for server in servers
+        if not any(witness(user, server) for user in user_class)
+    ]
+    return _report(name, violations, runs)
 
 
 def check_finite_safety(
@@ -83,33 +251,9 @@ def check_finite_safety(
     Violation: the user halted, sensing read positive on its final view, but
     the referee rejected the history.
     """
-    violations: List[Violation] = []
-    runs = 0
-    for user in users:
-        for server in servers:
-            for seed in seeds:
-                runs += 1
-                execution = run_execution(
-                    user, server, goal.world, max_rounds=max_rounds, seed=seed
-                )
-                if not execution.halted:
-                    continue
-                if not sensing.indicate(execution.user_view):
-                    continue
-                if not goal.evaluate(execution).achieved:
-                    violations.append(
-                        Violation(
-                            user.name,
-                            server.name,
-                            seed,
-                            "positive indication at halt on an unacceptable history",
-                        )
-                    )
-    return PropertyReport(
-        property_name="finite-safety",
-        holds=not violations,
-        violations=tuple(violations),
-        checked_runs=runs,
+    return _safety(
+        "finite-safety", "positive indication at halt on an unacceptable history",
+        goal, sensing, users, servers, seeds, max_rounds,
     )
 
 
@@ -127,37 +271,9 @@ def check_finite_viability(
     Violation: some server admits no user in the class that halts with a
     positive indication on every seed.
     """
-    violations: List[Violation] = []
-    runs = 0
-    for server in helpful_servers:
-        witness_found = False
-        for user in user_class:
-            ok_all_seeds = True
-            for seed in seeds:
-                runs += 1
-                execution = run_execution(
-                    user, server, goal.world, max_rounds=max_rounds, seed=seed
-                )
-                if not (execution.halted and sensing.indicate(execution.user_view)):
-                    ok_all_seeds = False
-                    break
-            if ok_all_seeds:
-                witness_found = True
-                break
-        if not witness_found:
-            violations.append(
-                Violation(
-                    "<class>",
-                    server.name,
-                    -1,
-                    "no user in the class obtains a positive indication",
-                )
-            )
-    return PropertyReport(
-        property_name="finite-viability",
-        holds=not violations,
-        violations=tuple(violations),
-        checked_runs=runs,
+    return _viability(
+        "finite-viability", "no user in the class obtains a positive indication",
+        goal, sensing, user_class, helpful_servers, seeds, max_rounds,
     )
 
 
@@ -177,37 +293,9 @@ def check_compact_safety(
     positive — the sensing would let a universal user stay on a failing
     strategy forever.
     """
-    violations: List[Violation] = []
-    runs = 0
-    for user in users:
-        for server in servers:
-            for seed in seeds:
-                runs += 1
-                execution = run_execution(
-                    user, server, goal.world, max_rounds=horizon, seed=seed
-                )
-                verdict = goal.referee.judge(execution)
-                half = execution.rounds_executed // 2
-                failing_late = (
-                    verdict.last_bad_round is not None and verdict.last_bad_round > half
-                )
-                if not failing_late:
-                    continue
-                indications = _indications_per_round(sensing, execution.user_view)
-                if all(indications[half:]):
-                    violations.append(
-                        Violation(
-                            user.name,
-                            server.name,
-                            seed,
-                            "goal failing late but sensing stayed positive",
-                        )
-                    )
-    return PropertyReport(
-        property_name="compact-safety",
-        holds=not violations,
-        violations=tuple(violations),
-        checked_runs=runs,
+    return _safety(
+        "compact-safety", "goal failing late but sensing stayed positive",
+        goal, sensing, users, servers, seeds, horizon,
     )
 
 
@@ -225,42 +313,9 @@ def check_compact_viability(
     Violation: some server admits no user whose indications are eventually
     all positive (over the second half of the run) while achieving the goal.
     """
-    violations: List[Violation] = []
-    runs = 0
-    for server in helpful_servers:
-        witness_found = False
-        for user in user_class:
-            ok_all_seeds = True
-            for seed in seeds:
-                runs += 1
-                execution = run_execution(
-                    user, server, goal.world, max_rounds=horizon, seed=seed
-                )
-                if not goal.evaluate(execution).achieved:
-                    ok_all_seeds = False
-                    break
-                indications = _indications_per_round(sensing, execution.user_view)
-                half = execution.rounds_executed // 2
-                if not all(indications[half:]):
-                    ok_all_seeds = False
-                    break
-            if ok_all_seeds:
-                witness_found = True
-                break
-        if not witness_found:
-            violations.append(
-                Violation(
-                    "<class>",
-                    server.name,
-                    -1,
-                    "no user settles into all-positive indications",
-                )
-            )
-    return PropertyReport(
-        property_name="compact-viability",
-        holds=not violations,
-        violations=tuple(violations),
-        checked_runs=runs,
+    return _viability(
+        "compact-viability", "no user settles into all-positive indications",
+        goal, sensing, user_class, helpful_servers, seeds, horizon,
     )
 
 
@@ -283,28 +338,23 @@ def check_forgiving(
     """
     from repro.users.scripted import JunkThenUser
 
-    violations: List[Violation] = []
-    runs = 0
-    for junk in junk_users:
-        for duration in junk_rounds:
-            composite = JunkThenUser(junk=junk, then=rescuer, junk_rounds=duration)
-            for seed in seeds:
-                runs += 1
-                execution = run_execution(
-                    composite, server, goal.world, max_rounds=max_rounds, seed=seed
-                )
-                if not goal.evaluate(execution).achieved:
-                    violations.append(
-                        Violation(
-                            composite.name,
-                            server.name,
-                            seed,
-                            f"not recoverable after {duration} junk rounds",
-                        )
-                    )
-    return PropertyReport(
-        property_name="forgiving",
-        holds=not violations,
-        violations=tuple(violations),
-        checked_runs=runs,
-    )
+    composites = [
+        (JunkThenUser(junk=junk, then=rescuer, junk_rounds=duration), duration)
+        for junk in junk_users
+        for duration in junk_rounds
+    ]
+    violations = [
+        Violation(
+            composite.name, server.name, seed,
+            f"not recoverable after {duration} junk rounds",
+        )
+        for composite, duration in composites
+        for seed in seeds
+        if not goal.evaluate(
+            run_execution(
+                composite, server, goal.world, max_rounds=max_rounds, seed=seed,
+                recording=METRICS_RECORDING, referee=goal.referee,
+            )
+        ).achieved
+    ]
+    return _report("forgiving", violations, len(composites) * len(seeds))

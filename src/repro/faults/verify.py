@@ -10,8 +10,8 @@ configurations and reports, per grid point:
 * the **empirical safety margin** — whether any run produced a *false
   positive indication*: for finite goals, a halt the sensing endorsed on a
   history the referee rejects; for compact goals, a failing tail the
-  sensing nevertheless scored all-positive (the settling criterion of
-  :func:`repro.core.properties.check_compact_safety`);
+  sensing nevertheless scored all-positive (the verdict the safety
+  checkers read, :attr:`repro.core.properties.Judgement.false_positive`);
 * the **mean enumeration overhead** — for universal users (anything
   exposing a reassignable ``tracer``), the mean
   :attr:`~repro.obs.overhead.OverheadReport.overhead_ratio` across the
@@ -36,9 +36,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.execution import ExecutionResult, FaultyChannelLike, run_execution
-from repro.core.goals import Goal, GoalOutcome
-from repro.core.properties import _indications_per_round
+from repro.core.execution import FaultyChannelLike
+from repro.core.goals import Goal
+from repro.core.properties import judge_run
 from repro.core.sensing import Sensing
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.faults.channel import (
@@ -151,69 +151,6 @@ class RobustnessReport:
         )
 
 
-def _false_positive(
-    sensing: Sensing, execution: ExecutionResult, outcome: GoalOutcome
-) -> bool:
-    """Did sensing endorse a failure?  (The safety violation we hunt.)"""
-    verdict = outcome.compact_verdict
-    if verdict is not None:
-        half = execution.rounds_executed // 2
-        failing_late = (
-            verdict.last_bad_round is not None and verdict.last_bad_round > half
-        )
-        if not failing_late:
-            return False
-        indications = _indications_per_round(sensing, execution.user_view)
-        return all(indications[half:])
-    if not execution.halted:
-        return False
-    if not sensing.indicate(execution.user_view):
-        return False
-    return not outcome.achieved
-
-
-def _point_runs(
-    user: UserStrategy,
-    servers: Sequence[ServerStrategy],
-    goal: Goal,
-    channel: Optional[FaultyChannelLike],
-    seeds: Sequence[int],
-    max_rounds: int,
-    user_traceable: bool,
-) -> List[Tuple[ServerStrategy, int, ExecutionResult, Optional[MemorySink]]]:
-    """All of one grid point's runs, server-major.
-
-    One :func:`run_execution` per (server, seed).  A traceable user lends
-    its ``tracer`` slot to a private :class:`~repro.obs.tracer.Tracer` per
-    run, so every run carries its own in-order event stream (what overhead
-    accounting and certification consume).
-    """
-    results: List[
-        Tuple[ServerStrategy, int, ExecutionResult, Optional[MemorySink]]
-    ] = []
-    for server in servers:
-        for seed in seeds:
-            sink = MemorySink() if user_traceable else None
-            saved = user.tracer if user_traceable else None
-            if user_traceable:
-                user.tracer = Tracer(sink=sink)
-            try:
-                execution = run_execution(
-                    user,
-                    server,
-                    goal.world,
-                    max_rounds=max_rounds,
-                    seed=seed,
-                    channel=channel,
-                    referee=goal.referee,
-                )
-            finally:
-                if user_traceable:
-                    user.tracer = saved
-            results.append((server, seed, execution, sink))
-    return results
-
-
 def verify_robustness(
     user: UserStrategy,
     servers: Sequence[ServerStrategy],
@@ -227,9 +164,9 @@ def verify_robustness(
 ) -> RobustnessReport:
     """Sweep the fault grid and measure empirical safety/viability margins.
 
-    Every (channel, server, seed) triple is one full execution under the
-    default (FULL) recording policy — the safety check replays the user's
-    view through the sensing function, so per-round history is required.
+    Every (channel, server, seed) triple is one execution, judged as it
+    goes by :func:`repro.core.properties.judge_run` and folded into its
+    grid point's counters before the next run starts.
 
     With ``certify=True`` (universal users only), every run's in-memory
     event stream is additionally handed to
@@ -249,38 +186,55 @@ def verify_robustness(
     points: List[FaultPointReport] = []
     for channel in grid:
         name = "perfect" if channel is None else getattr(channel, "name", "channel")
-        runs = achieved = halted = false_positives = 0
-        achieved_rounds: List[int] = []
-        overhead_ratios: List[float] = []
-        for server, seed, execution, sink in _point_runs(
-            user, servers, goal, channel, seeds, max_rounds, user_traceable
-        ):
-            runs += 1
-            outcome = goal.evaluate(execution)
-            if outcome.achieved:
-                achieved += 1
-                achieved_rounds.append(outcome.rounds)
-            if execution.halted:
-                halted += 1
-            if _false_positive(sensing, execution, outcome):
-                false_positives += 1
-            if sink is not None:
-                events = sink.events
-                overhead = compute_overhead(events)
-                if overhead.trials:
-                    overhead_ratios.append(overhead.overhead_ratio)
-                if certify:
-                    # Lazy: the checker is analysis-side code and must
-                    # not load on the plain verification path.
-                    from repro.obs.certify import (
-                        CertificationError,
-                        certify_events,
+        runs = achieved = halted = false_positives = achieved_rounds = 0
+        overhead_runs = 0
+        overhead_total = 0.0
+        for server in servers:
+            for seed in seeds:
+                sink = MemorySink() if user_traceable else None
+                saved = user.tracer if user_traceable else None
+                if user_traceable:
+                    user.tracer = Tracer(sink=sink)
+                try:
+                    judgement = judge_run(
+                        user,
+                        server,
+                        goal,
+                        sensing,
+                        seed=seed,
+                        max_rounds=max_rounds,
+                        channel=channel,
                     )
+                finally:
+                    if user_traceable:
+                        user.tracer = saved
+                runs += 1
+                outcome = judgement.outcome
+                if outcome.achieved:
+                    achieved += 1
+                    achieved_rounds += outcome.rounds
+                if outcome.halted:
+                    halted += 1
+                if judgement.false_positive:
+                    false_positives += 1
+                if sink is not None:
+                    events = sink.events
+                    overhead = compute_overhead(events)
+                    if overhead.trials:
+                        overhead_runs += 1
+                        overhead_total += overhead.overhead_ratio
+                    if certify:
+                        # Lazy: the checker is analysis-side code and must
+                        # not load on the plain verification path.
+                        from repro.obs.certify import (
+                            CertificationError,
+                            certify_events,
+                        )
 
-                    label = f"{name}/server={server.name}/seed={seed}"
-                    certificate = certify_events(events, trace=label)
-                    if not certificate.ok:
-                        raise CertificationError(certificate.format())
+                        label = f"{name}/server={server.name}/seed={seed}"
+                        certificate = certify_events(events, trace=label)
+                        if not certificate.ok:
+                            raise CertificationError(certificate.format())
         points.append(
             FaultPointReport(
                 channel_name=name,
@@ -288,15 +242,9 @@ def verify_robustness(
                 achieved=achieved,
                 halted=halted,
                 false_positives=false_positives,
-                mean_rounds=(
-                    sum(achieved_rounds) / len(achieved_rounds)
-                    if achieved_rounds
-                    else math.nan
-                ),
+                mean_rounds=achieved_rounds / achieved if achieved else math.nan,
                 mean_overhead_ratio=(
-                    sum(overhead_ratios) / len(overhead_ratios)
-                    if overhead_ratios
-                    else math.nan
+                    overhead_total / overhead_runs if overhead_runs else math.nan
                 ),
             )
         )

@@ -3,9 +3,8 @@
 The paper's universal user is a *dynamic* — enumerate, sense, switch — and
 this package makes that dynamic inspectable: typed events
 (:mod:`.events`), monotonic counters and histograms (:mod:`.counters`),
-wall-clock phase timers (:mod:`.timers`), pluggable sinks including a
-deterministic JSONL writer (:mod:`.sinks`), and the :class:`~.tracer.Tracer`
-that ties them together (:mod:`.tracer`).
+pluggable sinks including a deterministic JSONL writer (:mod:`.sinks`),
+and the :class:`~.tracer.Tracer` that ties them together (:mod:`.tracer`).
 
 Instrumented call sites: ``run_execution(..., tracer=)`` (round and
 message events), the universal users (sensing, switch, and trial events),
@@ -63,7 +62,6 @@ from repro.obs.sinks import (
     read_jsonl,
     read_trace,
 )
-from repro.obs.timers import PhaseTimer
 from repro.obs.tracer import NoopTracer, Tracer, TracerLike, is_tracing
 
 #: Analysis-side names resolved on first attribute access (PEP 562), so
@@ -181,7 +179,6 @@ __all__ = [
     "compute_diff",
     "render_timeline",
     "summarize_trace",
-    "PhaseTimer",
     "NoopTracer",
     "Tracer",
     "TracerLike",

@@ -23,7 +23,7 @@ Behaviour under mismatch or malice, by construction:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.codecs import Codec
@@ -44,9 +44,15 @@ _WAIT_POLY = "wait-poly"
 _FAILED = "failed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelegationUserState:
-    """State of one delegation attempt; ``proof_accepted`` feeds sensing."""
+    """State of one delegation attempt; ``proof_accepted`` feeds sensing.
+
+    An immutable value: each step returns a new one, so a full recording's
+    per-round records never alias a state a later round changed.  The
+    verifier ``session`` is one object per proof, advanced as the
+    polynomials arrive; sensing reads only ``proof_accepted``.
+    """
 
     phase: str = _WAIT_INSTANCE
     instance: Optional[str] = None
@@ -56,6 +62,10 @@ class DelegationUserState:
     last_request: str = SILENCE
     rounds_waiting: int = 0
     proof_accepted: bool = False
+
+
+#: One step's result: the next state and this round's outbox.
+_Reply = Tuple[DelegationUserState, UserOutbox]
 
 
 class DelegationUser(UserStrategy):
@@ -90,48 +100,47 @@ class DelegationUser(UserStrategy):
     # ------------------------------------------------------------------
     def step(
         self, state: DelegationUserState, inbox: UserInbox, rng: random.Random
-    ) -> Tuple[DelegationUserState, UserOutbox]:
+    ) -> _Reply:
         if state.phase == _FAILED:
             return state, UserOutbox()
 
         if state.phase == _WAIT_INSTANCE:
-            return state, self._read_instance(state, inbox)
-
-        server_says = self._decode(inbox.from_server)
-
-        if state.phase == _WAIT_CLAIM:
-            outbox = self._read_claim(state, server_says, rng)
+            reply = self._read_instance(state, inbox)
+        elif state.phase == _WAIT_CLAIM:
+            reply = self._read_claim(state, self._decode(inbox.from_server), rng)
         else:  # _WAIT_POLY
-            outbox = self._read_poly(state, server_says)
-        if outbox is not None:
-            return state, outbox
+            reply = self._read_poly(state, self._decode(inbox.from_server))
+        if reply is not None:
+            return reply
 
         # Nothing useful arrived: wait, and nudge the server periodically in
         # case our request was lost or ignored.
-        state.rounds_waiting += 1
-        if state.rounds_waiting >= self._resend_every and state.last_request:
-            state.rounds_waiting = 0
-            return state, UserOutbox(to_server=self._codec.encode(state.last_request))
-        return state, UserOutbox()
+        waiting = state.rounds_waiting + 1
+        if waiting >= self._resend_every and state.last_request:
+            return (
+                replace(state, rounds_waiting=0),
+                UserOutbox(to_server=self._codec.encode(state.last_request)),
+            )
+        return replace(state, rounds_waiting=waiting), UserOutbox()
 
     # ------------------------------------------------------------------
     def _read_instance(
         self, state: DelegationUserState, inbox: UserInbox
-    ) -> UserOutbox:
+    ) -> Optional[_Reply]:
         parsed = parse_tagged(inbox.from_world)
         if parsed is None or parsed[0] != "INSTANCE":
-            return UserOutbox()
+            return None
         try:
             QBF.deserialize(parsed[1])
         except FormulaError:
-            return UserOutbox()
-        state.instance = parsed[1]
-        state.phase = _WAIT_CLAIM
-        return self._request(state, f"PROVE:{state.instance}")
+            return None
+        instance = parsed[1]
+        state = replace(state, instance=instance, phase=_WAIT_CLAIM)
+        return self._request(state, f"PROVE:{instance}")
 
     def _read_claim(
         self, state: DelegationUserState, server_says: Optional[str], rng: random.Random
-    ) -> Optional[UserOutbox]:
+    ) -> Optional[_Reply]:
         parsed = parse_tagged(server_says or "")
         if parsed is None or parsed[0] != "CLAIM" or parsed[1] not in ("0", "1"):
             return None
@@ -141,16 +150,17 @@ class DelegationUser(UserStrategy):
         # reproducible per execution: derive them from the engine-provided
         # user RNG (plus a fixed tweak so tests can pin them).
         session_rng = random.Random(rng.getrandbits(64) ^ self._proof_seed)
-        state.session = QBFVerifierSession(qbf, self._field, session_rng)
-        state.claim = int(parsed[1])
-        state.session.begin(state.claim)
-        state.phase = _WAIT_POLY
-        state.expected_round = 0
+        session = QBFVerifierSession(qbf, self._field, session_rng)
+        claim = int(parsed[1])
+        session.begin(claim)
+        state = replace(
+            state, session=session, claim=claim, phase=_WAIT_POLY, expected_round=0
+        )
         return self._request(state, "ROUND:0")
 
     def _read_poly(
         self, state: DelegationUserState, server_says: Optional[str]
-    ) -> Optional[UserOutbox]:
+    ) -> Optional[_Reply]:
         parsed = parse_tagged(server_says or "")
         if parsed is None or parsed[0] != "POLY":
             return None
@@ -161,21 +171,22 @@ class DelegationUser(UserStrategy):
             return None
         if index != state.expected_round:
             return None
-        assert state.session is not None
+        session = state.session
+        assert session is not None
         try:
             poly = Poly.deserialize(self._field, coeffs_text)
         except AlgebraError:
-            state.phase = _FAILED
-            return UserOutbox()
-        challenge = state.session.receive_poly(poly)
-        if state.session.finished:
-            self._emit_proof(state.session)
-            if state.session.accepted:
-                state.proof_accepted = True
-                return UserOutbox(halt=True, output=f"ANSWER:{state.claim}")
-            state.phase = _FAILED
-            return UserOutbox()
-        state.expected_round = index + 1
+            return replace(state, phase=_FAILED), UserOutbox()
+        challenge = session.receive_poly(poly)
+        if session.finished:
+            self._emit_proof(session)
+            if session.accepted:
+                return (
+                    replace(state, proof_accepted=True),
+                    UserOutbox(halt=True, output=f"ANSWER:{state.claim}"),
+                )
+            return replace(state, phase=_FAILED), UserOutbox()
+        state = replace(state, expected_round=index + 1)
         return self._request(state, f"ROUND:{index + 1}:{challenge}")
 
     def _emit_proof(self, session: QBFVerifierSession) -> None:
@@ -191,10 +202,11 @@ class DelegationUser(UserStrategy):
             self.tracer.emit(event)
 
     # ------------------------------------------------------------------
-    def _request(self, state: DelegationUserState, plain: str) -> UserOutbox:
-        state.last_request = plain
-        state.rounds_waiting = 0
-        return UserOutbox(to_server=self._codec.encode(plain))
+    def _request(self, state: DelegationUserState, plain: str) -> _Reply:
+        return (
+            replace(state, last_request=plain, rounds_waiting=0),
+            UserOutbox(to_server=self._codec.encode(plain)),
+        )
 
     def _decode(self, message: str) -> Optional[str]:
         if message == SILENCE:
@@ -212,9 +224,11 @@ def delegation_user_class(
     return [DelegationUser(codec, field_) for codec in codecs]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RepeatedDelegationState:
     """State of the multi-session wrapper: inner verifier + session id.
+
+    An immutable value, like :class:`DelegationUserState`.
 
     ``done_with_session`` guards against the stale-announcement race: after
     answering session k, the world's k-announcements are still in flight
@@ -276,16 +290,16 @@ class RepeatedDelegationUser(UserStrategy):
     ) -> Tuple[RepeatedDelegationState, UserOutbox]:
         session, instance = self._parse_world(inbox.from_world)
         if session is not None and session != state.session:
-            state.session = session
-            state.inner = self._verifier.initial_state(rng)
-            state.done_with_session = False
+            state = RepeatedDelegationState(
+                inner=self._verifier.initial_state(rng), session=session
+            )
 
         announce = instance if not state.done_with_session else None
         synthetic = UserInbox(
             from_server=inbox.from_server,
             from_world=f"INSTANCE:{announce}" if announce else SILENCE,
         )
-        state.inner, outbox = self._verifier.step(state.inner, synthetic, rng)
+        inner, outbox = self._verifier.step(state.inner, synthetic, rng)
 
         if outbox.halt:
             parsed = parse_tagged(outbox.output or "")
@@ -296,10 +310,13 @@ class RepeatedDelegationUser(UserStrategy):
                 else SILENCE
             )
             # Idle until the world opens the next session (its id changes).
-            state.inner = self._verifier.initial_state(rng)
-            state.done_with_session = True
-            return state, UserOutbox(to_server=outbox.to_server, to_world=answer)
-        return state, outbox
+            idle = RepeatedDelegationState(
+                inner=self._verifier.initial_state(rng),
+                session=state.session,
+                done_with_session=True,
+            )
+            return idle, UserOutbox(to_server=outbox.to_server, to_world=answer)
+        return replace(state, inner=inner), outbox
 
     @staticmethod
     def _parse_world(message: str) -> Tuple[Optional[str], Optional[str]]:

@@ -19,7 +19,7 @@ import pytest
 from repro.comm.messages import UserInbox, UserOutbox, parse_tagged
 from repro.comm.codecs import IdentityCodec
 from repro.core.execution import run_execution
-from repro.core.properties import _indications_per_round
+from repro.core.properties import judge_run
 from repro.core.sensing import (
     AllOfSensing,
     AnyOfSensing,
@@ -333,8 +333,22 @@ def control_run(max_rounds: int, seed: int):
     )
 
 
+def judged_control_run(sensing: Sensing, max_rounds: int, seed: int):
+    law = {"red": "blue", "blue": "red"}
+    return judge_run(
+        AdvisorFollowingUser(IdentityCodec()), AdvisorServer(law),
+        control_goal(law), sensing, seed=seed, max_rounds=max_rounds,
+    )
+
+
+def trace_fold(trace: list) -> tuple:
+    """(final indication, last negative round or -1) of a prefix trace."""
+    negatives = [index for index, positive in enumerate(trace[1:]) if not positive]
+    return trace[-1], negatives[-1] if negatives else -1
+
+
 class TestIndicationsPerRound:
-    """The properties checker reads the verdict on every non-empty prefix."""
+    """The judge folds the verdict on every non-empty prefix of the view."""
 
     def test_identical_trace_on_a_real_execution(self):
         sensing = control_sensing()
@@ -342,13 +356,16 @@ class TestIndicationsPerRound:
             sensing.grace_rounds,
             last_world_message(sensing.inner.predicate, sensing.inner.default),
         )
+        judgement = judged_control_run(sensing, 120, seed=0)
         view = control_run(120, seed=0).user_view
-        assert _indications_per_round(sensing, view) == reference_trace(
-            reference, view
-        )[1:]
+        assert (judgement.indication, judgement.last_negative) == trace_fold(
+            reference_trace(reference, view)
+        )
 
     def test_identical_trace_for_custom_sensing(self):
+        judgement = judged_control_run(_Mod3Sensing(), 80, seed=1)
         view = control_run(80, seed=1).user_view
-        assert _indications_per_round(_Mod3Sensing(), view) == reference_trace(
-            lambda history: bool(len(history) % 3), view
-        )[1:]
+        assert (judgement.indication, judgement.last_negative) == trace_fold(
+            reference_trace(lambda history: bool(len(history) % 3), view)
+        )
+        assert judgement.last_negative == 77  # Rounds 2, 5, ..., 77 read negative.

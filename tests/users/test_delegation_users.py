@@ -18,7 +18,7 @@ from repro.servers.provers import (
 )
 from repro.servers.wrappers import EncodedServer
 from repro.users.delegation_users import DelegationUser, delegation_user_class
-from repro.worlds.computation import delegation_goal
+from repro.worlds.computation import delegation_goal, delegation_sensing
 
 F = Field()
 INSTANCES = [random_qbf(random.Random(s), 2) for s in (1, 4)]
@@ -79,6 +79,23 @@ class TestMaliceResistance:
         user = DelegationUser(IdentityCodec(), F)
         _, result = run_pair(user, LazyProverServer(1))
         assert not result.halted
+
+
+class TestStatesAreValues:
+    """Each full-recording record holds the state of its own round."""
+
+    def test_records_share_no_state_object(self):
+        _, result = run_pair(DelegationUser(IdentityCodec(), F), HonestProverServer(F))
+        records = result.user_view.records
+        assert len({id(record.state_after) for record in records}) == len(records)
+        assert all(record.state_before is not record.state_after for record in records)
+
+    def test_replayed_sensing_turns_positive_on_the_accepting_round(self):
+        _, result = run_pair(DelegationUser(IdentityCodec(), F), HonestProverServer(F))
+        monitor = delegation_sensing().incremental()
+        indications = [monitor.observe(record) for record in result.user_view]
+        assert result.halted and len(indications) > 1
+        assert indications == [False] * (len(indications) - 1) + [True]
 
 
 class TestValidation:

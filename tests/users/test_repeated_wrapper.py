@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -68,7 +69,8 @@ class TestSessionDiscipline:
         state, out = user.step(
             state, UserInbox(from_world=f"INSTANCE:0:{QBF_WIRE};FB:none"), rng
         )
-        assert state.inner is inner
+        # The same proof, one idle round on (states are values, so compare).
+        assert state.inner == dataclasses.replace(inner, rounds_waiting=1)
         assert not out.to_server.startswith("PROVE:")  # No re-open mid-proof.
 
     def test_done_flag_suppresses_stale_reverification(self):
@@ -79,7 +81,7 @@ class TestSessionDiscipline:
         state, _ = user.step(
             state, UserInbox(from_world=f"INSTANCE:0:{QBF_WIRE};FB:none"), rng
         )
-        state.done_with_session = True  # As set by a completed proof.
+        state = dataclasses.replace(state, done_with_session=True)  # As a completed proof sets it.
         state, out = user.step(
             state, UserInbox(from_world=f"INSTANCE:0:{QBF_WIRE};FB:none"), rng
         )
