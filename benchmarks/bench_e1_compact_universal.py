@@ -95,10 +95,10 @@ def test_e1_jsonl_trace_replays_switch_count(tmp_path):
     the post-hoc metrics — the trace is a faithful account of the run.
     """
     from repro.analysis.metrics import collect_metrics
-    from repro.obs import JsonlSink, StrategySwitch, Tracer, read_jsonl
+    from repro.obs import CounterSet, JsonlSink, StrategySwitch, Tracer, read_jsonl
 
     path = tmp_path / "e1_trace.jsonl"
-    tracer = Tracer(sink=JsonlSink(path))
+    tracer = Tracer(sink=JsonlSink(path), counters=CounterSet())
     user = universal()
     user.tracer = tracer
     result = run_execution(

@@ -19,8 +19,12 @@ The table reports each mode and its increment over the previous one
 (best against best, median against median), so
 the ``trace``, ``manifest`` and ``certify`` rows are what writing the
 trace, stamping the manifest and certifying cost on top of the bare
-session.  Pointing ``PYTHONPATH`` at another checkout measures that
-checkout with the same script.
+session.  Beside them, ``calls`` is the Python calls into ``repro`` code
+(compiled line writers included) per session, counted with
+:func:`sys.setprofile` in one pass of its own, outside the timed ones:
+unlike the CPU figures it does not move with the machine's load.
+Pointing ``PYTHONPATH`` at another checkout measures that checkout with
+the same script.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ import argparse
 import os
 import shutil
 import statistics
+import sys
 import tempfile
 import time
+from pathlib import Path
 from typing import Any, Dict, List
 
 MODES: Dict[str, Dict[str, bool]] = {
@@ -64,6 +70,33 @@ def serve_once(specs: List[Any], ledger: bool, trace: bool, certify: bool) -> fl
             shutil.rmtree(directory)
 
 
+def counted_calls(specs: List[Any], flags: Dict[str, bool]) -> int:
+    """Python calls into ``repro`` code in one (untimed) pass."""
+    import repro
+
+    package = str(Path(repro.__file__).parent)
+    calls = 0
+
+    def profile(frame: Any, event: str, arg: object) -> None:
+        nonlocal calls
+        if event == "call":
+            code = frame.f_code.co_filename
+            if code.startswith(package) or code.startswith("<line writer"):
+                calls += 1
+
+    sys.setprofile(profile)
+    try:
+        serve_once(
+            specs,
+            ledger=flags.get("ledger", False),
+            trace=flags.get("trace", False),
+            certify=flags.get("certify", False),
+        )
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
 def main(argv: List[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sessions", type=int, default=300)
@@ -86,11 +119,20 @@ def main(argv: List[str] | None = None) -> int:
             )
             runs[name].append(seconds / args.sessions * 1e6)
 
+    # Counted after the timed passes, so every party's tables are built.
+    calls = {
+        name: counted_calls(specs, flags) / args.sessions
+        for name, flags in MODES.items()
+    }
+
     print(
         f"{args.sessions} sessions, {args.repeats} passes, "
-        f"{os.cpu_count()} cores (CPU us per session)"
+        f"{os.cpu_count()} cores (CPU us and repro calls per session)"
     )
-    print(f"{'mode':<9} {'best':>8} {'median':>8} {'q1':>8} {'q3':>8}  increment")
+    print(
+        f"{'mode':<9} {'best':>8} {'median':>8} {'q1':>8} {'q3':>8} "
+        f"{'calls':>7}  increment"
+    )
     previous = (0.0, 0.0)
     for name in MODES:
         best = min(runs[name])
@@ -100,7 +142,8 @@ def main(argv: List[str] | None = None) -> int:
         else:
             q1 = q3 = median
         print(
-            f"{name:<9} {best:>8.0f} {median:>8.0f} {q1:>8.0f} {q3:>8.0f}  "
+            f"{name:<9} {best:>8.0f} {median:>8.0f} {q1:>8.0f} {q3:>8.0f} "
+            f"{calls[name]:>7.0f}  "
             f"+{best - previous[0]:.0f} best, +{median - previous[1]:.0f} median"
         )
         previous = (best, median)

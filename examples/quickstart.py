@@ -23,7 +23,7 @@ import random
 from repro.analysis.tables import format_table
 from repro.comm.codecs import codec_family
 from repro.core.execution import run_execution
-from repro.obs import MemorySink, StrategySwitch, Tracer
+from repro.obs import CounterSet, MemorySink, StrategySwitch, Tracer
 from repro.servers.advisors import advisor_server_class
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
@@ -81,7 +81,7 @@ def main() -> None:
 
     # --- bonus: the same run, traced.  A tracer captures the enumerate-
     #     sense-switch dynamic as typed events (docs/OBSERVABILITY.md).
-    tracer = Tracer(sink=MemorySink())
+    tracer = Tracer(sink=MemorySink(), counters=CounterSet())
     traced_user = CompactUniversalUser(
         ListEnumeration(candidates, label="interpreters"), control_sensing(),
         tracer=tracer,

@@ -61,6 +61,7 @@ from repro.core.execution import (
 )
 from repro.core.goals import Goal
 from repro.core.strategy import ServerStrategy, UserStrategy
+from repro.obs.counters import CounterSet
 from repro.obs.tracer import Tracer
 
 
@@ -81,11 +82,11 @@ class CellTelemetry:
     )
 
     @staticmethod
-    def from_tracer(tracer: Tracer) -> "CellTelemetry":
+    def from_counters(counters: CounterSet) -> "CellTelemetry":
         return CellTelemetry(
             counters=tuple(
                 (name, value)
-                for name, value in tracer.counters.snapshot().items()
+                for name, value in counters.snapshot().items()
                 if isinstance(value, int)
             )
         )
@@ -218,7 +219,8 @@ def _run_cell(
     channel: Optional[FaultyChannelLike] = None,
 ) -> SweepCell:
     """One (user, server) cell: all seeds, optional shared-tracer telemetry."""
-    tracer = Tracer() if telemetry else None
+    counters = CounterSet() if telemetry else None
+    tracer = None if counters is None else Tracer(counters=counters)
     # Universal users expose a public, reassignable ``tracer`` attribute;
     # borrow it for the cell so user-level events land in the same counters.
     user_traced = telemetry and hasattr(user, "tracer")
@@ -244,7 +246,7 @@ def _run_cell(
         user_name=user.name,
         server_name=server.name,
         runs=tuple(runs),
-        telemetry=CellTelemetry.from_tracer(tracer) if telemetry else None,
+        telemetry=None if counters is None else CellTelemetry.from_counters(counters),
         channel_name=None if channel is None else getattr(channel, "name", "channel"),
         wall_time_s=round(time.perf_counter() - wall_start, 6),
         cpu_time_s=round(time.process_time() - cpu_start, 6),

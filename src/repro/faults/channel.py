@@ -197,12 +197,14 @@ class FaultyChannelRun:
     including silent ones — so the fault trace is independent of traffic.
     """
 
-    __slots__ = ("_directions", "_tracer")
+    __slots__ = ("_directions", "_tracer", "_tracing")
 
     def __init__(
         self, channel: FaultyChannel, seed: int, tracer: TracerLike = None
     ) -> None:
         self._tracer = tracer
+        # The tracer is fixed for the run, so the hot-loop check is too.
+        self._tracing = is_tracing(tracer)
         self._directions: Dict[str, _DirectionState] = {}
         for index, direction in enumerate((USER_TO_SERVER, SERVER_TO_USER)):
             runs = [
@@ -223,7 +225,7 @@ class FaultyChannelRun:
 
     def _apply_direction(self, round_index: int, direction: str, payload: str) -> str:
         state = self._directions[direction]
-        tracing = is_tracing(self._tracer)
+        tracing = self._tracing
         faulted_now = False
 
         # Retransmissions first: a duplicate fills an otherwise-idle round,

@@ -50,7 +50,8 @@ from repro.faults.channel import (
     drop_channel,
 )
 from repro.faults.schedules import BernoulliSchedule, BurstSchedule
-from repro.obs.overhead import compute_overhead
+from repro.obs.flight import TeeSink
+from repro.obs.overhead import OverheadFold
 from repro.obs.sinks import MemorySink
 from repro.obs.tracer import Tracer
 
@@ -168,8 +169,8 @@ def verify_robustness(
     goes by :func:`repro.core.properties.judge_run` and folded into its
     grid point's counters before the next run starts.
 
-    With ``certify=True`` (universal users only), every run's in-memory
-    event stream is additionally handed to
+    With ``certify=True`` (universal users only), every run's events are
+    additionally kept in memory and handed to
     :func:`repro.obs.certify.certify_events`; any internal inconsistency
     — an unjustified strategy switch, a trial closed with an
     out-of-vocabulary reason — raises
@@ -191,10 +192,15 @@ def verify_robustness(
         overhead_total = 0.0
         for server in servers:
             for seed in seeds:
-                sink = MemorySink() if user_traceable else None
+                # The overhead folds as the events arrive; the events
+                # themselves are kept only for the certificate.
+                fold = OverheadFold() if user_traceable else None
+                kept = MemorySink() if user_traceable and certify else None
                 saved = user.tracer if user_traceable else None
-                if user_traceable:
-                    user.tracer = Tracer(sink=sink)
+                if fold is not None:
+                    user.tracer = Tracer(
+                        sink=fold if kept is None else TeeSink(fold, kept)
+                    )
                 try:
                     judgement = judge_run(
                         user,
@@ -217,24 +223,23 @@ def verify_robustness(
                     halted += 1
                 if judgement.false_positive:
                     false_positives += 1
-                if sink is not None:
-                    events = sink.events
-                    overhead = compute_overhead(events)
+                if fold is not None:
+                    overhead = fold.report()
                     if overhead.trials:
                         overhead_runs += 1
                         overhead_total += overhead.overhead_ratio
-                    if certify:
-                        # Lazy: the checker is analysis-side code and must
-                        # not load on the plain verification path.
-                        from repro.obs.certify import (
-                            CertificationError,
-                            certify_events,
-                        )
+                if kept is not None:
+                    # Lazy: the checker is analysis-side code and must
+                    # not load on the plain verification path.
+                    from repro.obs.certify import (
+                        CertificationError,
+                        certify_events,
+                    )
 
-                        label = f"{name}/server={server.name}/seed={seed}"
-                        certificate = certify_events(events, trace=label)
-                        if not certificate.ok:
-                            raise CertificationError(certificate.format())
+                    label = f"{name}/server={server.name}/seed={seed}"
+                    certificate = certify_events(kept, trace=label)
+                    if not certificate.ok:
+                        raise CertificationError(certificate.format())
         points.append(
             FaultPointReport(
                 channel_name=name,

@@ -58,6 +58,7 @@ from repro.obs.sinks import (
     Sink,
     TraceSchemaError,
     iter_trace,
+    iter_trace_batches,
     iter_trace_numbered,
     read_jsonl,
     read_trace,
@@ -147,6 +148,7 @@ __all__ = [
     "TRACE_SCHEMA_MINOR",
     "TraceSchemaError",
     "iter_trace",
+    "iter_trace_batches",
     "iter_trace_numbered",
     "read_jsonl",
     "read_trace",

@@ -107,12 +107,12 @@ from repro.obs.manifests import (
     iter_manifest_lines,
     read_at,
 )
-from repro.obs.overhead import OverheadFold
+from repro.obs.overhead import OverheadFold, fold_step
 from repro.obs.sinks import (
     TRACE_SCHEMA_MINOR,
-    MemorySink,
+    Sink,
     TraceSchemaError,
-    iter_trace_numbered,
+    iter_trace_batches,
 )
 from repro.obs.tracer import Tracer
 
@@ -282,7 +282,7 @@ class _Checker:
 
         # Fault replay.
         self._replay: Optional[FaultyChannelRun] = None
-        self._replay_sink: Optional[MemorySink] = None
+        self._replay_faults: Optional[_ReplayedFaults] = None
         self._round_faults: List[Tuple[str, str, str]] = []
         self._unreplayable_fault_line: Optional[int] = None
 
@@ -309,12 +309,9 @@ class _Checker:
 
     def feed(self, line: Optional[int], event: Event) -> None:
         self.events_seen += 1
-        self._overhead.feed(event)
-        route = _ROUTES[type(event)]
-        if route is None:
-            handler, engine_level = None, False
-        else:
-            handler, engine_level = route
+        handler, engine_level, fold = _ROUTES[type(event)]
+        if fold is not None:
+            fold(self._overhead, event)
         if engine_level and self._finished is not None:
             self.issue(
                 "stream",
@@ -391,8 +388,8 @@ class _Checker:
             return
         # The engine draws the channel seed from the master stream right
         # after the three party seeds.
-        self._replay_sink = MemorySink()
-        self._replay = channel.start(draws[3], Tracer(sink=self._replay_sink))
+        self._replay_faults = _ReplayedFaults()
+        self._replay = channel.start(draws[3], Tracer(sink=self._replay_faults))
 
     def _feed_abandoned(self, line: Optional[int], event: SessionAbandoned) -> None:
         self._abandoned = event
@@ -492,7 +489,8 @@ class _Checker:
         self._round_faults = []
 
     def _replay_round(self, line: Optional[int], event: RoundExecuted) -> None:
-        if self._replay is None or self._replay_sink is None:
+        replayed = self._replay_faults
+        if self._replay is None or replayed is None:
             return
         user_to_server = self._round_us if self._round_us is not None else SILENCE
         server_to_user = self._round_su if self._round_su is not None else SILENCE
@@ -507,22 +505,18 @@ class _Checker:
             )
             self._replay = None
             return
-        replayed = [
-            ("injected", e.site, e.fault)
-            if isinstance(e, FaultInjected)
-            else ("recovered", getattr(e, "site", "?"), "")
-            for e in self._replay_sink.events
-        ]
-        self._replay_sink.clear()
-        if replayed != self._round_faults:
+        derived = replayed.faults
+        if derived != self._round_faults:
             self.issue(
                 "fault-replay",
                 f"round {event.round_index}: fault events diverge from the "
                 f"replayed schedule (replay derives "
-                f"{_format_faults(replayed)}, trace has "
+                f"{_format_faults(derived)}, trace has "
                 f"{_format_faults(self._round_faults)})",
                 line,
             )
+        if derived:
+            replayed.faults = []
 
     def _feed_finished(self, line: Optional[int], event: ExecutionFinished) -> None:
         if self._finished is not None:
@@ -1115,10 +1109,24 @@ class _Checker:
                 )
 
 
+class _ReplayedFaults(Sink):
+    """The replayed channel's fault events of the current round, in the
+    ``(kind, site, fault)`` form the checker collects from the trace."""
+
+    def __init__(self) -> None:
+        self.faults: List[Tuple[str, str, str]] = []
+
+    def emit(self, event: Event) -> None:
+        if isinstance(event, FaultInjected):
+            self.faults.append(("injected", event.site, event.fault))
+        else:
+            self.faults.append(("recovered", getattr(event, "site", "?"), ""))
+
+
 #: Event type -> (``_Checker`` handler, whether the type is an engine-level
 #: event that may not follow ``execution-finished``).
-_Route = Tuple[Callable[["_Checker", Optional[int], Any], None], bool]
-_ROUTES: "TypeCache[Optional[_Route]]" = dispatch_table(
+_Handler = Tuple[Callable[["_Checker", Optional[int], Any], None], bool]
+_HANDLERS: "TypeCache[Optional[_Handler]]" = dispatch_table(
     {
         SessionAbandoned: (_Checker._feed_abandoned, False),
         ExecutionStarted: (_Checker._feed_started, True),
@@ -1137,6 +1145,23 @@ _ROUTES: "TypeCache[Optional[_Route]]" = dispatch_table(
         ProofFinished: (_Checker._feed_proof_finished, False),
     }
 )
+
+#: Event type -> (handler or ``None``, engine level, the overhead fold's
+#: step or ``None``): one probe per event routes it everywhere it goes.
+_Route = Tuple[
+    Optional[Callable[["_Checker", Optional[int], Any], None]],
+    bool,
+    Optional[Callable[[OverheadFold, Any], None]],
+]
+
+
+def _route(cls: type) -> _Route:
+    handled = _HANDLERS[cls]
+    handler, engine_level = (None, False) if handled is None else handled
+    return handler, engine_level, fold_step(cls)
+
+
+_ROUTES: "TypeCache[_Route]" = TypeCache(_route)
 
 
 def _format_faults(entries: List[Tuple[str, str, str]]) -> str:
@@ -1272,9 +1297,9 @@ def certify_trace(
 ) -> CertificateReport:
     """Certify a JSONL trace file (the ``repro.obs certify`` entry point).
 
-    Reads the file once via :func:`~repro.obs.sinks.iter_trace_numbered`:
-    the same bytes are hashed for the manifest's tamper check and parsed
-    line by line, so every issue is anchored to its 1-based file line.  A
+    Reads the file once via :func:`~repro.obs.sinks.iter_trace_batches`:
+    the same bytes are hashed for the manifest's tamper check and parsed a
+    chunk at a time, so every issue is anchored to its 1-based file line.  A
     malformed or truncated line mid-stream becomes a ``stream`` issue (the
     certificate *fails*, exit 1) rather than an error — tampering must
     never look like a usage mistake.  Header-level schema errors (an
@@ -1285,17 +1310,19 @@ def certify_trace(
     """
     resolved = Path(path)
     digest = hashlib.sha256()
-    header, numbered = iter_trace_numbered(resolved, digest=digest)
+    header, batches = iter_trace_batches(resolved, digest=digest)
     manifest, manifest_label = _load_manifest(resolved, manifest_path)
     reason = _uncertifiable_reason(header)
     checker = _Checker(header, manifest, fragment=fragment)
+    feed = checker.feed
     count = 0
     stream_issue: Optional[CertifyIssue] = None
     try:
-        for line, event in numbered:
-            count += 1
+        for batch in batches:
+            count += len(batch)
             if not reason:
-                checker.feed(line, event)
+                for line, event in batch:
+                    feed(line, event)
     except TraceSchemaError as exc:
         stream_issue = CertifyIssue(
             check="stream",

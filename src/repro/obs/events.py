@@ -51,6 +51,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Tuple,
     Type,
     TypeVar,
 )
@@ -213,9 +214,10 @@ def event_line(event: Event) -> str:
 
 _REGISTRY: Dict[str, Type[Event]] = {}
 
-#: Per registered class: its wire keys (``kind`` + field names), for the
-#: decoder's fast path.
-_WIRE_KEYS: Dict[Type[Event], AbstractSet[str]] = {}
+#: Wire tag -> (class, wire keys: ``kind`` + field names) for every
+#: registered class a record can fill in place (those without a
+#: ``__post_init__``): the decoders' fast path.
+IN_PLACE: Dict[str, Tuple[Type[Event], AbstractSet[str]]] = {}
 
 
 def register(cls: Type[Event]) -> Type[Event]:
@@ -224,7 +226,8 @@ def register(cls: Type[Event]) -> Type[Event]:
         raise ValueError(f"duplicate event kind: {cls.kind!r}")
     _REGISTRY[cls.kind] = cls
     if not hasattr(cls, "__post_init__"):
-        _WIRE_KEYS[cls] = frozenset({"kind", *(f.name for f in fields(cls))})
+        keys = frozenset({"kind", *(f.name for f in fields(cls))})
+        IN_PLACE[cls.kind] = (cls, keys)
     return cls
 
 
@@ -241,7 +244,8 @@ def event_from_dict(data: Mapping[str, Any]) -> Event:
     through the constructor, which applies defaults and rejects strays.
     """
     cls = _REGISTRY[data["kind"]]
-    if data.keys() == _WIRE_KEYS.get(cls):
+    wire = IN_PLACE.get(cls.kind)
+    if wire is not None and data.keys() == wire[1]:
         event = cls.__new__(cls)
         state = event.__dict__
         state.update(data)

@@ -45,6 +45,7 @@ from repro.obs.events import (
     TypeCache,
     dispatch_table,
 )
+from repro.obs.sinks import Sink
 
 #: ``TrialFinished.reason`` values that mean the candidate *succeeded*.
 _SUCCESS_REASONS = frozenset({TRIAL_ENDORSED})
@@ -149,13 +150,15 @@ class _TrialTally:
     switched_away: bool = False
 
 
-class OverheadFold:
+class OverheadFold(Sink):
     """The overhead accounting as a one-event-at-a-time fold.
 
     :meth:`feed` each event of one execution in stream order, then read
     :meth:`report`.  Memory stays one tally per enumerated strategy, so a
     consumer that already walks the stream (the certificate checker) gets
-    the decomposition without buffering it.
+    the decomposition without buffering it.  The fold is also a sink:
+    ``Tracer(sink=fold)`` accounts a live run's events as they are
+    emitted, and keeps none of them.
     """
 
     def __init__(self) -> None:
@@ -182,6 +185,9 @@ class OverheadFold:
         handler = _FEEDERS[type(event)]
         if handler is not None:
             handler(self, event)
+
+    #: As a sink, every emitted event is fed.
+    emit = feed
 
     def _feed_round(self, event: RoundExecuted) -> None:
         self._rounds_executed += 1
@@ -294,6 +300,19 @@ _FEEDERS: "TypeCache[Optional[Callable[[OverheadFold, Any], None]]]" = dispatch_
 )
 
 
+def fold_step(
+    event_type: type,
+) -> Optional[Callable[[OverheadFold, Any], None]]:
+    """The fold's step for events of exactly ``event_type``.
+
+    ``None`` for the types the accounting ignores, so a consumer that
+    already dispatches on the event type (the certificate checker) hands
+    the fold only the events it counts, without a :meth:`~OverheadFold.feed`
+    call per event.
+    """
+    return _FEEDERS[event_type]
+
+
 def compute_overhead(events: Iterable[Event]) -> OverheadReport:
     """Attribute a traced execution's rounds to its enumerated strategies.
 
@@ -312,6 +331,7 @@ def compute_overhead(events: Iterable[Event]) -> OverheadReport:
 
 __all__ = [
     "OverheadFold",
+    "fold_step",
     "OverheadReport",
     "StrategyAttribution",
     "compute_overhead",

@@ -22,11 +22,13 @@ evidence: minor >= 1 traces carry the fields ``repro.obs.certify`` needs
 to re-derive the run's claims; older traces still read but are reported
 as uncertifiable.
 
-:func:`read_trace` materialises the whole event list; :func:`iter_trace`
-streams it (header eagerly, events lazily), and
+One reader, :func:`iter_trace_batches`, parses a trace a 64 KiB chunk at
+a time into batches of ``(line_number, event)`` pairs, and can hash the
+bytes it reads — the one read a certificate check needs.  The others
+are views of it: :func:`read_trace` materialises the whole event list;
+:func:`iter_trace` streams it (header eagerly, events lazily), and
 :func:`iter_trace_numbered` additionally yields each event's 1-based file
-line number so downstream diagnostics can anchor to the exact line, and
-can hash the bytes it reads — the one read a certificate check needs.
+line number so downstream diagnostics can anchor to the exact line.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import (
     Union,
 )
 
-from repro.obs.events import Event, event_from_dict, event_line
+from repro.obs.events import _LINE_WRITERS, IN_PLACE, Event, event_from_dict
 
 if TYPE_CHECKING:
     from hashlib import _Hash
@@ -146,7 +148,8 @@ class JsonlSink(Sink):
     :meth:`~repro.obs.events.Event.to_dict`), separators are fixed, and
     nothing machine-dependent (timestamps, pids) is ever written — two
     traces of the same seeded run diff clean.  Every event line comes from
-    :func:`~repro.obs.events.event_line`.
+    the compiled line writer behind :func:`~repro.obs.events.event_line`,
+    called straight from the writer table.
 
     The first line is the schema header (``{"trace_schema": 1}`` plus any
     ``header`` extras, which must themselves be deterministic values for
@@ -180,7 +183,7 @@ class JsonlSink(Sink):
 
     def emit(self, event: Event) -> None:
         pending = self._pending
-        pending.append(event_line(event))
+        pending.append(_LINE_WRITERS[type(event)](event))
         if len(pending) >= self.CHUNK_LINES:
             self._flush()
 
@@ -220,10 +223,17 @@ def _check_trace_header(header: Mapping[str, Any], path: Path) -> None:
         )
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_decoder = json.JSONDecoder()
+_raw_decode = _decoder.raw_decode
+#: The C scanner behind ``raw_decode``: ``(value, end)`` for the JSON value
+#: at an index, ``StopIteration`` when there is none there.
+_scan_once = _decoder.scan_once
 
 #: Bytes per read when streaming a trace file.
 _READ_CHUNK = 1 << 16
+
+#: One read's worth of a trace: ``(line_number, event)`` pairs in order.
+Batch = List[Tuple[int, Event]]
 
 
 def _parse_record(text: str, path: Path, number: int) -> Any:
@@ -261,16 +271,123 @@ def _parse_event(record: Any, path: Path, number: int) -> Event:
         ) from exc
 
 
-def _numbered_lines(
-    path: Path, digest: "Optional[_Hash]"
-) -> Iterator[Tuple[int, str]]:
-    """The non-blank stripped lines of ``path`` with their 1-based numbers.
+def _parse_line(
+    text: str, path: Path, number: int, header: List[Dict[str, Any]]
+) -> Optional[Event]:
+    """One stripped, non-blank line → its event, or ``None`` for the header.
 
-    Reads the file once, in binary chunks, splitting lines the way text
-    mode's universal newlines does (``\\n``, ``\\r\\n`` and a lone
-    ``\\r``).  Every chunk read goes into ``digest``, and closing the
-    iterator early reads and hashes the rest, so once the iterator is
-    exhausted or closed the digest covers the whole file.
+    The first such line of a file is the header when it is an object
+    without a ``kind``; ``header`` receives it (or ``{}`` when that line is
+    already an event), so an empty ``header`` means none was read yet.
+    """
+    record = _parse_record(text, path, number)
+    if header:
+        return _parse_event(record, path, number)
+    if isinstance(record, dict) and "kind" not in record:
+        _check_trace_header(record, path)
+        header.append(record)
+        return None
+    event = _parse_event(record, path, number)
+    header.append({})
+    return event
+
+
+def _parse_decoded(
+    lines: List[str],
+    number: int,
+    path: Path,
+    header: List[Dict[str, Any]],
+    batch: Batch,
+) -> int:
+    """Parse the lines of a decoded, ``\\r``-free chunk into ``batch``.
+
+    Each line goes through the C scanner; a record carrying exactly its
+    class's wire keys becomes its event in place, as
+    :func:`~repro.obs.events.event_from_dict` fills it.  Anything else —
+    blank or padded lines, the header, other key sets, bad JSON — takes
+    :func:`_parse_line`, which raises what is wrong.  Returns the number
+    of the last line.
+    """
+    scan = _scan_once
+    in_place = IN_PLACE
+    append = batch.append
+    for line in lines:
+        number += 1
+        if header:
+            try:
+                record, end = scan(line, 0)
+                if end == len(line):
+                    cls, keys = in_place[record["kind"]]
+                    if record.keys() == keys:
+                        event = cls.__new__(cls)
+                        state = event.__dict__
+                        state.update(record)
+                        del state["kind"]
+                        append((number, event))
+                        continue
+            except (StopIteration, ValueError, LookupError, TypeError):
+                pass
+        text = line.strip()
+        if text:
+            parsed = _parse_line(text, path, number, header)
+            if parsed is not None:
+                append((number, parsed))
+    return number
+
+
+def _parse_raw(
+    data: bytes,
+    number: int,
+    path: Path,
+    header: List[Dict[str, Any]],
+    batch: Batch,
+) -> int:
+    """Parse newline-terminated ``data`` line by line into ``batch``.
+
+    The path for chunks holding a ``\\r`` or bad UTF-8: a line ends at
+    ``\\n``, ``\\r\\n`` or a lone ``\\r``, and each decodes on its
+    own, so a decoding error names its line.  Returns the number of the
+    last line.
+    """
+    for raw in data.split(b"\n")[:-1]:
+        if b"\r" in raw:
+            if raw.endswith(b"\r"):  # \r\n
+                raw = raw[:-1]
+            pieces = raw.split(b"\r")
+        else:
+            pieces = [raw]
+        for piece in pieces:
+            number += 1
+            try:
+                text = piece.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise TraceSchemaError(
+                    f"{path}:{number}: not valid UTF-8: {exc.reason}",
+                    line=number,
+                ) from exc
+            if text:
+                parsed = _parse_line(text, path, number, header)
+                if parsed is not None:
+                    batch.append((number, parsed))
+    return number
+
+
+def _read_batches(
+    path: Path, digest: "Optional[_Hash]", header: List[Dict[str, Any]]
+) -> Iterator[Batch]:
+    """The events of ``path``, one batch per chunk read, with line numbers.
+
+    Lines split the way text mode's universal newlines does (``\\n``,
+    ``\\r\\n`` and a lone ``\\r``), are numbered from 1, and blank ones
+    are skipped.  A chunk's whole lines are decoded and split once when
+    they hold no ``\\r`` and decode as UTF-8 (:func:`_parse_decoded`), and
+    line by line otherwise (:func:`_parse_raw`).  A batch ends at a
+    malformed line: it is yielded, and the error raises on the next
+    resume.
+
+    Every chunk read goes into ``digest``, and closing the iterator early
+    reads and hashes the rest, so once the iterator is exhausted or closed
+    the digest covers the whole file.
     """
     with path.open("rb") as handle:
         try:
@@ -280,33 +397,80 @@ def _numbered_lines(
                 chunk = handle.read(_READ_CHUNK)
                 if digest is not None:
                     digest.update(chunk)
-                # At the end of the file the tail is the last, unterminated line.
-                pieces = (tail + chunk).split(b"\n")
-                tail = pieces.pop() if chunk else b""
-                for raw in pieces:
-                    if b"\r" in raw:
-                        if raw.endswith(b"\r"):  # \r\n
-                            raw = raw[:-1]
-                        split = raw.split(b"\r")
+                # Only whole lines are parsed; at the end of the file the
+                # tail is the last, unterminated line.
+                data = tail + chunk
+                if chunk:
+                    cut = data.rfind(b"\n") + 1
+                    data, tail = data[:cut], data[cut:]
+                elif data:
+                    data += b"\n"
+                lines: Optional[List[str]] = None
+                if b"\r" not in data:
+                    try:
+                        lines = data.decode("utf-8").split("\n")
+                    except UnicodeDecodeError:
+                        pass
+                batch: Batch = []
+                error: Optional[TraceSchemaError] = None
+                try:
+                    if lines is None:
+                        number = _parse_raw(data, number, path, header, batch)
                     else:
-                        split = [raw]
-                    for piece in split:
-                        number += 1
-                        try:
-                            text = piece.decode("utf-8").strip()
-                        except UnicodeDecodeError as exc:
-                            raise TraceSchemaError(
-                                f"{path}:{number}: not valid UTF-8: {exc.reason}",
-                                line=number,
-                            ) from exc
-                        if text:
-                            yield number, text
+                        lines.pop()  # What follows the final newline.
+                        number = _parse_decoded(lines, number, path, header, batch)
+                except TraceSchemaError as exc:
+                    error = exc
+                yield batch
+                if error is not None:
+                    raise error
                 if not chunk:
                     return
         finally:
             if digest is not None:
                 for rest in iter(lambda: handle.read(_READ_CHUNK), b""):
                     digest.update(rest)
+
+
+def iter_trace_batches(
+    path: Union[str, Path],
+    *,
+    digest: "Optional[_Hash]" = None,
+) -> Tuple[Dict[str, Any], Iterator[Batch]]:
+    """Stream a trace as ``(header, iterator of batches)``.
+
+    The one trace reader: a batch is one chunk read's ``(line_number,
+    event)`` pairs, so a consumer that walks every event (the certificate
+    checker) pays no Python frame per line.  The header line is consumed
+    eagerly — schema errors raise before this returns — while the rest
+    parses a chunk at a time as the iterator is drained.  Malformed lines
+    raise :class:`TraceSchemaError` anchored to that line, after the batch
+    of events before them; the file handle is closed when the iterator is
+    exhausted or garbage-collected.
+
+    With ``digest`` (a :mod:`hashlib` object), every byte of the file is
+    fed to it as it is read; once the iterator has ended — exhausted,
+    closed, or stopped by a malformed line — the digest covers the whole
+    file.
+    """
+    found: List[Dict[str, Any]] = []
+    batches = _read_batches(Path(path), digest, found)
+    read: List[Batch] = []
+    try:
+        for batch in batches:
+            read.append(batch)
+            if found:
+                break
+    except BaseException:
+        batches.close()
+        raise
+
+    def rest() -> Iterator[Batch]:
+        with closing(batches):
+            yield from read
+            yield from batches
+
+    return (found[0] if found else {}), rest()
 
 
 def iter_trace_numbered(
@@ -316,40 +480,16 @@ def iter_trace_numbered(
 ) -> Tuple[Dict[str, Any], Iterator[Tuple[int, Event]]]:
     """Stream a trace as ``(header, iterator of (line_number, event))``.
 
-    The header line is consumed eagerly — schema errors raise before this
-    returns — while events parse lazily as the iterator is drained, each
-    paired with its 1-based file line number.  Malformed lines raise
-    :class:`TraceSchemaError` anchored to that line; the file handle is
-    closed when the iterator is exhausted or garbage-collected.
-
-    With ``digest`` (a :mod:`hashlib` object), every byte of the file is
-    fed to it as it is read; once the event iterator has ended — exhausted
-    or stopped by a malformed line — the digest covers the whole file.
+    :func:`iter_trace_batches`, one event at a time: each event paired
+    with its 1-based file line number, the header consumed eagerly, the
+    same errors at the same lines, and the same ``digest`` guarantee.
     """
-    resolved = Path(path)
-    lines = _numbered_lines(resolved, digest)
-    header: Dict[str, Any] = {}
-    first_event: Optional[Tuple[int, Event]] = None
-    try:
-        for number, text in lines:
-            record = _parse_record(text, resolved, number)
-            if isinstance(record, dict) and "kind" not in record:
-                _check_trace_header(record, resolved)
-                header = record
-            else:
-                first_event = (number, _parse_event(record, resolved, number))
-            break
-    except BaseException:
-        lines.close()
-        raise
+    header, batches = iter_trace_batches(path, digest=digest)
 
     def events() -> Iterator[Tuple[int, Event]]:
-        with closing(lines):
-            if first_event is not None:
-                yield first_event
-            for number, text in lines:
-                record = _parse_record(text, resolved, number)
-                yield number, _parse_event(record, resolved, number)
+        with closing(batches):
+            for batch in batches:
+                yield from batch
 
     return header, events()
 
@@ -377,8 +517,8 @@ def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], List[Event]]:
     offending file line — a trace either round-trips exactly or fails
     loudly.
     """
-    header, numbered = iter_trace_numbered(path)
-    return header, [event for _, event in numbered]
+    header, batches = iter_trace_batches(path)
+    return header, [event for batch in batches for _, event in batch]
 
 
 def read_jsonl(path: Union[str, Path]) -> List[Event]:

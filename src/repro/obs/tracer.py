@@ -1,7 +1,7 @@
 """Tracers: the single object threaded through an instrumented run.
 
-A tracer bundles a sink (the event stream) and a :class:`CounterSet`
-(running totals derived from the events).
+A tracer bundles a sink (the event stream) and, where someone reads
+them, a :class:`CounterSet` (running totals derived from the events).
 Instrumented code holds exactly one reference and calls ``emit``.
 
 The contract that keeps the engine fast: every tracer exposes a class-level
@@ -97,6 +97,12 @@ class Tracer:
     counters:
         Injectable so several runs can share one accumulator (a sweep cell
         aggregates across seeds this way).
+
+    A tracer keeps counters when it is given a ``counters`` set or has no
+    sink (the counters-only tracer).  ``Tracer(sink=s)`` only forwards:
+    its ``counters`` is ``None``, and an event costs one sink call — the
+    served and recorded traces have no counter reader, so they pay for
+    none.
     """
 
     enabled = True
@@ -106,14 +112,20 @@ class Tracer:
         sink: Optional[Sink] = None,
         counters: Optional[CounterSet] = None,
     ) -> None:
-        self.sink = sink if sink is not None else NullSink()
-        self.counters = counters if counters is not None else CounterSet()
+        if sink is None:
+            sink = NullSink()
+            if counters is None:
+                counters = CounterSet()
+        self.sink = sink
+        self.counters = counters
 
     def emit(self, event: Event) -> None:
-        """Record one event: update counters, then forward to the sink."""
-        count = _COUNT.get(type(event))
-        if count is not None:
-            count(self.counters, event)
+        """Record one event: update any counters, then forward to the sink."""
+        counters = self.counters
+        if counters is not None:
+            count = _COUNT.get(type(event))
+            if count is not None:
+                count(counters, event)
         self.sink.emit(event)
 
     def close(self) -> None:

@@ -9,7 +9,7 @@ proof verified.  State exposes ``proof_accepted`` for the goal's sensing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.codecs import Codec
@@ -30,9 +30,15 @@ _WAIT_POLY = "wait-poly"
 _FAILED = "failed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountingUserState:
-    """State of one counting attempt; ``proof_accepted`` feeds sensing."""
+    """State of one counting attempt; ``proof_accepted`` feeds sensing.
+
+    An immutable value: each step returns a new one, so a full recording's
+    per-round records never alias a state a later round changed.  The
+    verifier ``session`` is one object per proof, advanced as the
+    polynomials arrive; sensing reads only ``proof_accepted``.
+    """
 
     phase: str = _WAIT_INSTANCE
     instance: Optional[str] = None
@@ -42,6 +48,10 @@ class CountingUserState:
     last_request: str = SILENCE
     rounds_waiting: int = 0
     proof_accepted: bool = False
+
+
+#: One step's result: the next state and this round's outbox.
+_Reply = Tuple[CountingUserState, UserOutbox]
 
 
 class CountingUser(UserStrategy):
@@ -74,44 +84,47 @@ class CountingUser(UserStrategy):
 
     def step(
         self, state: CountingUserState, inbox: UserInbox, rng: random.Random
-    ) -> Tuple[CountingUserState, UserOutbox]:
+    ) -> _Reply:
         if state.phase == _FAILED:
             return state, UserOutbox()
         if state.phase == _WAIT_INSTANCE:
-            return state, self._read_instance(state, inbox)
+            reply = self._read_instance(state, inbox)
+        elif state.phase == _WAIT_CLAIM:
+            reply = self._read_claim(state, self._decode(inbox.from_server), rng)
+        else:  # _WAIT_POLY
+            reply = self._read_poly(state, self._decode(inbox.from_server))
+        if reply is not None:
+            return reply
 
-        server_says = self._decode(inbox.from_server)
-        if state.phase == _WAIT_CLAIM:
-            outbox = self._read_claim(state, server_says, rng)
-        else:
-            outbox = self._read_poly(state, server_says)
-        if outbox is not None:
-            return state, outbox
-
-        state.rounds_waiting += 1
-        if state.rounds_waiting >= self._resend_every and state.last_request:
-            state.rounds_waiting = 0
-            return state, UserOutbox(to_server=self._codec.encode(state.last_request))
-        return state, UserOutbox()
+        # Nothing useful arrived: wait, and nudge the server periodically in
+        # case our request was lost or ignored (no request before the
+        # instance arrives, so nothing to nudge with).
+        waiting = state.rounds_waiting + 1
+        if waiting >= self._resend_every and state.last_request:
+            return (
+                replace(state, rounds_waiting=0),
+                UserOutbox(to_server=self._codec.encode(state.last_request)),
+            )
+        return replace(state, rounds_waiting=waiting), UserOutbox()
 
     # ------------------------------------------------------------------
     def _read_instance(
         self, state: CountingUserState, inbox: UserInbox
-    ) -> UserOutbox:
+    ) -> Optional[_Reply]:
         parsed = parse_tagged(inbox.from_world)
         if parsed is None or parsed[0] != "COUNT-INSTANCE":
-            return UserOutbox()
+            return None
         try:
             formulas.parse(parsed[1])
         except FormulaError:
-            return UserOutbox()
-        state.instance = parsed[1]
-        state.phase = _WAIT_CLAIM
-        return self._request(state, f"COUNT:{state.instance}")
+            return None
+        instance = parsed[1]
+        state = replace(state, instance=instance, phase=_WAIT_CLAIM)
+        return self._request(state, f"COUNT:{instance}")
 
     def _read_claim(
         self, state: CountingUserState, server_says: Optional[str], rng: random.Random
-    ) -> Optional[UserOutbox]:
+    ) -> Optional[_Reply]:
         parsed = parse_tagged(server_says or "")
         if parsed is None or parsed[0] != "CLAIMSUM":
             return None
@@ -127,21 +140,18 @@ class CountingUser(UserStrategy):
         # to the truth, integer-wrong.  A count of n variables lies in
         # [0, 2^n]; anything else is a lie no polynomial can launder.
         if not 0 <= claim <= 2 ** len(order):
-            state.phase = _FAILED
-            return UserOutbox()
+            return replace(state, phase=_FAILED), UserOutbox()
         session_rng = random.Random(rng.getrandbits(64) ^ self._proof_seed)
-        state.session = SumcheckVerifierSession(
-            formula, self._field, order, session_rng
+        session = SumcheckVerifierSession(formula, self._field, order, session_rng)
+        session.begin(claim)
+        state = replace(
+            state, session=session, claim=claim, phase=_WAIT_POLY, expected_round=0
         )
-        state.claim = claim
-        state.session.begin(claim)
-        state.phase = _WAIT_POLY
-        state.expected_round = 0
         return self._request(state, "SROUND:0")
 
     def _read_poly(
         self, state: CountingUserState, server_says: Optional[str]
-    ) -> Optional[UserOutbox]:
+    ) -> Optional[_Reply]:
         parsed = parse_tagged(server_says or "")
         if parsed is None or parsed[0] != "SPOLY":
             return None
@@ -152,21 +162,22 @@ class CountingUser(UserStrategy):
             return None
         if index != state.expected_round:
             return None
-        assert state.session is not None
+        session = state.session
+        assert session is not None
         try:
             poly = Poly.deserialize(self._field, coeffs_text)
         except AlgebraError:
-            state.phase = _FAILED
-            return UserOutbox()
-        challenge = state.session.receive_poly(poly)
-        if state.session.finished:
-            self._emit_proof(state.session)
-            if state.session.accepted:
-                state.proof_accepted = True
-                return UserOutbox(halt=True, output=f"COUNT:{state.claim}")
-            state.phase = _FAILED
-            return UserOutbox()
-        state.expected_round = index + 1
+            return replace(state, phase=_FAILED), UserOutbox()
+        challenge = session.receive_poly(poly)
+        if session.finished:
+            self._emit_proof(session)
+            if session.accepted:
+                return (
+                    replace(state, proof_accepted=True),
+                    UserOutbox(halt=True, output=f"COUNT:{state.claim}"),
+                )
+            return replace(state, phase=_FAILED), UserOutbox()
+        state = replace(state, expected_round=index + 1)
         return self._request(state, f"SROUND:{index + 1}:{challenge}")
 
     def _emit_proof(self, session: SumcheckVerifierSession) -> None:
@@ -182,10 +193,11 @@ class CountingUser(UserStrategy):
             self.tracer.emit(event)
 
     # ------------------------------------------------------------------
-    def _request(self, state: CountingUserState, plain: str) -> UserOutbox:
-        state.last_request = plain
-        state.rounds_waiting = 0
-        return UserOutbox(to_server=self._codec.encode(plain))
+    def _request(self, state: CountingUserState, plain: str) -> _Reply:
+        return (
+            replace(state, last_request=plain, rounds_waiting=0),
+            UserOutbox(to_server=self._codec.encode(plain)),
+        )
 
     def _decode(self, message: str) -> Optional[str]:
         if message == SILENCE:

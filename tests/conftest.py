@@ -72,7 +72,7 @@ def full_recording_cell():
             user_name=user.name,
             server_name=server.name,
             runs=runs,
-            telemetry=CellTelemetry.from_tracer(tracer),
+            telemetry=CellTelemetry.from_counters(tracer.counters),
             channel_name=None if channel is None else channel.name,
         )
 

@@ -110,6 +110,35 @@ def fault_grid_peak(rounds: int) -> int:
     return tracemalloc.get_traced_memory()[1] - baseline
 
 
+def universal_grid_peak(rounds: int) -> int:
+    """Peak bytes above the baseline while the compact universal user runs
+    a one-point fault grid against the four advisors."""
+    tracemalloc.reset_peak()
+    baseline = tracemalloc.get_traced_memory()[0]
+    user, _, goal = compact_cast()
+    report = verify_robustness(
+        user, advisor_server_class(LAW, CODECS), goal, control_sensing(),
+        grid=[drop_channel(0.05)], seeds=(0,), max_rounds=rounds,
+    )
+    assert report.safe
+    assert report.points[0].mean_overhead_ratio < 1.0  # The fold saw trials.
+    return tracemalloc.get_traced_memory()[1] - baseline
+
+
+def test_universal_fault_grid_peak_does_not_grow_with_the_horizon():
+    """A traceable user: its overhead folds as the events arrive and,
+    without ``certify``, no event is kept, so ten times the rounds raise
+    the grid's peak by less than the bound."""
+    tracemalloc.start()
+    try:
+        universal_grid_peak(WARMUP)
+        short = universal_grid_peak(2_000)
+        long = universal_grid_peak(20_000)
+    finally:
+        tracemalloc.stop()
+    assert long - short < BOUND, f"peak {short} B at 2000 rounds, {long} B at 20000"
+
+
 def test_fault_grid_peak_does_not_grow_with_the_horizon():
     """A user without a tracer: every run is judged as it goes, so ten
     times the rounds raise the grid's peak by less than the bound."""

@@ -22,6 +22,7 @@ from repro.core.execution import run_execution
 from repro.core.sensing import ConstantSensing, GraceSensing
 from repro.core.views import UserView, ViewRecord
 from repro.obs import (
+    CounterSet,
     ExecutionFinished,
     ExecutionStarted,
     GraceSuppressed,
@@ -59,7 +60,9 @@ def compact_universal(tracer=None):
 
 
 def traced_run(server_index=-1, *, seed=0, sink=None):
-    tracer = Tracer(sink=sink if sink is not None else MemorySink())
+    tracer = Tracer(
+        sink=sink if sink is not None else MemorySink(), counters=CounterSet()
+    )
     user = compact_universal(tracer)
     result = run_execution(
         user, SERVERS[server_index], GOAL.world,
@@ -154,7 +157,7 @@ class TestUniversalUserEvents:
         assert all(t.reason == "evicted" for t in finished)
 
     def test_wrap_around_is_flagged(self):
-        tracer = Tracer(sink=MemorySink())
+        tracer = Tracer(sink=MemorySink(), counters=CounterSet())
         user = CompactUniversalUser(
             ListEnumeration(follower_user_class(CODECS)),
             ConstantSensing(False),  # Condemns everything: forces wrapping.
@@ -191,7 +194,7 @@ class TestFiniteUniversalEvents:
         return user, servers, goal
 
     def test_trial_events_agree_with_trials_run(self):
-        tracer = Tracer(sink=MemorySink())
+        tracer = Tracer(sink=MemorySink(), counters=CounterSet())
         user, servers, goal = self._printer_setup(tracer)
         result = run_execution(
             user, servers[-1], goal.world, max_rounds=3000, seed=0, tracer=tracer
@@ -222,7 +225,7 @@ class TestFiniteUniversalEvents:
 
 class TestGraceSuppression:
     def test_grace_masking_negative_inner_is_reported(self):
-        tracer = Tracer(sink=MemorySink())
+        tracer = Tracer(sink=MemorySink(), counters=CounterSet())
         sensing = GraceSensing(ConstantSensing(False), grace_rounds=3).with_tracer(tracer)
         user = CompactUniversalUser(
             ListEnumeration(follower_user_class(CODECS)), sensing, tracer=tracer

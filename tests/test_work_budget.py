@@ -1,11 +1,13 @@
-"""Work budget: a no-op tracer adds no calls to a round.
+"""Work budgets: call counts that bound what observation costs.
 
 ``benchmarks/bench_engine.py`` bounds the ``NoopTracer`` against
 ``tracer=None`` by wall clock (≤5%), which flips on a loaded machine.
-This is the same claim in a structural form: counted with
+The first case is the same claim in a structural form: counted with
 :func:`sys.setprofile`, a no-op tracer makes exactly as many Python and C
-calls per round as no tracer.  Call counts are deterministic once a warm-up
-pass has built the tables the parties answer from, so the gate cannot
+calls per round as no tracer.  The second bounds the ledgered served
+session — trace written, and certified at close — by the ``repro`` calls
+it makes per trace event.  Call counts are deterministic once a warm-up
+pass has built the tables the parties answer from, so the gates cannot
 flap.
 """
 
@@ -13,12 +15,19 @@ from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
 from typing import Tuple
+
+import pytest
+
+import repro
 
 from repro.comm.codecs import codec_family
 from repro.core.execution import METRICS_RECORDING, run_execution
 from repro.obs import NoopTracer
 from repro.obs.tracer import TracerLike
+from repro.serve.loadgen import demo_specs
+from repro.serve.session import Session
 from repro.servers.advisors import advisor_server_class
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
@@ -83,4 +92,57 @@ def test_noop_tracer_adds_no_calls_per_round():
         f"per round: tracer=None {python_calls / rounds:.3f} Python / "
         f"{c_calls / rounds:.3f} C calls, NoopTracer "
         f"{noop[0] / rounds:.3f} / {noop[1] / rounds:.3f}"
+    )
+
+
+#: The ``serve-open`` session shape: the mixed relay/control/universal
+#: fleet, 60 rounds, 10% Bernoulli drop.
+LEDGER_SPECS = demo_specs("mixed", 60, seed=0, max_rounds=60, drop=0.1)
+REPRO_CODE = str(Path(repro.__file__).parent)
+
+#: ``repro`` calls per trace event, certified and not.  The change that
+#: set these measured 10.3 and 6.5 (Python 3.11; the parent tree read
+#: 24.9 and 13.9), so each ceiling leaves ~25–35% headroom for the
+#: interpreter's differences (3.12 inlines comprehensions) and small
+#: changes to the session path.  Tighten, do not loosen.
+LEDGER_BUDGET = {True: 14.0, False: 8.0}
+
+
+def serve_ledgered(directory: Path, certify: bool) -> None:
+    for index, spec in enumerate(LEDGER_SPECS):
+        session = Session(
+            spec, session_id=f"s{index}", ledger_dir=directory,
+            trace=True, certify=certify,
+        )
+        session.step(spec.max_rounds)
+        session.close()
+
+
+@pytest.mark.parametrize("certify", [True, False], ids=["certify", "trace"])
+def test_ledgered_session_calls_per_trace_event(tmp_path, certify):
+    serve_ledgered(tmp_path / "warm", certify)  # Builds the parties' tables.
+    calls = 0
+
+    def profile(frame, event: str, arg: object) -> None:
+        nonlocal calls
+        if event == "call":
+            code = frame.f_code.co_filename
+            if code.startswith(REPRO_CODE) or code.startswith("<line writer"):
+                calls += 1
+
+    directory = tmp_path / "counted"
+    sys.setprofile(profile)
+    try:
+        serve_ledgered(directory, certify)
+    finally:
+        sys.setprofile(None)
+    traces = sorted(directory.glob("*.jsonl"))
+    assert len(traces) == len(LEDGER_SPECS)
+    # Every line after a trace's header is one event.
+    events = sum(len(path.read_bytes().splitlines()) - 1 for path in traces)
+    assert events > 100 * len(LEDGER_SPECS)  # Not vacuous.
+    per_event = calls / events
+    assert per_event <= LEDGER_BUDGET[certify], (
+        f"{per_event:.2f} repro calls per trace event "
+        f"({calls} calls, {events} events, certify={certify})"
     )

@@ -14,7 +14,7 @@ from repro.qbf.generators import random_cnf
 from repro.servers.counting_provers import HonestCountingServer
 from repro.servers.faulty import DroppingServer, GarblingServer
 from repro.users.counting_users import CountingUser
-from repro.worlds.counting import counting_goal
+from repro.worlds.counting import counting_goal, counting_sensing
 
 F = Field()
 GOAL = counting_goal([random_cnf(random.Random(1), 4, 5)])
@@ -36,6 +36,30 @@ class TestFaultTolerance:
             )
             if result.halted:
                 assert GOAL.evaluate(result).achieved
+
+
+class TestStatesAreValues:
+    """Each full-recording record holds the state of its own round."""
+
+    @staticmethod
+    def full_run():
+        user = CountingUser(IdentityCodec(), F)
+        # run_execution records every round by default (FULL recording).
+        return run_execution(
+            user, HonestCountingServer(F), GOAL.world, max_rounds=300, seed=0
+        )
+
+    def test_records_share_no_state_object(self):
+        records = self.full_run().user_view.records
+        assert len({id(record.state_after) for record in records}) == len(records)
+        assert all(record.state_before is not record.state_after for record in records)
+
+    def test_replayed_sensing_turns_positive_on_the_accepting_round(self):
+        result = self.full_run()
+        monitor = counting_sensing().incremental()
+        indications = [monitor.observe(record) for record in result.user_view]
+        assert result.halted and len(indications) > 1
+        assert indications == [False] * (len(indications) - 1) + [True]
 
 
 class TestValidation:
