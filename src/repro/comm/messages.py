@@ -21,6 +21,14 @@ dataclass contract — immutable, hashable, picklable, the same ``repr`` —
 and :func:`value_type` keeps equality type-strict, so a profile never equals
 another profile type or a bare tuple holding the same messages.
 
+On the hot per-round paths — the engine's inboxes, the party steps of the
+sweep cast, the universal user's trial record — a value is built as
+``tuple.__new__(Cls, (...))`` through one module-level alias: one C-level
+tuple allocation, without the generated ``__new__``'s Python frame.  That
+build skips the defaults and the argument checks, so it must name every
+field, in declared order; keep it to code that runs every round, and build
+values by keyword everywhere else.
+
 Tagged messages
 ---------------
 Most concrete protocols in this package use a light ``TAG:payload``

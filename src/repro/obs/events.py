@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from typing import (
     AbstractSet,
@@ -202,6 +202,38 @@ def _compile_line_writer(cls: type) -> Callable[["Event"], str]:
 _LINE_WRITERS: "TypeCache[Callable[[Event], str]]" = TypeCache(_compile_line_writer)
 
 
+def _compile_init(cls: type) -> Optional[Callable[..., None]]:
+    """Generate an ``__init__`` for ``cls`` that fills ``__dict__`` directly.
+
+    The frozen dataclass ``__init__`` sets each field through
+    ``object.__setattr__``, about half of what emitting an event costs;
+    storing into the instance ``__dict__`` does the same work with no call
+    per field.  The signature is the dataclass one — every field by
+    position or keyword, in declared order, defaults bound once — so a
+    missing or unknown argument still raises ``TypeError``; assignment
+    after construction still raises ``FrozenInstanceError``.  A class
+    with a field the plain signature cannot express (a default factory,
+    ``init=False`` or keyword-only) keeps the dataclass ``__init__``:
+    ``None``.
+    """
+    params, body = [], ["    __state = self.__dict__"]
+    namespace: Dict[str, Any] = {}
+    for f in fields(cls):
+        if not f.init or f.kw_only or f.default_factory is not MISSING:
+            return None
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"__default_{f.name}"] = f.default
+            params.append(f"{f.name}=__default_{f.name}")
+        body.append(f"    __state[{f.name!r}] = {f.name}")
+    source = "\n".join([f"def __init__(self, {', '.join(params)}):", *body])
+    exec(compile(source, f"<event init {cls.__name__}>", "exec"), namespace)
+    init: Callable[..., None] = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 def event_line(event: Event) -> str:
     """One compact JSON line (no newline) for ``event``.
 
@@ -221,13 +253,20 @@ IN_PLACE: Dict[str, Tuple[Type[Event], AbstractSet[str]]] = {}
 
 
 def register(cls: Type[Event]) -> Type[Event]:
-    """Class decorator adding an event type to the ``kind`` registry."""
+    """Class decorator adding an event type to the ``kind`` registry.
+
+    A class without ``__post_init__`` also gets :func:`_compile_init`'s
+    ``__init__`` and a place in :data:`IN_PLACE`.
+    """
     if cls.kind in _REGISTRY:
         raise ValueError(f"duplicate event kind: {cls.kind!r}")
     _REGISTRY[cls.kind] = cls
     if not hasattr(cls, "__post_init__"):
         keys = frozenset({"kind", *(f.name for f in fields(cls))})
         IN_PLACE[cls.kind] = (cls, keys)
+        init = _compile_init(cls)
+        if init is not None:
+            setattr(cls, "__init__", init)
     return cls
 
 

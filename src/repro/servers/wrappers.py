@@ -29,6 +29,10 @@ from repro.comm.messages import SILENCE, ServerInbox, ServerOutbox
 from repro.core.strategy import ServerStrategy
 from repro.errors import CodecError
 
+# Profiles are built by ``tuple.__new__``: they are NamedTuples, and this
+# skips their generated ``__new__``.
+_new = tuple.__new__
+
 
 class EncodedServer(ServerStrategy):
     """A base server heard and speaking through a codec.
@@ -68,13 +72,12 @@ class EncodedServer(ServerStrategy):
                 incoming = self._codec.decode(incoming)
             except CodecError:
                 incoming = SILENCE
-            inbox = ServerInbox(from_user=incoming, from_world=inbox.from_world)
+            inbox = _new(ServerInbox, (incoming, inbox.from_world))
         state, outbox = self._inner.step(state, inbox, rng)
-        if outbox.to_user == SILENCE:
+        to_user, to_world = outbox
+        if to_user == SILENCE:
             return state, outbox
-        return state, ServerOutbox(
-            to_user=self._codec.encode(outbox.to_user), to_world=outbox.to_world
-        )
+        return state, _new(ServerOutbox, (self._codec.encode(to_user), to_world))
 
 
 @dataclass

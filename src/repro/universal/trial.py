@@ -48,6 +48,10 @@ from repro.obs.events import (
 )
 from repro.obs.tracer import TracerLike, is_tracing
 
+# Records are built by ``tuple.__new__``: ``ViewRecord`` is a NamedTuple,
+# and this skips its generated ``__new__``.
+_new = tuple.__new__
+
 
 @dataclass
 class Trial:
@@ -73,7 +77,9 @@ class Trial:
         """Step the candidate one round and feed the record to the sensing."""
         before = self.inner_state
         self.inner_state, outbox = self.strategy.step(before, inbox, rng)
-        record = ViewRecord(self.rounds, before, inbox, outbox, self.inner_state)
+        record = _new(
+            ViewRecord, (self.rounds, before, inbox, outbox, self.inner_state)
+        )
         self.rounds += 1
         self.verdict = self.monitor.observe(record)
         return outbox
@@ -183,8 +189,9 @@ class TrialUser(UserStrategy):
     def _judge(self, trial: Trial, round_index: int) -> bool:
         """The sensing verdict on the trial so far (emitted when tracing)."""
         positive = trial.verdict
-        if is_tracing(self.tracer):
-            self.tracer.emit(
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.emit(
                 SensingIndication(
                     round_index=round_index,
                     candidate_index=trial.index,

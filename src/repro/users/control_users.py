@@ -16,16 +16,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.comm.codecs import Codec
-from repro.comm.messages import SILENCE, UserInbox, UserOutbox, parse_tagged
+from repro.comm.messages import SILENCE, UserInbox, UserOutbox
 from repro.core.strategy import UserStrategy
 from repro.errors import CodecError
 
 
 #: The outbox of a round without action, shared rather than rebuilt.
 _NO_ACTION = UserOutbox()
+
+# Outboxes are built by ``tuple.__new__``: ``UserOutbox`` is a NamedTuple,
+# and this skips its generated ``__new__``.
+_new = tuple.__new__
 
 
 class AdvisorFollowingUser(UserStrategy):
@@ -54,26 +58,24 @@ class AdvisorFollowingUser(UserStrategy):
     def step(
         self, state: None, inbox: UserInbox, rng: random.Random
     ) -> Tuple[None, UserOutbox]:
-        advice = self._decode_advice(inbox.from_server)
-        if advice is None:
-            return state, _NO_ACTION
-        observation, action = advice
-        return state, UserOutbox(to_world=f"ACT:{observation}={action}")
-
-    def _decode_advice(self, message: str) -> Optional[Tuple[str, str]]:
+        message = inbox.from_server
         if message == SILENCE:
-            return None
+            return state, _NO_ACTION
         try:
             decoded = self._codec.decode(message)
         except CodecError:
-            return None
-        parsed = parse_tagged(decoded)
-        if parsed is None or parsed[0] != "ADV":
-            return None
-        observation, sep, action = parsed[1].partition("=")
+            return state, _NO_ACTION
+        # An empty or colon-less message has no tag, and a bare ``ADV``
+        # leaves an empty payload with no ``=``: neither is advice.
+        tag, _, payload = decoded.partition(":")
+        if tag != "ADV":
+            return state, _NO_ACTION
+        observation, sep, action = payload.partition("=")
         if not sep or not observation or not action:
-            return None
-        return observation, action
+            return state, _NO_ACTION
+        return state, _new(
+            UserOutbox, (SILENCE, f"ACT:{observation}={action}", False, None)
+        )
 
 
 def follower_user_class(codecs: Sequence[Codec]) -> List[AdvisorFollowingUser]:

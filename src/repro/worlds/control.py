@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
-from repro.comm.messages import WorldInbox, WorldOutbox, parse_tagged, value_type
+from repro.comm.messages import WorldInbox, WorldOutbox, value_type
 from repro.core.goals import CompactGoal
 from repro.core.referees import LastStateCompactReferee
 from repro.core.sensing import GraceSensing, LastWorldMessageSensing, Sensing
@@ -44,6 +44,10 @@ DEFAULT_SYMBOLS: Tuple[str, ...] = ("red", "green", "blue", "yellow")
 EVENT_OK = "ok"
 EVENT_BAD = "bad"
 EVENT_NONE = "none"
+
+# States are built by ``tuple.__new__``: ``ControlState`` is a NamedTuple,
+# and this skips its generated ``__new__``.
+_new = tuple.__new__
 
 
 @value_type
@@ -123,14 +127,16 @@ class ControlWorld(WorldStrategy):
         mistakes = state.mistakes
         event = EVENT_NONE
 
-        parsed = parse_tagged(inbox.from_user)
+        # An empty or colon-less message has no tag, and a bare ``ACT``
+        # leaves an empty payload with no ``=``: neither scores.
+        tag, _, payload = inbox.from_user.partition(":")
         acted = False
-        if parsed is not None and parsed[0] == "ACT":
+        if tag == "ACT":
             # Acts name the observation they answer (``ACT:<obs>=<action>``)
             # so that stale in-flight actions from an abandoned strategy can
             # never be mis-scored against a newer observation.  An act for
             # an observation no longer pending is silently ignored.
-            obs_text, sep, action = parsed[1].partition("=")
+            obs_text, sep, action = payload.partition("=")
             if sep:
                 for position, (observation, _issued) in enumerate(pending):
                     if observation == obs_text:
@@ -153,12 +159,9 @@ class ControlWorld(WorldStrategy):
             new_obs = self._symbols[rng.randrange(len(self._symbols))]
             pending.append((new_obs, state.round_index))
 
-        new_state = ControlState(
-            round_index=state.round_index + 1,
-            pending=tuple(pending),
-            scored=scored,
-            mistakes=mistakes,
-            last_event=event,
+        new_state = _new(
+            ControlState,
+            (state.round_index + 1, tuple(pending), scored, mistakes, event),
         )
         # Announce the oldest unanswered observation (not just fresh ones):
         # a persistent environment keeps being observable, which is what

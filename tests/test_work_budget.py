@@ -1,19 +1,19 @@
-"""Work budgets: call counts that bound what observation costs.
+"""Work budgets: call counts that bound what a round and observation cost.
 
 ``benchmarks/bench_engine.py`` bounds the ``NoopTracer`` against
 ``tracer=None`` by wall clock (≤5%), which flips on a loaded machine.
 The first case is the same claim in a structural form: counted with
 :func:`sys.setprofile`, a no-op tracer makes exactly as many Python and C
-calls per round as no tracer.  The second bounds the ledgered served
-session — trace written, and certified at close — by the ``repro`` calls
-it makes per trace event.  Call counts are deterministic once a warm-up
-pass has built the tables the parties answer from, so the gates cannot
-flap.
+calls per round as no tracer.  The second bounds the Python calls per
+round of the sweep cast (:mod:`tests.work_budget`), which prices every
+cell of Theorem 1's grid.  The third bounds the ledgered served session
+— trace written, and certified at close — by the ``repro`` calls it makes
+per trace event.  Call counts are deterministic once a warm-up pass has
+built the tables the parties answer from, so the gates cannot flap.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 from pathlib import Path
 from typing import Tuple
@@ -22,46 +22,11 @@ import pytest
 
 import repro
 
-from repro.comm.codecs import codec_family
-from repro.core.execution import METRICS_RECORDING, run_execution
 from repro.obs import NoopTracer
 from repro.obs.tracer import TracerLike
 from repro.serve.loadgen import demo_specs
 from repro.serve.session import Session
-from repro.servers.advisors import advisor_server_class
-from repro.universal.compact import CompactUniversalUser
-from repro.universal.enumeration import ListEnumeration
-from repro.users.control_users import follower_user_class
-from repro.worlds.control import control_goal, control_sensing, random_law
-
-#: The shape of perfbench's sweep: the compact universal user over the
-#: 8-codec follower class against advisors, 2000 rounds, metrics-only
-#: and judged as it goes; two servers and two seeds keep it quick.
-CODECS = codec_family(8)
-LAW = random_law(random.Random(0))
-GOAL = control_goal(LAW)
-SERVERS = advisor_server_class(LAW, CODECS)[:2]
-SEEDS = (0, 1)
-HORIZON = 2000
-
-
-def cast_pass(tracer: TracerLike) -> int:
-    """One pass over the cast with ``tracer`` on the engine and the user;
-    returns the rounds run."""
-    user = CompactUniversalUser(
-        ListEnumeration(follower_user_class(CODECS), label="followers"),
-        control_sensing(),
-        tracer=tracer,
-    )
-    rounds = 0
-    for server in SERVERS:
-        for seed in SEEDS:
-            execution = run_execution(
-                user, server, GOAL.world, max_rounds=HORIZON, seed=seed,
-                tracer=tracer, recording=METRICS_RECORDING, referee=GOAL.referee,
-            )
-            rounds += execution.rounds_executed
-    return rounds
+from tests.work_budget import HORIZON, SEEDS, SERVERS, cast_pass, layer_calls
 
 
 def counted_pass(tracer: TracerLike) -> Tuple[int, int, int]:
@@ -92,6 +57,32 @@ def test_noop_tracer_adds_no_calls_per_round():
         f"per round: tracer=None {python_calls / rounds:.3f} Python / "
         f"{c_calls / rounds:.3f} C calls, NoopTracer "
         f"{noop[0] / rounds:.3f} / {noop[1] / rounds:.3f}"
+    )
+
+
+#: Python calls per round of the sweep cast, every frame counted (the
+#: generated NamedTuple ``__new__``s and dataclass ``__init__``s too).
+#: The change that set it measured 13.83 on Python 3.10–3.13, where the
+#: parent tree read 20.78: the party steps built their values through the
+#: generated ``__new__``s and relayed through ``parse_tagged``,
+#: ``_decode_advice`` and ``is_tracing``.  The ceiling leaves ~8% headroom
+#: (~1.2 calls a round) for small changes to the party steps; two of the
+#: removed frames back on every round cross it.  Tighten, do not loosen.
+SWEEP_BUDGET = 15.0
+
+
+def test_sweep_cast_calls_per_round():
+    cast_pass(None)  # Warm-up: builds the advisors' and followers' tables.
+    calls, rounds = layer_calls()
+    assert rounds == len(SERVERS) * len(SEEDS) * HORIZON
+    per_round = sum(calls.values()) / rounds
+    layers = ", ".join(
+        f"{layer} {count / rounds:.3f}" for layer, count in calls.items()
+    )
+    # Not vacuous: the profiler saw the three party steps every round.
+    assert min(calls["user"], calls["server"], calls["world"]) >= rounds
+    assert per_round <= SWEEP_BUDGET, (
+        f"{per_round:.3f} Python calls per round > {SWEEP_BUDGET} ({layers})"
     )
 
 
