@@ -34,7 +34,12 @@ advanced once per slice.
 
 Reproducibility: the engine derives an independent PRNG per party from the
 master seed (:func:`derive_party_seeds`), so a strategy that consumes more
-randomness does not perturb the other parties' random streams.
+randomness does not perturb the other parties' random streams.  A party's
+stream is seeded on its first use (:func:`party_stream`) and draws exactly
+what ``random.Random(seed)`` would.  Most parties never draw (tabular
+machines, followers, advisors), and a stream never touched holds ~100
+bytes instead of a ~2.7 KB Mersenne Twister state, which was most of
+what an open served session held.
 
 Observability: pass ``tracer=`` (see :mod:`repro.obs`) to stream typed
 round/message events.  Tracing is read-only — it never touches the RNGs or
@@ -60,7 +65,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple, cast
 
 from repro.comm.channels import Roles
 from repro.comm.messages import SILENCE, ServerInbox, ServerOutbox, UserInbox, UserOutbox, WorldInbox, WorldOutbox
@@ -193,6 +198,52 @@ def derive_party_seeds(seed: int) -> Tuple[int, int, int, int]:
     )
 
 
+class LazyRandom:
+    """``random.Random(seed)``, seeded on its first use.
+
+    The first lookup of a non-dunder attribute builds ``random.Random(seed)``
+    and forwards to it; each method looked up is cached on the instance,
+    so a draw after the first is an instance-dict hit on the real bound
+    method and returns exactly what ``random.Random(seed)`` returns.  A
+    stream that is never touched never pays for the generator's state.
+
+    Dunder names are not forwarded: ``copy`` and ``pickle`` see this
+    object, whose :meth:`__reduce__` carries the seed and, once drawn,
+    the generator's state, so a copy continues the same sequence on its
+    own generator.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+
+    def __getattr__(self, name: str) -> Any:
+        if name[:2] == "__" == name[-2:]:
+            raise AttributeError(name)
+        cached = self.__dict__
+        rng: Optional[random.Random] = cached.get("_rng")
+        if rng is None:
+            rng = cached["_rng"] = random.Random(cached["_seed"])
+        value = getattr(rng, name)
+        if callable(value):
+            cached[name] = value
+        return value
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        rng: Optional[random.Random] = self.__dict__.get("_rng")
+        return (LazyRandom, (self._seed,), None if rng is None else rng.getstate())
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        rng = self.__dict__["_rng"] = random.Random(self._seed)
+        rng.setstate(state)
+
+
+def party_stream(seed: int) -> random.Random:
+    """The random stream a party draws from: ``random.Random(seed)``,
+    seeded on its first use (see :class:`LazyRandom`)."""
+    # LazyRandom forwards every method to the random.Random(seed) it builds.
+    return cast(random.Random, LazyRandom(seed))
+
+
 class ExecutionStepper:
     """One execution, advanced a slice of rounds per :meth:`step_many` call.
 
@@ -240,9 +291,9 @@ class ExecutionStepper:
         self.channel = channel
         self.tracer = tracer
         user_seed, server_seed, world_seed, channel_seed = derive_party_seeds(seed)
-        self.user_rng = random.Random(user_seed)
-        self.server_rng = random.Random(server_seed)
-        self.world_rng = random.Random(world_seed)
+        self.user_rng = party_stream(user_seed)
+        self.server_rng = party_stream(server_seed)
+        self.world_rng = party_stream(world_seed)
         self.tracing = is_tracing(tracer)
         if self.tracing:
             assert tracer is not None

@@ -19,6 +19,10 @@ Readers find a manifest one of two ways:
   the *last* line whose ``trace_path`` names the trace.  Later lines win,
   so a re-recorded name resolves to its newest manifest.  The key is the
   trace file, not the run id: two sessions of one spec share a run id.
+  Only lines that hold the name's encoded ``"trace_path":`` key, and the
+  lines after the last match, are parsed, so a lookup costs one JSON
+  parse per line it could return or must check, not one per line of the
+  ledger.
 
 Every line that is read is checked: a torn or garbled line raises
 :class:`ManifestStreamError` with its 1-based line number, and a line of
@@ -38,7 +42,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 #: The manifest schema major this build writes and understands.  Major 1
 #: was one pretty-printed JSON document per manifest file.
@@ -184,21 +188,35 @@ def find_manifest(
     manifest.  ``None`` when no line matches.  The first damaged line
     after the last match is raised: it may be a newer manifest of the
     trace.  Damage before the match is outranked by it and passed over.
+
+    A line can name the trace only if it holds ``"trace_path":`` and the
+    name as the writer encodes them (compact separators, ASCII escapes),
+    so only such lines are parsed as they are read.  Every other line
+    waits, unparsed, until a later match passes over it; the lines still
+    waiting at the end are parsed in order for damage.
     """
     resolved = Path(path)
+    needle = (
+        None
+        if trace_name is None
+        else b'"trace_path":' + json.dumps(trace_name).encode("ascii")
+    )
     found: Optional[Tuple[int, Dict[str, Any]]] = None
-    damage: Optional[ValueError] = None
+    after: List[Tuple[int, bytes]] = []
     with resolved.open("rb") as handle:
         for number, raw in enumerate(handle, start=1):
+            if needle is not None and needle not in raw:
+                after.append((number, raw))
+                continue
             try:
                 data = _parse(raw, f"{resolved}:{number}")
-            except ValueError as exc:
-                damage = damage or exc
+            except ValueError:
+                after.append((number, raw))
                 continue
             if trace_name is None or data.get("trace_path") == trace_name:
-                found, damage = (number, data), None
-    if damage is not None:
-        raise damage
+                found, after = (number, data), []
+    for number, raw in after:
+        _parse(raw, f"{resolved}:{number}")
     return found
 
 

@@ -193,6 +193,9 @@ class Session:
                 sink=sinks[0] if len(sinks) == 1 else TeeSink(*sinks)
             )
 
+        # Only a traced session lends its tracer, and only to a user that
+        # takes one; every other slice steps without a context manager.
+        self._lends = self._tracer is not None and hasattr(spec.user, "tracer")
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
         with self._borrowed_tracer():
@@ -214,7 +217,7 @@ class Session:
     def _borrowed_tracer(self) -> Iterator[None]:
         """Lend this session's tracer to the (possibly shared) user."""
         user = self.spec.user
-        borrow = self._tracer is not None and hasattr(user, "tracer")
+        borrow = self._lends
         saved = user.tracer if borrow else None
         if borrow:
             user.tracer = self._tracer
@@ -248,7 +251,10 @@ class Session:
             raise ServeError(f"session {self.session_id} is closed")
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
-        with self._borrowed_tracer():
+        if self._lends:
+            with self._borrowed_tracer():
+                executed = self._stepper.step_many(rounds)
+        else:
             executed = self._stepper.step_many(rounds)
         self._wall += time.perf_counter() - wall_start
         self._cpu += time.process_time() - cpu_start
