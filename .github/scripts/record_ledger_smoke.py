@@ -15,8 +15,11 @@ checked against its own trace before it is ever uploaded; the CI job
 then re-certifies the traces through ``python -m repro.obs certify``
 (the engine-free path) and uploads the certificates alongside.
 
-Exits non-zero if any written manifest fails to round-trip, so the CI
-step is a real gate, not just an artifact producer.
+Exits non-zero if any written manifest fails to round-trip, or if a
+trace lacks the user's own events (the compact universal user's trials
+and switches, the delegation verifier's finished proof) — a tracer that
+stopped reaching the user would still leave traces that certify — so the
+CI step is a real gate, not just an artifact producer.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from repro.analysis.runner import sweep
 from repro.comm.codecs import IdentityCodec, codec_family
 from repro.faults.channel import drop_channel
 from repro.mathx.modular import Field
+from repro.obs.events import ProofFinished
 from repro.obs.ledger import MANIFEST_STREAM, read_manifest, read_manifests, record_run
+from repro.obs.overhead import compute_overhead
+from repro.obs.sinks import read_jsonl
 from repro.qbf.generators import random_qbf
 from repro.servers.advisors import advisor_server_class
 from repro.servers.provers import HonestProverServer
@@ -60,6 +66,11 @@ def main() -> int:
     )
     assert recorded.manifest.achieved == 1, "smoke run failed to achieve"
     assert read_manifest(recorded.manifest_location) == recorded.manifest
+    overhead = compute_overhead(read_jsonl(recorded.trace_path))
+    assert overhead.trials >= 1 and overhead.switches >= 1, (
+        f"run.jsonl lacks the universal user's events: {overhead.trials} "
+        f"trials, {overhead.switches} switches"
+    )
 
     field = Field()
     delegated = record_run(
@@ -69,6 +80,10 @@ def main() -> int:
         max_rounds=300, seed=0, out_dir=out, name="qbf", certify=True,
     )
     assert delegated.manifest.achieved == 1, "delegation smoke failed"
+    assert any(
+        isinstance(event, ProofFinished)
+        for event in read_jsonl(delegated.trace_path)
+    ), "qbf.jsonl lacks the verifier's proof-finished event"
     assert read_manifests(out / MANIFEST_STREAM)[-2:] == (
         recorded.manifest, delegated.manifest,
     )

@@ -99,10 +99,9 @@ def test_e1_jsonl_trace_replays_switch_count(tmp_path):
 
     path = tmp_path / "e1_trace.jsonl"
     tracer = Tracer(sink=JsonlSink(path), counters=CounterSet())
-    user = universal()
-    user.tracer = tracer
     result = run_execution(
-        user, SERVERS[-1], GOAL.world, max_rounds=HORIZON, seed=0, tracer=tracer
+        universal(), SERVERS[-1], GOAL.world, max_rounds=HORIZON, seed=0,
+        tracer=tracer,
     )
     tracer.close()
 

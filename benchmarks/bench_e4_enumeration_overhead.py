@@ -41,9 +41,7 @@ def run_position_sweep():
     for position in range(len(SERVERS)):
         sink = MemorySink()
         tracer = Tracer(sink=sink)
-        user = CompactUniversalUser(
-            ListEnumeration(user_class), control_sensing(), tracer=tracer
-        )
+        user = CompactUniversalUser(ListEnumeration(user_class), control_sensing())
         result = run_execution(
             user, SERVERS[position], GOAL.world,
             max_rounds=4000, seed=position, tracer=tracer,

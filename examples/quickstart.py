@@ -80,13 +80,10 @@ def main() -> None:
           "\nTheorem 1's promise, live.")
 
     # --- bonus: the same run, traced.  A tracer captures the enumerate-
-    #     sense-switch dynamic as typed events (docs/OBSERVABILITY.md).
+    #     sense-switch dynamic as typed events (docs/OBSERVABILITY.md); it
+    #     is passed once, to the run, which hands it on to the user.
     tracer = Tracer(sink=MemorySink(), counters=CounterSet())
-    traced_user = CompactUniversalUser(
-        ListEnumeration(candidates, label="interpreters"), control_sensing(),
-        tracer=tracer,
-    )
-    run_execution(traced_user, server, goal.world, max_rounds=2500, seed=0,
+    run_execution(universal, server, goal.world, max_rounds=2500, seed=0,
                   tracer=tracer)
     print("\nswitch timeline (from the trace):")
     for switch in tracer.sink.of_kind(StrategySwitch):

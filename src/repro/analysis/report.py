@@ -213,8 +213,8 @@ def telemetry_section(seed: int = 1) -> str:
     ``seed`` pins the random law, matching :func:`check_compact_universal`.
 
     Universal-user rows carry sensing/switch/trial counts because
-    ``sweep(telemetry=True)`` threads one tracer through both the engine
-    and the user; a plain user would show engine counters only.
+    ``sweep(telemetry=True)`` passes one tracer to each run, which hands
+    it on to the user; a plain user would show engine counters only.
     """
     from repro.analysis.tables import format_telemetry
     from repro.servers.advisors import advisor_server_class

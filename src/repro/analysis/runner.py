@@ -9,10 +9,11 @@ semantics) or fanned out across processes via ``executor=`` (see
 :mod:`repro.analysis.parallel`) with byte-identical results — same seeds
 in, equal :class:`SweepResult` out, regardless of backend or worker count.
 
-With ``telemetry=True`` the runner attaches one counters-only
-:class:`~repro.obs.Tracer` per cell (shared across that cell's seeds) and
-snapshots the totals into :attr:`SweepCell.telemetry` — rounds, messages,
-bytes, and, for universal users, sensing/switch/trial counts.  Because the
+With ``telemetry=True`` the runner passes one counters-only
+:class:`~repro.obs.Tracer` per cell (shared across that cell's seeds) to
+each run, which hands it on to the user's per-run state, and snapshots
+the totals into :attr:`SweepCell.telemetry` — rounds, messages, bytes,
+and, for universal users, sensing/switch/trial counts.  Because the
 tracer is per-cell, a parallel sweep aggregates into exactly the totals a
 serial sweep produces; :func:`merge_telemetry` further folds cell totals
 into sweep-wide totals (see ``docs/OBSERVABILITY.md``).
@@ -73,7 +74,7 @@ class CellTelemetry:
     tuple of ``(name, value)`` pairs; :meth:`as_dict` re-inflates it
     (once — the dict is cached on first use).  User-level counters
     (``switches``, ``sensing_negative``, …) appear only when the swept
-    user exposes a ``tracer`` attribute (the universal users do).
+    user emits events of its own (the universal users do).
     """
 
     counters: Tuple[Tuple[str, int], ...]
@@ -221,27 +222,17 @@ def _run_cell(
     """One (user, server) cell: all seeds, optional shared-tracer telemetry."""
     counters = CounterSet() if telemetry else None
     tracer = None if counters is None else Tracer(counters=counters)
-    # Universal users expose a public, reassignable ``tracer`` attribute;
-    # borrow it for the cell so user-level events land in the same counters.
-    user_traced = telemetry and hasattr(user, "tracer")
-    saved = user.tracer if user_traced else None
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
-    if user_traced:
-        user.tracer = tracer
-    try:
-        runs = []
-        for seed in seeds:
-            execution = run_execution(
-                user, server, goal.world,
-                max_rounds=max_rounds, seed=seed, tracer=tracer,
-                recording=METRICS_RECORDING, channel=channel,
-                referee=goal.referee,
-            )
-            runs.append(collect_metrics(execution, goal))
-    finally:
-        if user_traced:
-            user.tracer = saved
+    runs = []
+    for seed in seeds:
+        execution = run_execution(
+            user, server, goal.world,
+            max_rounds=max_rounds, seed=seed, tracer=tracer,
+            recording=METRICS_RECORDING, channel=channel,
+            referee=goal.referee,
+        )
+        runs.append(collect_metrics(execution, goal))
     return SweepCell(
         user_name=user.name,
         server_name=server.name,

@@ -42,10 +42,12 @@ bytes instead of a ~2.7 KB Mersenne Twister state, which was most of
 what an open served session held.
 
 Observability: pass ``tracer=`` (see :mod:`repro.obs`) to stream typed
-round/message events.  Tracing is read-only — it never touches the RNGs or
-the in-flight messages — so a traced run is bitwise-identical to an
-untraced one, and the off path (``tracer=None`` or a disabled tracer)
-allocates nothing.
+round/message events; the stepper hands the tracer to the user's per-run
+state (:meth:`~repro.core.strategy.UserStrategy.initial_traced_state`), so
+a universal user's events join the stream.  Tracing is read-only — it
+never touches the RNGs or the in-flight messages — so a traced run is
+bitwise-identical to an untraced one, and the off path (``tracer=None``
+or a disabled tracer) allocates nothing.
 
 Recording policies: by default the engine retains everything
 (:data:`FULL_RECORDING`) — every world state, one :class:`RoundRecord` and
@@ -311,7 +313,10 @@ class ExecutionStepper:
             if channel is not None
             else None
         )
-        self.user_state = user.initial_state(self.user_rng)
+        if self.tracing:  # The user's per-run state takes the tracer.
+            self.user_state = user.initial_traced_state(self.user_rng, tracer)
+        else:
+            self.user_state = user.initial_state(self.user_rng)
         self.server_state = server.initial_state(self.server_rng)
         self.world_state = world.initial_state(self.world_rng)
         # The six in-flight messages, all silent before the first round.

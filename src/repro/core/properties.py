@@ -42,6 +42,7 @@ from repro.core.goals import CompactGoal, FiniteGoal, Goal, GoalOutcome
 from repro.core.sensing import IncrementalSensing, Sensing
 from repro.core.strategy import ServerStrategy, UserStrategy
 from repro.core.views import ViewRecord
+from repro.obs.tracer import TracerLike
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,8 @@ class _JudgedUser(UserStrategy):
 
     The record is the one the engine's full recording builds; the inner
     user gets the same RNG and its outbox is returned unchanged, so the
-    run is the bare user's.
+    run is the bare user's.  A traced run's tracer goes on to the inner
+    user, whose events then join the run's stream.
     """
 
     def __init__(self, user: UserStrategy, sensing: Sensing) -> None:
@@ -135,8 +137,14 @@ class _JudgedUser(UserStrategy):
         return self._user.name
 
     def initial_state(self, rng: random.Random) -> _JudgedState:
+        return self.initial_traced_state(rng, None)
+
+    def initial_traced_state(
+        self, rng: random.Random, tracer: TracerLike
+    ) -> _JudgedState:
         monitor = self._sensing.incremental()
-        return _JudgedState(self._user.initial_state(rng), monitor, 0, monitor.empty, -1)
+        inner = self._user.initial_traced_state(rng, tracer)
+        return _JudgedState(inner, monitor, 0, monitor.empty, -1)
 
     def step(
         self, state: _JudgedState, inbox: UserInbox, rng: random.Random
@@ -158,13 +166,15 @@ def judge_run(
     seed: int,
     max_rounds: int,
     channel: Optional[FaultyChannelLike] = None,
+    tracer: TracerLike = None,
 ) -> Judgement:
     """Run ``user`` with ``server`` on ``goal``, judged as it goes in
-    bounded memory (metrics-only recording)."""
+    bounded memory (metrics-only recording); ``tracer`` receives the
+    events ``run_execution(..., tracer=)`` emits for the bare user."""
     execution = run_execution(
         _JudgedUser(user, sensing), server, goal.world,
         max_rounds=max_rounds, seed=seed, recording=METRICS_RECORDING,
-        referee=goal.referee, channel=channel,
+        referee=goal.referee, channel=channel, tracer=tracer,
     )
     outcome = goal.evaluate(execution)
     fold = execution.final_user_state

@@ -19,6 +19,8 @@ Design notes
   universal users *simulate* inner strategies and rely on states not being
   mutated behind their back.
 * ``initial_state(rng)`` performs the probabilistic part of initialisation.
+  A traced run calls the user's ``initial_traced_state(rng, tracer)``
+  instead, so a tracer reaches a user through its state, never its object.
   The paper's *non-deterministic* choice (footnote 2: "the world makes a
   single non-deterministic choice of a standard probabilistic strategy") is
   modelled one level up: experiments quantify over a *class* of world
@@ -29,7 +31,7 @@ Design notes
 from __future__ import annotations
 
 import random
-from typing import Any, Tuple
+from typing import TYPE_CHECKING, Any, Tuple
 
 from repro.comm.messages import (
     ServerInbox,
@@ -39,6 +41,9 @@ from repro.comm.messages import (
     WorldInbox,
     WorldOutbox,
 )
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import TracerLike
 
 State = Any
 
@@ -71,6 +76,16 @@ class UserStrategy(Strategy):
     ``outbox.halt`` ends the execution (finite goals); ``outbox.output``
     carries the final result the referee will inspect.
     """
+
+    def initial_traced_state(self, rng: random.Random, tracer: "TracerLike") -> State:
+        """The initial state of a run traced by ``tracer``, which the engine
+        asks for instead of :meth:`initial_state` only when tracing.
+
+        A user that emits events overrides it to keep ``tracer`` in its
+        state, out of equality and ``repr`` (``None``: untraced, equal to
+        :meth:`initial_state`'s).  The default drops the tracer.
+        """
+        return self.initial_state(rng)
 
     def step(
         self, state: State, inbox: UserInbox, rng: random.Random

@@ -14,8 +14,8 @@ server's engine RNG at ``initial_state`` time, so a run's fault trace is a
 pure function of the execution seed (the engine gives every party an
 independent stream derived from the master seed).
 
-Like the universal users, each wrapper has a public reassignable
-``tracer`` attribute; when tracing it emits
+Each wrapper takes an optional ``tracer`` at construction; when tracing
+it emits
 :class:`~repro.obs.events.FaultInjected` /
 :class:`~repro.obs.events.FaultRecovered` events with ``site="server"``.
 """

@@ -12,12 +12,13 @@ configurations and reports, per grid point:
   history the referee rejects; for compact goals, a failing tail the
   sensing nevertheless scored all-positive (the verdict the safety
   checkers read, :attr:`repro.core.properties.Judgement.false_positive`);
-* the **mean enumeration overhead** — for universal users (anything
-  exposing a reassignable ``tracer``), the mean
+* the **mean enumeration overhead** — for universal users (any user
+  whose trace holds trials), the mean
   :attr:`~repro.obs.overhead.OverheadReport.overhead_ratio` across the
-  point's runs, measured by :func:`repro.obs.overhead.compute_overhead`
-  on each run's trace — noise should raise the overhead before it dents
-  the success rate, and this column shows exactly that.
+  point's runs, folded by :class:`repro.obs.overhead.OverheadFold` from
+  each run's event stream as it is emitted — noise should raise the
+  overhead before it dents the success rate, and this column shows
+  exactly that.
 
 Safety is the property the paper makes unconditional — faults may delay
 success but must never make failure look like success — so a single false
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.execution import FaultyChannelLike
 from repro.core.goals import Goal
@@ -52,7 +53,7 @@ from repro.faults.channel import (
 from repro.faults.schedules import BernoulliSchedule, BurstSchedule
 from repro.obs.flight import TeeSink
 from repro.obs.overhead import OverheadFold
-from repro.obs.sinks import MemorySink
+from repro.obs.sinks import TRACE_SCHEMA, TRACE_SCHEMA_MINOR, MemorySink
 from repro.obs.tracer import Tracer
 
 
@@ -167,26 +168,37 @@ def verify_robustness(
 
     Every (channel, server, seed) triple is one execution, judged as it
     goes by :func:`repro.core.properties.judge_run` and folded into its
-    grid point's counters before the next run starts.
+    grid point's counters before the next run starts.  Each run is traced
+    into an :class:`~repro.obs.overhead.OverheadFold`, which keeps no
+    event; tracing is read-only, so every run is bitwise-identical to an
+    untraced one.
 
-    With ``certify=True`` (universal users only), every run's events are
-    additionally kept in memory and handed to
-    :func:`repro.obs.certify.certify_events`; any internal inconsistency
-    — an unjustified strategy switch, a trial closed with an
-    out-of-vocabulary reason — raises
-    :class:`~repro.obs.certify.CertificationError` naming the offending
-    grid point, so a grid that passes was not merely safe but internally
-    coherent event-by-event.
+    With ``certify=True``, every run's events — the engine's, the fault
+    channel's and the user's — are additionally kept in memory and handed
+    to :func:`repro.obs.certify.certify_events` under a header carrying
+    the channel's spec, so the fault replay is checked too; any
+    internal inconsistency — an unjustified strategy switch, a trial
+    closed with an out-of-vocabulary reason, a fault the schedule does not
+    replay — raises :class:`~repro.obs.certify.CertificationError` naming
+    the offending grid point, so a grid that passes was not merely safe
+    but internally coherent event-by-event.
     """
     if grid is None:
         grid = default_fault_grid()
-    # Universal users expose a reassignable ``tracer``; borrowing it per
-    # run yields the event stream the overhead accounting reads.  Tracing
-    # is read-only, so every traced run is bitwise-identical to untraced.
-    user_traceable = hasattr(user, "tracer")
     points: List[FaultPointReport] = []
     for channel in grid:
         name = "perfect" if channel is None else getattr(channel, "name", "channel")
+        header: Optional[Dict[str, Any]] = None
+        if certify:
+            # Lazy: the ledger is analysis-side code, loaded only to certify.
+            from repro.obs.ledger import channel_spec
+
+            described = channel_spec(channel)
+            header = {
+                "trace_schema": TRACE_SCHEMA,
+                "trace_schema_minor": TRACE_SCHEMA_MINOR,
+                **({} if described is None else {"channel": described}),
+            }
         runs = achieved = halted = false_positives = achieved_rounds = 0
         overhead_runs = 0
         overhead_total = 0.0
@@ -194,26 +206,18 @@ def verify_robustness(
             for seed in seeds:
                 # The overhead folds as the events arrive; the events
                 # themselves are kept only for the certificate.
-                fold = OverheadFold() if user_traceable else None
-                kept = MemorySink() if user_traceable and certify else None
-                saved = user.tracer if user_traceable else None
-                if fold is not None:
-                    user.tracer = Tracer(
-                        sink=fold if kept is None else TeeSink(fold, kept)
-                    )
-                try:
-                    judgement = judge_run(
-                        user,
-                        server,
-                        goal,
-                        sensing,
-                        seed=seed,
-                        max_rounds=max_rounds,
-                        channel=channel,
-                    )
-                finally:
-                    if user_traceable:
-                        user.tracer = saved
+                fold = OverheadFold()
+                kept = MemorySink() if certify else None
+                judgement = judge_run(
+                    user,
+                    server,
+                    goal,
+                    sensing,
+                    seed=seed,
+                    max_rounds=max_rounds,
+                    channel=channel,
+                    tracer=Tracer(sink=fold if kept is None else TeeSink(fold, kept)),
+                )
                 runs += 1
                 outcome = judgement.outcome
                 if outcome.achieved:
@@ -223,11 +227,10 @@ def verify_robustness(
                     halted += 1
                 if judgement.false_positive:
                     false_positives += 1
-                if fold is not None:
-                    overhead = fold.report()
-                    if overhead.trials:
-                        overhead_runs += 1
-                        overhead_total += overhead.overhead_ratio
+                overhead = fold.report()
+                if overhead.trials:
+                    overhead_runs += 1
+                    overhead_total += overhead.overhead_ratio
                 if kept is not None:
                     # Lazy: the checker is analysis-side code and must
                     # not load on the plain verification path.
@@ -237,7 +240,7 @@ def verify_robustness(
                     )
 
                     label = f"{name}/server={server.name}/seed={seed}"
-                    certificate = certify_events(kept, trace=label)
+                    certificate = certify_events(kept, header=header, trace=label)
                     if not certificate.ok:
                         raise CertificationError(certificate.format())
         points.append(

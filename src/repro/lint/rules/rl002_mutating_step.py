@@ -1,5 +1,9 @@
 """RL002: strategy ``step``/``initial_state`` must not mutate the strategy.
 
+The user's traced-run hook ``initial_traced_state`` is checked with them:
+a tracer reaches a user through the run's state, never by a write to the
+shared user object.
+
 A strategy object is *shared*: the same instance serves every execution
 of a sweep cell, every trial of a universal user's enumeration, and — on
 the serial path — every seed of a cell.  The engine threads all
@@ -37,7 +41,7 @@ from repro.lint.violations import Violation
 _STRATEGY_BASE_RE = re.compile(r"(Strategy|User|Server|World|Party)$")
 
 #: The engine-called methods that must leave the strategy untouched.
-_CHECKED_METHODS = {"step", "initial_state", "react"}
+_CHECKED_METHODS = {"step", "initial_state", "initial_traced_state", "react"}
 
 
 def is_strategy_class(context: ModuleContext, cls: ast.ClassDef) -> bool:

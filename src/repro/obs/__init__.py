@@ -7,7 +7,8 @@ pluggable sinks including a deterministic JSONL writer (:mod:`.sinks`),
 and the :class:`~.tracer.Tracer` that ties them together (:mod:`.tracer`).
 
 Instrumented call sites: ``run_execution(..., tracer=)`` (round and
-message events), the universal users (sensing, switch, and trial events),
+message events), the universal users (sensing, switch, and trial events,
+from the tracer the run hands to their per-run state),
 :class:`~repro.core.sensing.GraceSensing` (grace-suppression events), and
 ``analysis.runner.sweep(..., telemetry=True)`` (per-cell counters).
 

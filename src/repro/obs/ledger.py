@@ -26,9 +26,10 @@ in their timing fields.  :func:`read_manifest` rejects schema majors it
 does not understand with a clear error, the per-file documents of
 schema 1 included.
 
-:func:`record_run` is the one-call provenance wrapper around
-:func:`~repro.core.execution.run_execution`: it traces the run to a JSONL
-file, times it, and appends its manifest to the trace directory's stream.
+:func:`record_run` is the one-call provenance wrapper: a traced
+:class:`~repro.serve.session.Session` stepped to its horizon and closed,
+which traces the run to a JSONL file, times it, and appends its manifest
+to the trace directory's stream.
 
 This module is analysis-side: nothing in the engine (or any tracing-off
 code path) imports it — see the lazy re-exports in ``repro/obs/__init__``.
@@ -39,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import subprocess
-import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -49,11 +49,10 @@ from repro.core.execution import (
     ExecutionResult,
     FaultyChannelLike,
     RecordingPolicy,
-    run_execution,
 )
 from repro.core.goals import Goal, GoalOutcome
 from repro.core.strategy import ServerStrategy, UserStrategy
-from repro.obs.events import GoalVerdict
+from repro.obs.events import ABANDON_FAILURE, GoalVerdict
 from repro.obs.manifests import (
     LEDGER_SCHEMA,
     MANIFEST_STREAM,
@@ -65,7 +64,6 @@ from repro.obs.manifests import (
     iter_manifest_lines,
     read_at,
 )
-from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import Tracer
 from repro.version import __version__
 
@@ -276,8 +274,9 @@ def channel_spec(channel: Optional[FaultyChannelLike]) -> Optional[Dict[str, Any
 
     Custom channels without a ``spec()`` (or whose schedules cannot
     describe themselves) simply record no spec: the run stays certifiable
-    except for fault replay.  Shared by :func:`record_run` and the session
-    service (:mod:`repro.serve`), which write the same trace headers.
+    except for fault replay.  Read by the session service
+    (:mod:`repro.serve`), which writes every ledgered trace's header, and
+    by :func:`repro.faults.verify.verify_robustness` when it certifies.
     """
     spec = getattr(channel, "spec", None)
     if not callable(spec):
@@ -293,9 +292,9 @@ def emit_goal_verdict(tracer: Tracer, goal: Goal, outcome: GoalOutcome) -> None:
     """Record ``outcome`` as a :class:`~repro.obs.events.GoalVerdict` event.
 
     The verdict goes *into* the trace so the claim being certified is part
-    of the evidence stream, not only manifest metadata.  Every writer of a
-    certifiable trace (:func:`record_run`, :mod:`repro.serve` sessions)
-    emits its verdict through this helper so the event shape cannot drift.
+    of the evidence stream, not only manifest metadata.  The one writer of
+    a certifiable trace, :meth:`repro.serve.session.Session.close` (which
+    :func:`record_run` also goes through), emits its verdict here.
     """
     verdict = outcome.compact_verdict
     tracer.emit(
@@ -335,10 +334,12 @@ def record_run(
     the manifest captures what produced it, and both land in ``out_dir``
     (the manifest as a line of ``manifests.ndjson``) so the directory is
     self-describing.  Recording a name again appends a newer manifest,
-    which the trace-name lookup then finds.  Universal users
-    (anything exposing a reassignable ``tracer`` attribute) contribute
-    their sensing/switch/trial events to the same trace; the attribute is
-    restored afterwards.
+    which the trace-name lookup then finds.  The run is a traced
+    :class:`~repro.serve.session.Session` (session id ``name``) stepped to
+    its horizon and closed, so a recorded and a served run are written by
+    one producer; a user that emits events of its own (the universal
+    users, the delegation and counting verifiers) contributes them to the
+    same trace through the run, and the user object is never written.
 
     The trace doubles as a certificate: the header carries the channel's
     fault spec (when it can describe itself), the goal's verdict is
@@ -346,70 +347,35 @@ def record_run(
     evidence, and the manifest stamps the trace's SHA-256 (taken by the
     sink as it wrote the file).  With
     ``certify=True`` the freshly written pair is immediately re-checked by
-    :func:`repro.obs.certify.certify_trace`;
+    :func:`repro.obs.certify.certify_run`;
     :class:`~repro.obs.certify.CertificationError` means the recording
-    pipeline itself is broken.
+    pipeline itself is broken.  A strategy that raises abandons the
+    session (its trace ends in a ``session-abandoned`` event, and no
+    manifest is written) and the error propagates.
     """
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    trace_path = directory / f"{name}.jsonl"
+    # Lazy: ``repro.serve`` imports this module.
+    from repro.serve.session import Session, SessionSpec
 
-    header: Dict[str, Any] = {}
-    spec = channel_spec(channel)
-    if spec is not None:
-        header["channel"] = spec
-    sink = JsonlSink(trace_path, header=header)
-    tracer = Tracer(sink=sink)
-    user_traced = hasattr(user, "tracer")
-    saved = user.tracer if user_traced else None
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    if user_traced:
-        user.tracer = tracer
-    try:
-        execution = run_execution(
-            user, server, goal.world,
-            max_rounds=max_rounds, seed=seed,
-            tracer=tracer, recording=recording, channel=channel,
-            referee=goal.referee,
-        )
-        outcome = goal.evaluate(execution)
-        emit_goal_verdict(tracer, goal, outcome)
-    finally:
-        if user_traced:
-            user.tracer = saved
-        tracer.close()
-    wall = time.perf_counter() - wall_start
-    cpu = time.process_time() - cpu_start
-
-    manifest = RunManifest(
-        kind="run",
-        goal=goal.name,
-        user=user.name,
-        server=server.name,
-        channel=None if channel is None else getattr(channel, "name", "channel"),
-        recording=recording.label,
-        seeds=(seed,),
-        max_rounds=max_rounds,
-        rounds=execution.rounds_executed,
-        achieved=int(outcome.achieved),
-        halted=int(execution.halted),
-        wall_time_s=round(wall, 6),
-        cpu_time_s=round(cpu, 6),
-        trace_path=trace_path.name,
-        trace_sha256=sink.sha256(),
-        git_sha=git_sha(),
+    session = Session(
+        SessionSpec(
+            user, server, goal, seed=seed, max_rounds=max_rounds,
+            recording=recording, channel=channel,
+        ),
+        session_id=name, ledger_dir=out_dir, trace=True, certify=certify,
     )
-    location = write_manifest(manifest, directory / MANIFEST_STREAM)
-    if certify:
-        from repro.obs.certify import certify_run
-
-        certify_run(trace_path, location)
+    try:
+        session.step(max_rounds)
+    except BaseException:
+        session.abandon(ABANDON_FAILURE)
+        raise
+    outcome = session.close()
+    assert outcome.manifest is not None and outcome.manifest_location is not None
+    assert outcome.trace_path is not None
     return RecordedRun(
-        execution=execution,
-        manifest=manifest,
-        manifest_location=location,
-        trace_path=trace_path,
+        execution=outcome.execution,
+        manifest=outcome.manifest,
+        manifest_location=outcome.manifest_location,
+        trace_path=outcome.trace_path,
     )
 
 

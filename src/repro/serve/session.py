@@ -5,8 +5,9 @@ call owns — user, server, world (via the goal), seed, recording policy,
 fault channel — but advances it cooperatively: the engine steps it a few
 rounds at a time and parks it between slices, so thousands of sessions
 share one process while each keeps its enumeration state alive across
-steps.  :meth:`Session.close` seals the run exactly the way
-:func:`repro.obs.ledger.record_run` does: the goal is judged, the verdict
+steps.  :meth:`Session.close` seals the run — it is the one producer of
+ledgered runs, and :func:`repro.obs.ledger.record_run` is a session stepped
+to its horizon and closed: the goal is judged, the verdict
 goes into the trace as evidence, and a :class:`~repro.obs.ledger.RunManifest`
 with the trace's SHA-256 (taken as the trace was written) is appended to
 the ledger's ``manifests.ndjson`` — a served session is certifiable by
@@ -24,11 +25,10 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.core.execution import (
     METRICS_RECORDING,
@@ -129,13 +129,10 @@ class Session:
     interleave on one thread in any order without affecting any
     session's results.
 
-    Universal users expose a reassignable ``tracer`` attribute; a traced
-    session *borrows* it for exactly the duration of each step slice (and
-    restores it after), so several sessions can share one user object and
-    still write disjoint, per-session event streams.  Under cooperative
-    single-threaded scheduling the borrowed stream is byte-identical to
-    :func:`~repro.obs.ledger.record_run`'s whole-run borrowing, because
-    users only emit while stepping.
+    A traced session passes its tracer once, to its run: the stepper hands
+    it to the user's per-run state, so several sessions can share one user
+    object and still write disjoint, per-session event streams, and no
+    slice writes the user.
     """
 
     def __init__(
@@ -193,39 +190,21 @@ class Session:
                 sink=sinks[0] if len(sinks) == 1 else TeeSink(*sinks)
             )
 
-        # Only a traced session lends its tracer, and only to a user that
-        # takes one; every other slice steps without a context manager.
-        self._lends = self._tracer is not None and hasattr(spec.user, "tracer")
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
-        with self._borrowed_tracer():
-            self._stepper = ExecutionStepper(
-                spec.user,
-                spec.server,
-                spec.goal.world,
-                max_rounds=spec.max_rounds,
-                seed=spec.seed,
-                tracer=self._tracer,
-                recording=spec.recording,
-                channel=spec.channel,
-                referee=spec.goal.referee,
-            )
+        self._stepper = ExecutionStepper(
+            spec.user,
+            spec.server,
+            spec.goal.world,
+            max_rounds=spec.max_rounds,
+            seed=spec.seed,
+            tracer=self._tracer,
+            recording=spec.recording,
+            channel=spec.channel,
+            referee=spec.goal.referee,
+        )
         self._wall += time.perf_counter() - wall_start
         self._cpu += time.process_time() - cpu_start
-
-    @contextmanager
-    def _borrowed_tracer(self) -> Iterator[None]:
-        """Lend this session's tracer to the (possibly shared) user."""
-        user = self.spec.user
-        borrow = self._lends
-        saved = user.tracer if borrow else None
-        if borrow:
-            user.tracer = self._tracer
-        try:
-            yield
-        finally:
-            if borrow:
-                user.tracer = saved
 
     @property
     def live(self) -> bool:
@@ -251,11 +230,7 @@ class Session:
             raise ServeError(f"session {self.session_id} is closed")
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
-        if self._lends:
-            with self._borrowed_tracer():
-                executed = self._stepper.step_many(rounds)
-        else:
-            executed = self._stepper.step_many(rounds)
+        executed = self._stepper.step_many(rounds)
         self._wall += time.perf_counter() - wall_start
         self._cpu += time.process_time() - cpu_start
         return executed
@@ -276,14 +251,12 @@ class Session:
         spec = self.spec
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
-        with self._borrowed_tracer():
-            execution = self._stepper.finish()
-            outcome = spec.goal.evaluate(execution)
-            if self._tracer is not None:
-                from repro.obs.ledger import emit_goal_verdict
-
-                emit_goal_verdict(self._tracer, spec.goal, outcome)
+        execution = self._stepper.finish()
+        outcome = spec.goal.evaluate(execution)
         if self._tracer is not None:
+            from repro.obs.ledger import emit_goal_verdict
+
+            emit_goal_verdict(self._tracer, spec.goal, outcome)
             self._tracer.close()
         self._wall += time.perf_counter() - wall_start
         self._cpu += time.process_time() - cpu_start

@@ -18,7 +18,7 @@ ablation in experiment E8b quantifies the gap.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.core.sensing import Sensing
@@ -30,13 +30,15 @@ from repro.universal.trial import Trial, TrialUser
 
 @dataclass
 class BeliefState:
-    """Mutable state of the belief-weighted universal user."""
+    """Mutable state of the belief-weighted universal user; ``tracer`` is
+    the run's (``None`` when untraced), out of equality and ``repr``."""
 
     weights: List[float]
     index: int
     trial: Optional[Trial] = None
     switches: int = 0
     total_rounds: int = 0
+    tracer: TracerLike = field(default=None, compare=False, repr=False)
 
 
 class BeliefWeightedUniversalUser(TrialUser):
@@ -63,14 +65,9 @@ class BeliefWeightedUniversalUser(TrialUser):
         strikes and halt stripping follow the same rule as
         :class:`~repro.universal.compact.CompactUniversalUser`.  The
         budget refills when the user switches candidates.
-    tracer:
-        Optional :mod:`repro.obs` tracer receiving per-round
-        :class:`~repro.obs.events.SensingIndication` plus
-        :class:`~repro.obs.events.TrialStarted` /
-        :class:`~repro.obs.events.TrialFinished` /
-        :class:`~repro.obs.events.StrategySwitch` (``reason`` =
-        ``"belief-decay"``) events, like the other universal users.
-        Public and reassignable so sweeps can attach per-cell telemetry.
+
+    A traced run's tracer receives the compact user's events, with
+    ``StrategySwitch.reason`` = ``"belief-decay"``.
     """
 
     def __init__(
@@ -82,13 +79,9 @@ class BeliefWeightedUniversalUser(TrialUser):
         decay: float = 0.5,
         min_trial_rounds: int = 0,
         patience: int = 0,
-        tracer: TracerLike = None,
     ) -> None:
         super().__init__(
-            sensing,
-            min_trial_rounds=min_trial_rounds,
-            patience=patience,
-            tracer=tracer,
+            sensing, min_trial_rounds=min_trial_rounds, patience=patience
         )
         if not candidates:
             raise ValueError("candidate class must be non-empty")
@@ -110,9 +103,11 @@ class BeliefWeightedUniversalUser(TrialUser):
     def name(self) -> str:
         return f"universal-beliefs[{len(self._candidates)}]"
 
-    def initial_state(self, rng: random.Random) -> BeliefState:
+    def initial_traced_state(
+        self, rng: random.Random, tracer: TracerLike
+    ) -> BeliefState:
         weights = list(self._prior)
-        return BeliefState(weights=weights, index=_argmax(weights))
+        return BeliefState(weights=weights, index=_argmax(weights), tracer=tracer)
 
     def _candidate(self, state: BeliefState, index: int) -> UserStrategy:
         return self._candidates[index]

@@ -19,7 +19,7 @@ Correctness invariants (property-tested in ``tests/universal/``):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.sensing import Sensing
@@ -40,7 +40,8 @@ class CompactUniversalState:
     fresh cursor).  ``trial`` is the running candidate's
     :class:`~repro.universal.trial.Trial`, dropped on every switch.  The
     state keeps no per-round history of its own, so a settled trial runs in
-    constant memory under O(1) sensing monitors.
+    constant memory under O(1) sensing monitors.  ``tracer`` is the run's
+    (``None`` when untraced), kept out of equality and ``repr``.
     """
 
     cursor: EnumerationCursor
@@ -49,6 +50,7 @@ class CompactUniversalState:
     switches: int = 0
     wraps: int = 0
     total_rounds: int = 0
+    tracer: TracerLike = field(default=None, compare=False, repr=False)
 
     @property
     def rounds_in_trial(self) -> int:
@@ -85,14 +87,9 @@ class CompactUniversalUser(TrialUser):
         What to do when a *finite* enumeration is exhausted: restart from
         index 0 (default, making the user robust to transient negative
         indications) or raise :class:`EnumerationExhaustedError`.
-    tracer:
-        Optional :mod:`repro.obs` tracer receiving per-round
-        :class:`~repro.obs.events.SensingIndication` plus
-        :class:`~repro.obs.events.TrialStarted` /
-        :class:`~repro.obs.events.TrialFinished` /
-        :class:`~repro.obs.events.StrategySwitch` events.  Public and
-        reassignable (``user.tracer = ...``) so a sweep can attach per-cell
-        telemetry to an already-built user.
+
+    A traced run's tracer receives a per-round ``SensingIndication`` plus
+    ``TrialStarted`` / ``TrialFinished`` / ``StrategySwitch`` events.
     """
 
     def __init__(
@@ -103,13 +100,9 @@ class CompactUniversalUser(TrialUser):
         min_trial_rounds: int = 0,
         patience: int = 0,
         wrap_around: bool = True,
-        tracer: TracerLike = None,
     ) -> None:
         super().__init__(
-            sensing,
-            min_trial_rounds=min_trial_rounds,
-            patience=patience,
-            tracer=tracer,
+            sensing, min_trial_rounds=min_trial_rounds, patience=patience
         )
         self._enumeration = enumeration
         self._wrap_around = wrap_around
@@ -118,8 +111,12 @@ class CompactUniversalUser(TrialUser):
     def name(self) -> str:
         return f"universal-compact({self._enumeration.name},{self._sensing.name})"
 
-    def initial_state(self, rng: random.Random) -> CompactUniversalState:
-        return CompactUniversalState(cursor=EnumerationCursor(self._enumeration))
+    def initial_traced_state(
+        self, rng: random.Random, tracer: TracerLike
+    ) -> CompactUniversalState:
+        return CompactUniversalState(
+            cursor=EnumerationCursor(self._enumeration), tracer=tracer
+        )
 
     def _candidate(self, state: CompactUniversalState, index: int) -> UserStrategy:
         return state.cursor.get(index)

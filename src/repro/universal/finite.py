@@ -25,7 +25,7 @@ unacceptable history.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Tuple
 
 from repro.comm.messages import UserInbox, UserOutbox
@@ -44,7 +44,8 @@ class FiniteUniversalState:
 
     ``current`` is the schedule slot ``(index, budget)`` being worked on;
     ``trial`` its running :class:`~repro.universal.trial.Trial` (``None``
-    between a slot's retries and before its first round).
+    between a slot's retries and before its first round).  ``tracer`` is
+    the run's (``None`` when untraced), kept out of equality and ``repr``.
     """
 
     cursor: EnumerationCursor
@@ -55,6 +56,7 @@ class FiniteUniversalState:
     trials_run: int = 0
     total_rounds: int = 0
     index_cap: Optional[int] = None
+    tracer: TracerLike = field(default=None, compare=False, repr=False)
 
 
 class FiniteUniversalUser(TrialUser):
@@ -80,12 +82,10 @@ class FiniteUniversalUser(TrialUser):
         an immediate retry faces fresh noise, so a small budget recovers
         the candidate without waiting for the schedule to come back
         around.  Each scheduled trial starts with a full budget.
-    tracer:
-        Optional :mod:`repro.obs` tracer receiving
-        :class:`~repro.obs.events.TrialStarted` /
-        :class:`~repro.obs.events.TrialFinished` events for every
-        scheduled trial and a :class:`~repro.obs.events.SensingIndication`
-        whenever a halting candidate is judged.  Public and reassignable.
+
+    A traced run's tracer receives ``TrialStarted`` / ``TrialFinished``
+    for every scheduled trial and a ``SensingIndication`` whenever a
+    halting candidate is judged.
     """
 
     def __init__(
@@ -97,9 +97,8 @@ class FiniteUniversalUser(TrialUser):
             Callable[[Optional[int]], Iterator[schedules.Trial]]
         ] = None,
         patience: int = 0,
-        tracer: TracerLike = None,
     ) -> None:
-        super().__init__(sensing, patience=patience, tracer=tracer)
+        super().__init__(sensing, patience=patience)
         self._enumeration = enumeration
         self._schedule_factory = schedule_factory or (
             lambda cap: schedules.levin_trials(
@@ -111,13 +110,16 @@ class FiniteUniversalUser(TrialUser):
     def name(self) -> str:
         return f"universal-finite({self._enumeration.name},{self._sensing.name})"
 
-    def initial_state(self, rng: random.Random) -> FiniteUniversalState:
+    def initial_traced_state(
+        self, rng: random.Random, tracer: TracerLike
+    ) -> FiniteUniversalState:
         cursor = EnumerationCursor(self._enumeration)
         cap = cursor.known_size()
         return FiniteUniversalState(
             cursor=cursor,
             schedule=self._schedule_factory(cap),
             index_cap=cap,
+            tracer=tracer,
         )
 
     def step(
@@ -134,10 +136,10 @@ class FiniteUniversalUser(TrialUser):
         outbox = trial.play(inbox, rng)
         round_index = state.total_rounds - 1
         if outbox.halt:
-            if self._judge(trial, round_index):
-                self._finish(trial, round_index, TRIAL_ENDORSED)
+            if self._judge(state.tracer, trial, round_index):
+                self._finish(state.tracer, trial, round_index, TRIAL_ENDORSED)
                 return state, outbox  # Endorsed: halt with the candidate's output.
-            self._finish(trial, round_index, TRIAL_HALT_REJECTED)
+            self._finish(state.tracer, trial, round_index, TRIAL_HALT_REJECTED)
             state.trial = None
             if state.retries_left > 0:
                 # Patience budget: the rejection may be channel noise, not
@@ -148,7 +150,7 @@ class FiniteUniversalUser(TrialUser):
             return state, without_halt(outbox)
 
         if trial.rounds >= trial.budget:  # type: ignore[operator]
-            self._finish(trial, round_index, TRIAL_BUDGET)
+            self._finish(state.tracer, trial, round_index, TRIAL_BUDGET)
             state.trial = state.current = None
         return state, outbox
 
@@ -181,7 +183,8 @@ class FiniteUniversalUser(TrialUser):
                 state.current = None
                 continue
             state.trial = self._start(
-                candidate, index, state.trials_run, state.total_rounds - 1, rng, budget
+                state.tracer, candidate, index, state.trials_run,
+                state.total_rounds - 1, rng, budget,
             )
             state.trials_run += 1
             return state.trial

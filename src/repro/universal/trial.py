@@ -20,7 +20,7 @@ belief argmax.  Everything else is one lifecycle, kept here:
   a halt under a negative indication is stripped (:meth:`TrialUser.step`);
 * **events** — every ``TrialStarted`` / ``SensingIndication`` /
   ``TrialFinished`` / ``StrategySwitch`` a universal user emits is built
-  here;
+  here, to the run's tracer the state carries (``None`` when untraced);
 * **reset** — dropping the state's :class:`Trial` ends it; the next round
   starts a fresh one.
 
@@ -100,8 +100,9 @@ class TrialUser(UserStrategy):
     user overrides :meth:`step` with its schedule and judges at halt, using
     the same :meth:`_start`, :meth:`_judge` and :meth:`_finish`.
 
-    ``tracer`` is public and reassignable (``user.tracer = ...``) so a
-    sweep can attach per-cell telemetry to an already-built user.
+    Every state also carries the run's ``tracer``: a subclass builds it in
+    :meth:`initial_traced_state`, and :meth:`initial_state` is that state
+    untraced, so one user object serves interleaved traced runs.
     """
 
     def __init__(
@@ -110,7 +111,6 @@ class TrialUser(UserStrategy):
         *,
         min_trial_rounds: int = 0,
         patience: int = 0,
-        tracer: TracerLike = None,
     ) -> None:
         if min_trial_rounds < 0:
             raise ValueError(f"min_trial_rounds must be >= 0: {min_trial_rounds}")
@@ -119,7 +119,13 @@ class TrialUser(UserStrategy):
         self._sensing = sensing
         self._grace = max(1, min_trial_rounds)
         self._patience = patience
-        self.tracer = tracer
+
+    def initial_state(self, rng: random.Random) -> Any:
+        return self.initial_traced_state(rng, None)
+
+    def initial_traced_state(self, rng: random.Random, tracer: TracerLike) -> Any:
+        """A fresh state carrying ``tracer`` (each subclass builds its own)."""
+        raise NotImplementedError
 
     # -- selection policy (compact and belief-weighted users) -------------
     def _candidate(self, state: Any, index: int) -> UserStrategy:
@@ -137,6 +143,7 @@ class TrialUser(UserStrategy):
         trial = state.trial
         if trial is None:
             trial = state.trial = self._start(
+                state.tracer,
                 self._candidate(state, state.index),
                 state.index,
                 state.switches,
@@ -145,7 +152,7 @@ class TrialUser(UserStrategy):
             )
         outbox = trial.play(inbox, rng)
         state.total_rounds += 1
-        if not self._judge(trial, state.total_rounds - 1):
+        if not self._judge(state.tracer, trial, state.total_rounds - 1):
             trial.strikes += 1
             if trial.strikes > self._patience and trial.rounds >= self._grace:
                 self._evict(state)
@@ -159,6 +166,7 @@ class TrialUser(UserStrategy):
 
     def _start(
         self,
+        tracer: TracerLike,
         strategy: UserStrategy,
         index: int,
         number: int,
@@ -175,8 +183,8 @@ class TrialUser(UserStrategy):
             strategy.initial_state(rng),
             self._sensing.incremental(),
         )
-        if is_tracing(self.tracer):
-            self.tracer.emit(
+        if is_tracing(tracer):
+            tracer.emit(
                 TrialStarted(
                     round_index=round_index,
                     trial_number=number,
@@ -186,10 +194,9 @@ class TrialUser(UserStrategy):
             )
         return trial
 
-    def _judge(self, trial: Trial, round_index: int) -> bool:
+    def _judge(self, tracer: TracerLike, trial: Trial, round_index: int) -> bool:
         """The sensing verdict on the trial so far (emitted when tracing)."""
         positive = trial.verdict
-        tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.emit(
                 SensingIndication(
@@ -200,10 +207,12 @@ class TrialUser(UserStrategy):
             )
         return positive
 
-    def _finish(self, trial: Trial, round_index: int, reason: str) -> None:
+    def _finish(
+        self, tracer: TracerLike, trial: Trial, round_index: int, reason: str
+    ) -> None:
         """Emit the trial's closing event."""
-        if is_tracing(self.tracer):
-            self.tracer.emit(
+        if is_tracing(tracer):
+            tracer.emit(
                 TrialFinished(
                     round_index=round_index,
                     trial_number=trial.number,
@@ -224,9 +233,10 @@ class TrialUser(UserStrategy):
         """End the current trial and make ``to_index`` the next candidate."""
         trial = state.trial
         round_index = state.total_rounds - 1
-        self._finish(trial, round_index, trial_reason)
-        if is_tracing(self.tracer):
-            self.tracer.emit(
+        tracer = state.tracer
+        self._finish(tracer, trial, round_index, trial_reason)
+        if is_tracing(tracer):
+            tracer.emit(
                 StrategySwitch(
                     round_index=round_index,
                     from_index=trial.index,

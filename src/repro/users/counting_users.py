@@ -9,7 +9,7 @@ proof verified.  State exposes ``proof_accepted`` for the goal's sensing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.codecs import Codec
@@ -37,7 +37,9 @@ class CountingUserState:
     An immutable value: each step returns a new one, so a full recording's
     per-round records never alias a state a later round changed.  The
     verifier ``session`` is one object per proof, advanced as the
-    polynomials arrive; sensing reads only ``proof_accepted``.
+    polynomials arrive; sensing reads only ``proof_accepted``.  ``tracer``
+    is the run's (``None`` when untraced), kept out of equality and
+    ``repr``; it receives the finished proof's transcript events.
     """
 
     phase: str = _WAIT_INSTANCE
@@ -48,6 +50,7 @@ class CountingUserState:
     last_request: str = SILENCE
     rounds_waiting: int = 0
     proof_accepted: bool = False
+    tracer: TracerLike = field(default=None, compare=False, repr=False)
 
 
 #: One step's result: the next state and this round's outbox.
@@ -64,7 +67,6 @@ class CountingUser(UserStrategy):
         *,
         resend_every: int = 8,
         proof_seed: int = 0,
-        tracer: TracerLike = None,
     ) -> None:
         if resend_every < 1:
             raise ValueError(f"resend_every must be >= 1: {resend_every}")
@@ -72,8 +74,6 @@ class CountingUser(UserStrategy):
         self._field = field_
         self._resend_every = resend_every
         self._proof_seed = proof_seed
-        #: Public and reassignable so ``record_run`` can borrow it.
-        self.tracer: TracerLike = tracer
 
     @property
     def name(self) -> str:
@@ -81,6 +81,11 @@ class CountingUser(UserStrategy):
 
     def initial_state(self, rng: random.Random) -> CountingUserState:
         return CountingUserState()
+
+    def initial_traced_state(
+        self, rng: random.Random, tracer: TracerLike
+    ) -> CountingUserState:
+        return CountingUserState(tracer=tracer)
 
     def step(
         self, state: CountingUserState, inbox: UserInbox, rng: random.Random
@@ -170,7 +175,7 @@ class CountingUser(UserStrategy):
             return replace(state, phase=_FAILED), UserOutbox()
         challenge = session.receive_poly(poly)
         if session.finished:
-            self._emit_proof(session)
+            self._emit_proof(state.tracer, session)
             if session.accepted:
                 return (
                     replace(state, proof_accepted=True),
@@ -180,9 +185,11 @@ class CountingUser(UserStrategy):
         state = replace(state, expected_round=index + 1)
         return self._request(state, f"SROUND:{index + 1}:{challenge}")
 
-    def _emit_proof(self, session: SumcheckVerifierSession) -> None:
+    def _emit_proof(
+        self, tracer: TracerLike, session: SumcheckVerifierSession
+    ) -> None:
         """Serialise the finished session's transcript into the trace."""
-        if not is_tracing(self.tracer):
+        if not is_tracing(tracer):
             return
         transcript = session.transcript
         if transcript is None or transcript.accepted is None:
@@ -190,7 +197,7 @@ class CountingUser(UserStrategy):
         for event in transcript_events(
             transcript, protocol="sumcheck", modulus=self._field.p
         ):
-            self.tracer.emit(event)
+            tracer.emit(event)
 
     # ------------------------------------------------------------------
     def _request(self, state: CountingUserState, plain: str) -> _Reply:

@@ -23,7 +23,7 @@ Behaviour under mismatch or malice, by construction:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.comm.codecs import Codec
@@ -51,7 +51,9 @@ class DelegationUserState:
     An immutable value: each step returns a new one, so a full recording's
     per-round records never alias a state a later round changed.  The
     verifier ``session`` is one object per proof, advanced as the
-    polynomials arrive; sensing reads only ``proof_accepted``.
+    polynomials arrive; sensing reads only ``proof_accepted``.  ``tracer``
+    is the run's (``None`` when untraced), kept out of equality and
+    ``repr``; it receives the finished proof's transcript events.
     """
 
     phase: str = _WAIT_INSTANCE
@@ -62,6 +64,7 @@ class DelegationUserState:
     last_request: str = SILENCE
     rounds_waiting: int = 0
     proof_accepted: bool = False
+    tracer: TracerLike = field(default=None, compare=False, repr=False)
 
 
 #: One step's result: the next state and this round's outbox.
@@ -78,7 +81,6 @@ class DelegationUser(UserStrategy):
         *,
         resend_every: int = 8,
         proof_seed: int = 0,
-        tracer: TracerLike = None,
     ) -> None:
         if resend_every < 1:
             raise ValueError(f"resend_every must be >= 1: {resend_every}")
@@ -86,9 +88,6 @@ class DelegationUser(UserStrategy):
         self._field = field_
         self._resend_every = resend_every
         self._proof_seed = proof_seed
-        #: Public and reassignable so ``record_run`` can borrow it, exactly
-        #: like the universal users' tracer attribute.
-        self.tracer: TracerLike = tracer
 
     @property
     def name(self) -> str:
@@ -96,6 +95,11 @@ class DelegationUser(UserStrategy):
 
     def initial_state(self, rng: random.Random) -> DelegationUserState:
         return DelegationUserState()
+
+    def initial_traced_state(
+        self, rng: random.Random, tracer: TracerLike
+    ) -> DelegationUserState:
+        return DelegationUserState(tracer=tracer)
 
     # ------------------------------------------------------------------
     def step(
@@ -179,7 +183,7 @@ class DelegationUser(UserStrategy):
             return replace(state, phase=_FAILED), UserOutbox()
         challenge = session.receive_poly(poly)
         if session.finished:
-            self._emit_proof(session)
+            self._emit_proof(state.tracer, session)
             if session.accepted:
                 return (
                     replace(state, proof_accepted=True),
@@ -189,9 +193,9 @@ class DelegationUser(UserStrategy):
         state = replace(state, expected_round=index + 1)
         return self._request(state, f"ROUND:{index + 1}:{challenge}")
 
-    def _emit_proof(self, session: QBFVerifierSession) -> None:
+    def _emit_proof(self, tracer: TracerLike, session: QBFVerifierSession) -> None:
         """Serialise the finished session's transcript into the trace."""
-        if not is_tracing(self.tracer):
+        if not is_tracing(tracer):
             return
         transcript = session.transcript
         if transcript is None or transcript.accepted is None:
@@ -199,7 +203,7 @@ class DelegationUser(UserStrategy):
         for event in transcript_events(
             transcript, protocol="qbf", modulus=self._field.p
         ):
-            self.tracer.emit(event)
+            tracer.emit(event)
 
     # ------------------------------------------------------------------
     def _request(self, state: DelegationUserState, plain: str) -> _Reply:
@@ -261,11 +265,9 @@ class RepeatedDelegationUser(UserStrategy):
         *,
         resend_every: int = 8,
         proof_seed: int = 0,
-        tracer: TracerLike = None,
     ) -> None:
         self._verifier = DelegationUser(
-            codec, field_, resend_every=resend_every, proof_seed=proof_seed,
-            tracer=tracer,
+            codec, field_, resend_every=resend_every, proof_seed=proof_seed
         )
         self._codec = codec
 
@@ -273,17 +275,17 @@ class RepeatedDelegationUser(UserStrategy):
     def name(self) -> str:
         return f"redelegate@{self._codec.name}"
 
-    @property
-    def tracer(self) -> TracerLike:
-        """Forwarded to the inner verifier, which emits the proof events."""
-        return self._verifier.tracer
-
-    @tracer.setter
-    def tracer(self, value: TracerLike) -> None:
-        self._verifier.tracer = value
-
     def initial_state(self, rng: random.Random) -> RepeatedDelegationState:
         return RepeatedDelegationState(inner=self._verifier.initial_state(rng))
+
+    def initial_traced_state(
+        self, rng: random.Random, tracer: TracerLike
+    ) -> RepeatedDelegationState:
+        """The inner verifier emits the proof events, so it keeps the tracer
+        (and hands it on to each session's fresh verifier state)."""
+        return RepeatedDelegationState(
+            inner=self._verifier.initial_traced_state(rng, tracer)
+        )
 
     def step(
         self, state: RepeatedDelegationState, inbox: UserInbox, rng: random.Random
@@ -291,7 +293,8 @@ class RepeatedDelegationUser(UserStrategy):
         session, instance = self._parse_world(inbox.from_world)
         if session is not None and session != state.session:
             state = RepeatedDelegationState(
-                inner=self._verifier.initial_state(rng), session=session
+                inner=self._verifier.initial_traced_state(rng, state.inner.tracer),
+                session=session,
             )
 
         announce = instance if not state.done_with_session else None
@@ -311,7 +314,7 @@ class RepeatedDelegationUser(UserStrategy):
             )
             # Idle until the world opens the next session (its id changes).
             idle = RepeatedDelegationState(
-                inner=self._verifier.initial_state(rng),
+                inner=self._verifier.initial_traced_state(rng, state.inner.tracer),
                 session=state.session,
                 done_with_session=True,
             )

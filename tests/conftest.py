@@ -49,15 +49,13 @@ def full_recording_cell():
     """Hand-built reference for one ``telemetry=True`` sweep cell.
 
     The builder runs every seed through ``run_execution`` under
-    ``FULL_RECORDING`` with one shared counters tracer (lent to the user
-    too, when it has a ``tracer`` attribute) and collects the metrics —
-    what a sweep cell would hold if it kept each run's whole history.
+    ``FULL_RECORDING`` with one shared counters tracer (which each run
+    hands on to the user) and collects the metrics — what a sweep cell
+    would hold if it kept each run's whole history.
     """
 
     def build(user, server, goal, seeds, max_rounds, channel=None):
         tracer = Tracer()
-        if hasattr(user, "tracer"):
-            user.tracer = tracer
         runs = tuple(
             collect_metrics(
                 run_execution(

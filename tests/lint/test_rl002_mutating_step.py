@@ -36,6 +36,20 @@ class TestFlagged:
             """
         )] == ["RL002"]
 
+    def test_initial_traced_state_writes_self(self):
+        # The traced-run hook keeps the tracer in the state; lending it to
+        # the shared user object is the mutation the hook replaces.
+        found = rl002(
+            """
+            class LendingUser(UserStrategy):
+                def initial_traced_state(self, rng, tracer):
+                    self.tracer = tracer
+                    return self.initial_state(rng)
+            """
+        )
+        assert [v.code for v in found] == ["RL002"]
+        assert "LendingUser.initial_traced_state" in found[0].message
+
     def test_step_mutates_self_container(self):
         found = rl002(
             """

@@ -275,14 +275,6 @@ class TestRecordRun:
         assert "round-executed" in kinds
         assert "sensing-indication" in kinds
 
-    def test_restores_user_tracer(self, tmp_path):
-        user = make_user()
-        assert user.tracer is None
-        record_run(
-            user, SERVERS[0], GOAL, max_rounds=600, out_dir=tmp_path
-        )
-        assert user.tracer is None
-
     def test_respects_recording_policy(self, tmp_path):
         recorded = record_run(
             make_user(), SERVERS[0], GOAL,

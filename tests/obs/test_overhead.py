@@ -164,11 +164,9 @@ class TestHandBuiltTraces:
 
 def traced_run(user, server, max_rounds=1200, seed=0):
     sink = MemorySink()
-    tracer = Tracer(sink=sink)
-    user.tracer = tracer
     result = run_execution(
         user, server, GOAL.world, max_rounds=max_rounds, seed=seed,
-        tracer=tracer,
+        tracer=Tracer(sink=sink),
     )
     return result, compute_overhead(sink.events)
 
@@ -225,11 +223,9 @@ class TestLiveUsers:
         )
         servers = password_server_class(2, law)
         sink = MemorySink()
-        tracer = Tracer(sink=sink)
-        user.tracer = tracer
         result = run_execution(
             user, servers[1], goal.world, max_rounds=6000, seed=0,
-            tracer=tracer,
+            tracer=Tracer(sink=sink),
         )
         report = compute_overhead(sink.events)
         assert goal.evaluate(result).achieved

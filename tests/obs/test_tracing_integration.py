@@ -52,10 +52,9 @@ SERVERS = advisor_server_class(LAW, CODECS)
 HORIZON = 600
 
 
-def compact_universal(tracer=None):
+def compact_universal():
     return CompactUniversalUser(
-        ListEnumeration(follower_user_class(CODECS)), control_sensing(),
-        tracer=tracer,
+        ListEnumeration(follower_user_class(CODECS)), control_sensing()
     )
 
 
@@ -63,7 +62,7 @@ def traced_run(server_index=-1, *, seed=0, sink=None):
     tracer = Tracer(
         sink=sink if sink is not None else MemorySink(), counters=CounterSet()
     )
-    user = compact_universal(tracer)
+    user = compact_universal()
     result = run_execution(
         user, SERVERS[server_index], GOAL.world,
         max_rounds=HORIZON, seed=seed, tracer=tracer,
@@ -161,7 +160,6 @@ class TestUniversalUserEvents:
         user = CompactUniversalUser(
             ListEnumeration(follower_user_class(CODECS)),
             ConstantSensing(False),  # Condemns everything: forces wrapping.
-            tracer=tracer,
         )
         run_execution(
             user, SERVERS[0], GOAL.world, max_rounds=12, seed=0, tracer=tracer
@@ -174,7 +172,7 @@ class TestUniversalUserEvents:
 
 class TestFiniteUniversalEvents:
     @staticmethod
-    def _printer_setup(tracer=None):
+    def _printer_setup():
         from repro.servers.printer_servers import DIALECTS, printer_server_class
         from repro.universal.schedules import doubling_sweep_trials
         from repro.users.printer_users import printer_user_class
@@ -189,13 +187,12 @@ class TestFiniteUniversalEvents:
             schedule_factory=lambda cap: doubling_sweep_trials(
                 None if cap is None else cap - 1
             ),
-            tracer=tracer,
         )
         return user, servers, goal
 
     def test_trial_events_agree_with_trials_run(self):
         tracer = Tracer(sink=MemorySink(), counters=CounterSet())
-        user, servers, goal = self._printer_setup(tracer)
+        user, servers, goal = self._printer_setup()
         result = run_execution(
             user, servers[-1], goal.world, max_rounds=3000, seed=0, tracer=tracer
         )
@@ -208,7 +205,7 @@ class TestFiniteUniversalEvents:
 
     def test_last_trial_is_endorsed(self):
         tracer = Tracer(sink=MemorySink())
-        user, servers, goal = self._printer_setup(tracer)
+        user, servers, goal = self._printer_setup()
         run_execution(
             user, servers[-1], goal.world, max_rounds=3000, seed=0, tracer=tracer
         )
@@ -228,7 +225,7 @@ class TestGraceSuppression:
         tracer = Tracer(sink=MemorySink(), counters=CounterSet())
         sensing = GraceSensing(ConstantSensing(False), grace_rounds=3).with_tracer(tracer)
         user = CompactUniversalUser(
-            ListEnumeration(follower_user_class(CODECS)), sensing, tracer=tracer
+            ListEnumeration(follower_user_class(CODECS)), sensing
         )
         run_execution(
             user, SERVERS[0], GOAL.world, max_rounds=8, seed=0, tracer=tracer
@@ -288,7 +285,7 @@ class TestTracingIsInvisible:
         )
         noop = NoopTracer()
         nooped = run_execution(
-            compact_universal(noop), SERVERS[-1], GOAL.world,
+            compact_universal(), SERVERS[-1], GOAL.world,
             max_rounds=HORIZON, seed=0, tracer=noop,
         )
         assert self._outcome_fingerprint(untraced) == self._outcome_fingerprint(nooped)
@@ -335,11 +332,6 @@ class TestSweepTelemetry:
             compact_universal(), SERVERS[:1], GOAL, seeds=(0,), max_rounds=HORIZON
         )
         assert result.cells[0].telemetry is None
-
-    def test_sweep_restores_user_tracer(self):
-        user = compact_universal()
-        sweep(user, SERVERS[:1], GOAL, seeds=(0,), max_rounds=HORIZON, telemetry=True)
-        assert user.tracer is None
 
     def test_telemetry_does_not_change_outcomes(self):
         plain = sweep(

@@ -1,7 +1,8 @@
 """Golden user-level traces of the three universal users.
 
-Each cast below is a short seeded run whose universal user carries a
-:class:`~repro.obs.tracer.Tracer` writing JSONL, so the committed trace
+Each cast below is a short seeded run traced by a
+:class:`~repro.obs.tracer.Tracer` writing JSONL through :class:`UserEvents`,
+which drops the engine's and the channel's events, so the committed trace
 holds exactly the events the user itself emits (``trial-started``,
 ``sensing-indication``, ``trial-finished``, ``strategy-switch``).  Beside
 the traces, ``final_stats.json`` records each run's final user-state
@@ -25,7 +26,16 @@ from repro.core.execution import METRICS_RECORDING, run_execution
 from repro.core.sensing import ConstantSensing
 from repro.core.strategy import SilentServer
 from repro.faults.channel import drop_channel
-from repro.obs.sinks import JsonlSink
+from repro.obs.events import (
+    Event,
+    ExecutionFinished,
+    ExecutionStarted,
+    FaultInjected,
+    FaultRecovered,
+    MessageSent,
+    RoundExecuted,
+)
+from repro.obs.sinks import JsonlSink, Sink
 from repro.obs.tracer import Tracer
 from repro.online.adapter import threshold_user_class
 from repro.servers.advisors import advisor_server_class
@@ -204,11 +214,37 @@ CASTS: Dict[str, Callable[[], Cast]] = {
 }
 
 
+#: The engine's and the fault channel's event kinds, which a user-level
+#: golden trace leaves out.
+RUN_EVENTS = (
+    ExecutionStarted,
+    MessageSent,
+    RoundExecuted,
+    ExecutionFinished,
+    FaultInjected,
+    FaultRecovered,
+)
+
+
+class UserEvents(Sink):
+    """Forwards to ``sink`` only the events the user itself emits."""
+
+    def __init__(self, sink: Sink) -> None:
+        self.sink = sink
+
+    def emit(self, event: Event) -> None:
+        if not isinstance(event, RUN_EVENTS):
+            self.sink.emit(event)
+
+    def close(self) -> None:
+        self.sink.close()
+
+
 def record(name: str, path: Path) -> Dict[str, Optional[int]]:
-    """Run cast ``name`` with its user tracing to ``path``; return its stats."""
+    """Run cast ``name`` traced to ``path``, user events only; return its
+    stats."""
     cast = CASTS[name]()
-    with Tracer(JsonlSink(path, header={"cast": name})) as tracer:
-        cast.user.tracer = tracer
+    with Tracer(UserEvents(JsonlSink(path, header={"cast": name}))) as tracer:
         result = run_execution(
             cast.user,
             cast.server,
@@ -217,6 +253,7 @@ def record(name: str, path: Path) -> Dict[str, Optional[int]]:
             seed=cast.seed,
             channel=cast.channel,
             recording=METRICS_RECORDING,
+            tracer=tracer,
         )
     state = result.final_user_state
     stats: Dict[str, Optional[int]] = {

@@ -102,12 +102,11 @@ REPRO_CODE = str(Path(repro.__file__).parent) + os.sep
 
 
 def cast_pass(tracer: TracerLike) -> int:
-    """One pass over the cast with ``tracer`` on the engine and the user;
-    returns the rounds run."""
+    """One pass over the cast with ``tracer`` on each run (which hands it
+    on to the user); returns the rounds run."""
     user = CompactUniversalUser(
         ListEnumeration(follower_user_class(CODECS), label="followers"),
         control_sensing(),
-        tracer=tracer,
     )
     rounds = 0
     for server in SERVERS:
