@@ -130,22 +130,17 @@ def _vector_metrics(outcome: TabularOutcome) -> RunMetrics:
 def _vector_telemetry(outcome: TabularOutcome, n_seeds: int) -> CellTelemetry:
     """Reconstruct the serial tracer's counter tuple for one cell.
 
-    Counter *order* follows creation order in a serial run: the tracer
-    creates ``messages``/``message_bytes`` before ``rounds`` iff the first
-    round of the first seed emitted a message (MessageSent events precede
-    that round's RoundExecuted); compiled casts are deterministic, so all
-    seeds replay the first.
+    Each round line bumps ``rounds``, ``messages`` and ``message_bytes``
+    in that order; compiled casts are deterministic, so all seeds replay
+    the first.
     """
-    rounds = ("rounds", outcome.rounds * n_seeds)
-    if outcome.messages == 0:
-        return CellTelemetry(counters=(rounds,))
-    sent = (
-        ("messages", outcome.messages * n_seeds),
-        ("message_bytes", outcome.message_bytes * n_seeds),
+    return CellTelemetry(
+        counters=(
+            ("rounds", outcome.rounds * n_seeds),
+            ("messages", outcome.messages * n_seeds),
+            ("message_bytes", outcome.message_bytes * n_seeds),
+        )
     )
-    if outcome.first_round_messages:
-        return CellTelemetry(counters=(*sent, rounds))
-    return CellTelemetry(counters=(rounds, *sent))
 
 
 def _run_vector_chunk(

@@ -64,15 +64,6 @@ TARGET_CHUNK_SECONDS = 0.2
 _T = TypeVar("_T")
 
 
-def run_cell_chunk(tasks: Sequence[CellTask]) -> List[Tuple[int, SweepCell]]:
-    """Worker entry point: run a chunk of cells, tagged with their indices.
-
-    Module-level (not a method) so it pickles by reference under every
-    multiprocessing start method, including ``spawn``.
-    """
-    return [(task.index, task.run()) for task in tasks]
-
-
 def ensure_picklable(task: CellTask) -> None:
     """Raise a diagnosable error if ``task`` cannot cross a process boundary.
 

@@ -291,11 +291,6 @@ class TabularOutcome:
     last_bad_round: Optional[int]
     messages: int = 0
     message_bytes: int = 0
-    #: Whether round 1 emitted any message — callers reconstructing serial
-    #: counter streams need it because the serial tracer creates the
-    #: ``messages`` counters *before* ``rounds`` exactly when the first
-    #: round sent something (MessageSent events precede RoundExecuted).
-    first_round_messages: bool = False
 
 
 def run_tabular_batch(
@@ -396,7 +391,6 @@ def run_tabular_batch(
 
     messages = np.zeros(n, dtype=np.int64) if count_messages else None
     message_bytes = np.zeros(n, dtype=np.int64) if count_messages else None
-    first_msgs = np.zeros(n, dtype=bool) if count_messages else None
     sym_len = np.asarray([len(s) for s in casts[0].alphabet], dtype=np.int64)
 
     for round_index in range(max_rounds):
@@ -412,13 +406,9 @@ def run_tabular_batch(
 
         if count_messages:
             assert messages is not None and message_bytes is not None
-            assert first_msgs is not None
             for emitted in (ua, ub, sa, sb, wa, wb):
-                sent = emitted != 0
-                messages += sent
+                messages += emitted != 0
                 message_bytes += sym_len[emitted]
-                if round_index == 0:
-                    first_msgs |= sent
 
         u2s, u2w = ua, ub
         s2u, s2w = sa, sb
@@ -445,9 +435,6 @@ def run_tabular_batch(
                 messages=int(messages[slot]) if count_messages else 0,
                 message_bytes=(
                     int(message_bytes[slot]) if count_messages else 0
-                ),
-                first_round_messages=(
-                    bool(first_msgs[slot]) if count_messages else False
                 ),
             )
         )

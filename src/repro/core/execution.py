@@ -42,7 +42,7 @@ bytes instead of a ~2.7 KB Mersenne Twister state, which was most of
 what an open served session held.
 
 Observability: pass ``tracer=`` (see :mod:`repro.obs`) to stream typed
-round/message events; the stepper hands the tracer to the user's per-run
+round events; the stepper hands the tracer to the user's per-run
 state (:meth:`~repro.core.strategy.UserStrategy.initial_traced_state`), so
 a universal user's events join the stream.  Tracing is read-only — it
 never touches the RNGs or the in-flight messages — so a traced run is
@@ -84,7 +84,6 @@ from repro.errors import ExecutionError
 from repro.obs.events import (
     ExecutionFinished,
     ExecutionStarted,
-    MessageSent,
     RoundExecuted,
     rng_chain_digest,
 )
@@ -465,28 +464,14 @@ class ExecutionStepper:
 
                 if tracing:
                     assert tracer is not None
-                    messages = message_bytes = 0
-                    for sender, receiver, payload in (
-                        (Roles.USER, Roles.SERVER, user_out.to_server),
-                        (Roles.USER, Roles.WORLD, user_out.to_world),
-                        (Roles.SERVER, Roles.USER, server_out.to_user),
-                        (Roles.SERVER, Roles.WORLD, server_out.to_world),
-                        (Roles.WORLD, Roles.USER, world_out.to_user),
-                        (Roles.WORLD, Roles.SERVER, world_out.to_server),
-                    ):
-                        if payload:
-                            messages += 1
-                            message_bytes += len(payload)
-                            tracer.emit(
-                                MessageSent(
-                                    round_index=round_index, sender=sender,
-                                    receiver=receiver, payload=payload,
-                                )
-                            )
+                    # What each party sent (the channel may have replaced
+                    # ``u2s`` and ``s2u`` on delivery); silence is None.
                     tracer.emit(
                         RoundExecuted(
-                            round_index=round_index, messages=messages,
-                            message_bytes=message_bytes, halted=halt,
+                            round_index, halt,
+                            user_out.to_server or None, u2w or None,
+                            server_out.to_user or None, s2w or None,
+                            w2u or None, w2s or None,
                         )
                     )
 
@@ -553,9 +538,9 @@ def run_execution(
 
     The execution stops early when the user halts.  ``seed`` controls all
     randomness; two runs with equal arguments are identical.  ``tracer``
-    (optional) receives :class:`~repro.obs.events.ExecutionStarted`, per-
-    message :class:`~repro.obs.events.MessageSent`, per-round
-    :class:`~repro.obs.events.RoundExecuted`, and a final
+    (optional) receives :class:`~repro.obs.events.ExecutionStarted`, one
+    :class:`~repro.obs.events.RoundExecuted` per round carrying the
+    round's messages, and a final
     :class:`~repro.obs.events.ExecutionFinished` event; it observes but
     never influences the run.  ``recording`` picks how much history the
     result retains (see :class:`RecordingPolicy`); it never changes what

@@ -6,11 +6,12 @@ this package makes that dynamic inspectable: typed events
 pluggable sinks including a deterministic JSONL writer (:mod:`.sinks`),
 and the :class:`~.tracer.Tracer` that ties them together (:mod:`.tracer`).
 
-Instrumented call sites: ``run_execution(..., tracer=)`` (round and
-message events), the universal users (sensing, switch, and trial events,
-from the tracer the run hands to their per-run state),
-:class:`~repro.core.sensing.GraceSensing` (grace-suppression events), and
-``analysis.runner.sweep(..., telemetry=True)`` (per-cell counters).
+Instrumented call sites: ``run_execution(..., tracer=)`` (one round
+event per round, carrying its messages), the universal users (sensing,
+switch, and trial events, from the tracer the run hands to their per-run
+state), :class:`~repro.core.sensing.GraceSensing` (grace-suppression
+events), and ``analysis.runner.sweep(..., telemetry=True)`` (per-cell
+counters).
 
 Tracing is strictly opt-in and the off path is allocation-free; see
 ``docs/OBSERVABILITY.md`` for the taxonomy and usage patterns.
@@ -35,7 +36,6 @@ from repro.obs.events import (
     FaultRecovered,
     GoalVerdict,
     GraceSuppressed,
-    MessageSent,
     ProofFinished,
     ProofRoundChecked,
     ProofStarted,
@@ -122,7 +122,6 @@ __all__ = [
     "ExecutionStarted",
     "ExecutionFinished",
     "RoundExecuted",
-    "MessageSent",
     "SensingIndication",
     "StrategySwitch",
     "TrialStarted",

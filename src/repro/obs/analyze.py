@@ -42,13 +42,13 @@ from typing import (
 )
 
 from repro.obs.events import (
+    DIRECTIONS,
     Event,
     ExecutionFinished,
     ExecutionStarted,
     FaultInjected,
     GoalVerdict,
     GraceSuppressed,
-    MessageSent,
     ProofFinished,
     ProofRoundChecked,
     ProofStarted,
@@ -198,11 +198,14 @@ def _detail(event: Event) -> str:
             f"{event.user} vs {event.server} on {event.world} "
             f"(max_rounds={event.max_rounds}, seed={event.seed})"
         )
-    if isinstance(event, MessageSent):
-        return f"{event.sender}->{event.receiver} {event.payload!r}"
     if isinstance(event, RoundExecuted):
+        sent = " ".join(
+            f"{sender}->{receiver} {payload!r}"
+            for (_, sender, receiver), payload in zip(DIRECTIONS, event.payloads)
+            if payload is not None
+        )
         halt = "  HALT" if event.halted else ""
-        return f"messages={event.messages} bytes={event.message_bytes}{halt}"
+        return f"{sent or 'silent'}{halt}"
     if isinstance(event, ExecutionFinished):
         return (
             f"rounds={event.rounds_executed} "

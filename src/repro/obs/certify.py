@@ -1,14 +1,14 @@
 """Run certificates: re-derive a recorded run's claims from its trace.
 
-A trace written at schema minor >= 1 is *self-verifying*: together with
-its manifest it forms a certificate that a small, engine-free checker can
-validate offline — the VeriPB idea applied to goal-oriented executions.
+A trace is *self-verifying*: together with its manifest it forms a
+certificate that a small, engine-free checker can validate offline — the
+VeriPB idea applied to goal-oriented executions.
 :func:`certify_trace` replays the evidence a recorded run left behind and
 re-derives every claim that is re-derivable without the engine:
 
 * **stream shape** — one ``execution-started``/``execution-finished``
-  pair, round indices consecutive from zero, per-round message tallies
-  equal to the ``message-sent`` events, nothing after the halt;
+  pair, round indices consecutive from zero, no empty payload on a round
+  line (silence is ``null``), nothing after the halt;
 * **seed chain** — the per-party RNG seeds derive from the recorded
   master seed (``rng_digest`` recomputes from ``seed`` alone, so an
   edited seed or digest is caught);
@@ -24,8 +24,9 @@ re-derives every claim that is re-derivable without the engine:
 * **overhead arithmetic** — the enumeration-overhead decomposition
   recomputed from the stream must agree with the event counts;
 * **fault replay** — when the trace header carries the channel's fault
-  spec, the whole fault schedule is replayed from the recorded seed and
-  the ``fault-injected``/``fault-recovered`` events must match round for
+  spec, the whole fault schedule is replayed from the recorded seed over
+  the user↔server payloads each round line carries, and the
+  ``fault-injected``/``fault-recovered`` events must match round for
   round;
 * **proof transcripts** — ``proof-round`` events are rechecked: degree
   bounds, the quantifier/linearization/partial-sum consistency identity
@@ -86,7 +87,6 @@ from repro.obs.events import (
     FaultInjected,
     FaultRecovered,
     GoalVerdict,
-    MessageSent,
     ProofFinished,
     ProofRoundChecked,
     ProofStarted,
@@ -244,8 +244,7 @@ class _Checker:
 
     With ``fragment=True`` the stream is a flight dump whose prefix may
     have been evicted: the first ``round-executed`` becomes the round
-    sync point (its index is adopted, and the first — possibly partial —
-    round's message tally is not checked), trial numbering syncs to the
+    sync point (its index is adopted), trial numbering syncs to the
     first trial event seen, a leading ``trial-finished``/``switch`` whose
     justifying context predates the window is accepted, and the
     whole-stream truncation and overhead checks are skipped.  Every
@@ -275,10 +274,6 @@ class _Checker:
         self._rounds_synced = not fragment
         self._rounds_seen = 0
         self._halted = False
-        self._round_messages = 0
-        self._round_bytes = 0
-        self._round_us: Optional[str] = None
-        self._round_su: Optional[str] = None
 
         # Fault replay.
         self._replay: Optional[FaultyChannelRun] = None
@@ -407,25 +402,6 @@ class _Checker:
                 line,
             )
 
-    def _feed_message(self, line: Optional[int], event: MessageSent) -> None:
-        if event.round_index != self._expected_round and self._rounds_synced:
-            self.issue(
-                "stream",
-                f"message-sent for round {event.round_index} inside round "
-                f"{self._expected_round}",
-                line,
-            )
-        if not event.payload:
-            self.issue("stream", "message-sent with an empty payload", line)
-        self._round_messages += 1
-        self._round_bytes += len(event.payload)
-        if event.sender == "user" and event.receiver == "server":
-            if self._round_us is None:
-                self._round_us = event.payload
-        elif event.sender == "server" and event.receiver == "user":
-            if self._round_su is None:
-                self._round_su = event.payload
-
     def _feed_fault(
         self, line: Optional[int], event: Union[FaultInjected, FaultRecovered]
     ) -> None:
@@ -446,8 +422,7 @@ class _Checker:
             self._unreplayable_fault_line = line if line is not None else -1
 
     def _feed_round(self, line: Optional[int], event: RoundExecuted) -> None:
-        synced = self._rounds_synced
-        if not synced:
+        if not self._rounds_synced:
             # Fragment sync point: the dump's first round-executed fixes
             # where the surviving window sits in the original stream.
             self._rounds_synced = True
@@ -466,15 +441,11 @@ class _Checker:
                 f"round {event.round_index} executed after the user halted",
                 line,
             )
-        if synced and (
-            event.messages != self._round_messages
-            or event.message_bytes != self._round_bytes
-        ):
+        if "" in event.payloads:
             self.issue(
                 "stream",
-                f"round {event.round_index} claims {event.messages} message(s) "
-                f"/ {event.message_bytes} byte(s) but the trace shows "
-                f"{self._round_messages} / {self._round_bytes}",
+                f"round {event.round_index} carries an empty payload "
+                f"(silence is recorded as null)",
                 line,
             )
         self._replay_round(line, event)
@@ -482,20 +453,16 @@ class _Checker:
             self._halted = True
         self._rounds_seen += 1
         self._expected_round = event.round_index + 1
-        self._round_messages = 0
-        self._round_bytes = 0
-        self._round_us = None
-        self._round_su = None
         self._round_faults = []
 
     def _replay_round(self, line: Optional[int], event: RoundExecuted) -> None:
         replayed = self._replay_faults
         if self._replay is None or replayed is None:
             return
-        user_to_server = self._round_us if self._round_us is not None else SILENCE
-        server_to_user = self._round_su if self._round_su is not None else SILENCE
         try:
-            self._replay.apply(event.round_index, user_to_server, server_to_user)
+            self._replay.apply(
+                event.round_index, event.u2s or SILENCE, event.s2u or SILENCE
+            )
         except (KeyError, ValueError) as exc:
             self.issue(
                 "fault-replay",
@@ -975,11 +942,11 @@ class _Checker:
                 self.issue(
                     "stream", "trace truncated: no execution-finished event"
                 )
-        if (self._round_messages or self._round_faults) and not explained_end:
+        if self._round_faults and not explained_end:
             self.issue(
                 "stream",
-                "trace ends mid-round: message/fault events without a "
-                "closing round-executed",
+                "trace ends mid-round: fault events without a closing "
+                "round-executed",
             )
         if self._proof is not None and not explained_end:
             self.issue(
@@ -1130,7 +1097,6 @@ _HANDLERS: "TypeCache[Optional[_Handler]]" = dispatch_table(
     {
         SessionAbandoned: (_Checker._feed_abandoned, False),
         ExecutionStarted: (_Checker._feed_started, True),
-        MessageSent: (_Checker._feed_message, True),
         FaultInjected: (_Checker._feed_fault, True),
         FaultRecovered: (_Checker._feed_fault, True),
         RoundExecuted: (_Checker._feed_round, True),
@@ -1198,12 +1164,7 @@ def _uncertifiable_reason(header: Optional[Mapping[str, Any]]) -> str:
     if not header:
         return "trace has no schema header (pre-versioning trace)"
     minor = header.get("trace_schema_minor")
-    if not isinstance(minor, int) or minor < 1:
-        return (
-            f"trace predates the certificate evidence "
-            f"(trace_schema_minor >= 1 required, header has {minor!r})"
-        )
-    if minor > TRACE_SCHEMA_MINOR:
+    if isinstance(minor, int) and minor > TRACE_SCHEMA_MINOR:
         return (
             f"trace_schema_minor {minor} is newer than this build "
             f"({TRACE_SCHEMA_MINOR}); its evidence may not be understood"

@@ -8,14 +8,14 @@ that *recording* an execution cannot perturb it.
 
 The taxonomy mirrors the paper's dynamics:
 
-* engine level — :class:`ExecutionStarted`, :class:`RoundExecuted`,
-  :class:`MessageSent`, :class:`ExecutionFinished`;
+* engine level — :class:`ExecutionStarted`, :class:`RoundExecuted`
+  (one per round, carrying the round's messages), :class:`ExecutionFinished`;
 * universal-user level (Theorem 1's enumerate-and-switch loop) —
   :class:`SensingIndication`, :class:`StrategySwitch`,
   :class:`TrialStarted`, :class:`TrialFinished`;
 * sensing level — :class:`GraceSuppressed`, emitted when a grace window
   masks a negative inner indication;
-* verdict level (the certificate evidence, schema minor >= 1) —
+* verdict level (the certificate evidence) —
   :class:`GoalVerdict`, recorded by :func:`repro.obs.ledger.record_run`
   once the referee has judged the run, and the interactive-proof events
   :class:`ProofStarted` / :class:`ProofRoundChecked` /
@@ -308,9 +308,9 @@ def event_kinds() -> Dict[str, Type[Event]]:
 class ExecutionStarted(Event):
     """``run_execution`` began: the cast and the horizon.
 
-    ``rng_digest`` (schema minor >= 1) commits to the per-party RNG seed
-    chain the engine derived from ``seed`` — see :func:`rng_chain_digest`.
-    ``None`` on legacy traces.
+    ``rng_digest`` commits to the per-party RNG seed chain the engine
+    derived from ``seed`` — see :func:`rng_chain_digest`.  ``None`` means
+    nothing commits to it, which certify reports.
     """
 
     kind: ClassVar[str] = "execution-started"
@@ -323,40 +323,56 @@ class ExecutionStarted(Event):
     rng_digest: Optional[str] = None
 
 
-@register
-@dataclass(frozen=True)
-class MessageSent(Event):
-    """One non-silent message crossed one channel during one round.
-
-    ``sender``/``receiver`` are role names (``user``/``server``/``world``).
-    The payload is included verbatim — traces of adversarial codecs show
-    the scrambled bytes, exactly what the receiving party saw.
-    """
-
-    kind: ClassVar[str] = "message-sent"
-
-    round_index: int
-    sender: str
-    receiver: str
-    payload: str
+#: The round line's payload fields as ``(field, sender, receiver)``, in
+#: the order the engine delivers them.
+DIRECTIONS = (
+    ("u2s", "user", "server"),
+    ("u2w", "user", "world"),
+    ("s2u", "server", "user"),
+    ("s2w", "server", "world"),
+    ("w2u", "world", "user"),
+    ("w2s", "world", "server"),
+)
 
 
 @register
 @dataclass(frozen=True)
 class RoundExecuted(Event):
-    """One synchronous round completed.
+    """One synchronous round completed, with every message it sent.
 
-    ``messages`` counts the non-silent channel messages emitted this round
-    and ``message_bytes`` their total payload length; ``halted`` is True on
-    the round where the user halted.
+    ``halted`` is True on the round where the user halted.  Each payload
+    field holds what one party sent on one directed channel this round
+    (``u2s`` is user→server, ``w2u`` world→user, and so on; see
+    :data:`DIRECTIONS`), verbatim — traces of adversarial codecs show the
+    scrambled bytes, and a faulty channel's input, not what it delivered.
+    Silence is ``None``: a present payload is never empty.
     """
 
     kind: ClassVar[str] = "round-executed"
 
     round_index: int
-    messages: int
-    message_bytes: int
     halted: bool
+    u2s: Optional[str] = None
+    u2w: Optional[str] = None
+    s2u: Optional[str] = None
+    s2w: Optional[str] = None
+    w2u: Optional[str] = None
+    w2s: Optional[str] = None
+
+    @property
+    def payloads(self) -> Tuple[Optional[str], ...]:
+        """The six payload fields, in :data:`DIRECTIONS` order."""
+        return (self.u2s, self.u2w, self.s2u, self.s2w, self.w2u, self.w2s)
+
+    @property
+    def messages(self) -> int:
+        """How many non-silent messages the round sent."""
+        return 6 - self.payloads.count(None)
+
+    @property
+    def message_bytes(self) -> int:
+        """The round's total payload length."""
+        return sum(map(len, filter(None, self.payloads)))
 
 
 @register
@@ -517,7 +533,7 @@ class GraceSuppressed(Event):
 
 
 # --------------------------------------------------------------------------
-# Verdict-level events (certificate evidence, schema minor >= 1)
+# Verdict-level events (certificate evidence)
 # --------------------------------------------------------------------------
 
 
@@ -550,7 +566,7 @@ class GoalVerdict(Event):
 @register
 @dataclass(frozen=True)
 class SessionAbandoned(Event):
-    """A serve-engine session ended without settling (schema minor >= 1).
+    """A serve-engine session ended without settling.
 
     The terminator of a *flight dump*: when a session fails or the engine
     aborts, :meth:`repro.serve.session.Session.abandon` emits this before

@@ -13,14 +13,12 @@ Three implementations cover the reproduction's needs:
 :func:`read_jsonl` inverts :class:`JsonlSink` back into typed events.
 
 Trace files are schema-versioned: the first line a :class:`JsonlSink`
-writes is a header object ``{"trace_schema": 1, "trace_schema_minor": 1,
-...}`` (never an event), and the replay path refuses schema majors it
-does not understand with a :class:`TraceSchemaError` rather than
-misparsing the stream.  Headerless files (pre-versioning traces,
-hand-built fixtures) still read fine.  The minor revision is additive
-evidence: minor >= 1 traces carry the fields ``repro.obs.certify`` needs
-to re-derive the run's claims; older traces still read but are reported
-as uncertifiable.
+writes is a header object ``{"trace_schema": 2, "trace_schema_minor": 0,
+...}`` (never an event), and the replay path refuses every schema major
+but its own with a :class:`TraceSchemaError` anchored to the header line
+rather than misparsing the stream: a major-1 trace (one line per message
+besides the round's) must be re-recorded.  Headerless files (hand-built
+fixtures) still read fine, but certify reports them as uncertifiable.
 
 One reader, :func:`iter_trace_batches`, parses a trace a 64 KiB chunk at
 a time into batches of ``(line_number, event)`` pairs, and can hash the
@@ -60,13 +58,13 @@ if TYPE_CHECKING:
 
 E = TypeVar("E", bound=Event)
 
-#: The trace-file schema major this build writes and understands.
-TRACE_SCHEMA = 1
+#: The trace-file schema major this build writes and understands.  Major
+#: 2 writes one ``round-executed`` line per round, carrying the round's
+#: messages; major 1 wrote one line per message besides.
+TRACE_SCHEMA = 2
 
-#: The additive minor revision.  Minor 1 adds the certificate evidence:
-#: ``rng_digest`` on ``execution-started``, the ``goal-verdict`` event,
-#: the ``proof-*`` events, and the channel fault spec in the header.
-TRACE_SCHEMA_MINOR = 1
+#: The additive minor revision within the major.
+TRACE_SCHEMA_MINOR = 0
 
 
 class TraceSchemaError(ValueError):
@@ -151,7 +149,7 @@ class JsonlSink(Sink):
     the compiled line writer behind :func:`~repro.obs.events.event_line`,
     called straight from the writer table.
 
-    The first line is the schema header (``{"trace_schema": 1}`` plus any
+    The first line is the schema header (``{"trace_schema": 2, …}`` plus any
     ``header`` extras, which must themselves be deterministic values for
     the byte-identity guarantee to hold).
 
@@ -209,17 +207,26 @@ class JsonlSink(Sink):
                 self._file.close()
 
 
-def _check_trace_header(header: Mapping[str, Any], path: Path) -> None:
-    """Reject schema majors this build does not understand."""
+def _check_trace_header(header: Mapping[str, Any], path: Path, number: int) -> None:
+    """Reject every schema major but this build's, anchored to the header line."""
     declared = header.get("trace_schema")
     if not isinstance(declared, int) or declared <= 0:
         raise TraceSchemaError(
-            f"{path}: malformed trace_schema header value {declared!r}"
+            f"{path}:{number}: malformed trace_schema header value {declared!r}",
+            line=number,
         )
     if declared > TRACE_SCHEMA:
         raise TraceSchemaError(
-            f"{path}: trace_schema {declared} is newer than the supported "
-            f"major {TRACE_SCHEMA}; re-read it with a matching repro build"
+            f"{path}:{number}: trace_schema {declared} is newer than the "
+            f"supported major {TRACE_SCHEMA}; re-read it with a matching "
+            f"repro build",
+            line=number,
+        )
+    if declared < TRACE_SCHEMA:
+        raise TraceSchemaError(
+            f"{path}:{number}: trace_schema {declared} predates the one-line-"
+            f"per-round trace (major {TRACE_SCHEMA}); re-record the trace",
+            line=number,
         )
 
 
@@ -284,7 +291,7 @@ def _parse_line(
     if header:
         return _parse_event(record, path, number)
     if isinstance(record, dict) and "kind" not in record:
-        _check_trace_header(record, path)
+        _check_trace_header(record, path, number)
         header.append(record)
         return None
     event = _parse_event(record, path, number)

@@ -22,7 +22,6 @@ from repro.obs.events import (
     FaultInjected,
     FaultRecovered,
     GraceSuppressed,
-    MessageSent,
     RoundExecuted,
     SensingIndication,
     StrategySwitch,
@@ -35,9 +34,10 @@ def _count_sensing(counters: CounterSet, event: SensingIndication) -> None:
     counters.inc("sensing_positive" if event.positive else "sensing_negative")
 
 
-def _count_message(counters: CounterSet, event: MessageSent) -> None:
-    counters.inc("messages")
-    counters.inc("message_bytes", len(event.payload))
+def _count_round(counters: CounterSet, event: RoundExecuted) -> None:
+    counters.inc("rounds")
+    counters.inc("messages", event.messages)
+    counters.inc("message_bytes", event.message_bytes)
 
 
 def _count_switch(counters: CounterSet, event: StrategySwitch) -> None:
@@ -55,8 +55,7 @@ def _count_one(name: str) -> Callable[[CounterSet, Event], None]:
 
 #: Exact event type -> the counters it bumps (other types bump none).
 _COUNT: Dict[type, Callable[[CounterSet, Any], None]] = {
-    RoundExecuted: _count_one("rounds"),
-    MessageSent: _count_message,
+    RoundExecuted: _count_round,
     SensingIndication: _count_sensing,
     StrategySwitch: _count_switch,
     TrialStarted: _count_one("trials"),

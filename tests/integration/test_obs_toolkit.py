@@ -91,4 +91,4 @@ class TestObsToolkit:
         ) == 0
         summary = json.loads(capsys.readouterr().out)[0]
         assert summary["rounds"] == recorded.execution.rounds_executed
-        assert summary["trace_schema"] == 1
+        assert summary["trace_schema"] == 2

@@ -257,7 +257,7 @@ class TestRegistryExhaustiveness:
                     static_kinds.add(value.value)
         runtime_kinds = set(event_kinds())
         assert static_kinds == runtime_kinds
-        assert len(runtime_kinds) >= 16
+        assert len(runtime_kinds) >= 15
         # The serve plane's terminating event is part of the contract:
         # emitted by Session.abandon, consumed by certify + analyze.
         assert "session-abandoned" in static_kinds

@@ -34,7 +34,7 @@ from repro.obs.certify import (
     certify_trace,
 )
 from repro.obs.ledger import MANIFEST_STREAM, record_run
-from repro.obs.sinks import read_trace
+from repro.obs.sinks import TraceSchemaError, read_trace
 from repro.qbf.generators import random_qbf
 from repro.servers.advisors import advisor_server_class
 from repro.servers.provers import HonestProverServer
@@ -225,6 +225,35 @@ class TestTampering:
         path = tampered_copy(recorded, tmp_path, swap_rounds)
         self.assert_rejected(path, "stream", "out of order", capsys)
 
+    def test_empty_payload_on_a_round_line(self, recorded, tmp_path, capsys):
+        path = tampered_copy(
+            recorded, tmp_path,
+            lambda lines: edit_event(lines, "round-executed", "u2s", "", occurrence=3),
+        )
+        self.assert_rejected(path, "stream", "carries an empty payload", capsys)
+
+    def test_silenced_payload_breaks_the_fault_replay(
+        self, recorded, tmp_path, capsys
+    ):
+        # The replay reads each round's server->user payload off its round
+        # line: silencing the delivery a recovery was recorded on leaves
+        # the replayed channel nothing to recover with.
+        def silence(lines):
+            recovered = next(
+                data["round_index"]
+                for data in map(json.loads, lines)
+                if data.get("kind") == "fault-recovered"
+                and data["site"] == "server->user"
+            )
+            return edit_event(
+                lines, "round-executed", "s2u", None, occurrence=recovered
+            )
+
+        path = tampered_copy(recorded, tmp_path, silence)
+        self.assert_rejected(
+            path, "fault-replay", "diverge from the replayed schedule", capsys
+        )
+
     def test_edited_seed(self, recorded, tmp_path, capsys):
         path = tampered_copy(
             recorded, tmp_path,
@@ -281,15 +310,19 @@ class TestTampering:
 
 
 class TestLegacyTraces:
-    def test_schema_minor_zero_is_uncertifiable_not_an_error(
+    def test_major_1_trace_is_rejected_and_must_be_re_recorded(
         self, tmp_path, capsys
     ):
         path = tmp_path / "legacy.jsonl"
-        path.write_text(json.dumps({"trace_schema": 1}) + "\n")
-        code, out = certify_cli(path, capsys=capsys)
-        assert code == 1
-        assert "UNCERTIFIABLE" in out
-        assert "predates the certificate evidence" in out
+        path.write_text(
+            json.dumps({"trace_schema": 1, "trace_schema_minor": 1}) + "\n"
+        )
+        with pytest.raises(TraceSchemaError, match="re-record the trace") as info:
+            certify_trace(path)
+        assert info.value.line == 1
+        assert main(["certify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:1: trace_schema 1 predates" in err
 
     def test_headerless_trace_is_uncertifiable(self, tmp_path):
         path = tmp_path / "bare.jsonl"

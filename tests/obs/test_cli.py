@@ -21,14 +21,14 @@ from repro.obs.events import (
 EVENTS = [
     ExecutionStarted(user="u", server="s", world="w", max_rounds=10, seed=0),
     TrialStarted(round_index=0, trial_number=0, candidate_index=0),
-    RoundExecuted(round_index=0, messages=2, message_bytes=8, halted=False),
+    RoundExecuted(round_index=0, halted=False, u2s="ping", w2u="data"),
     SensingIndication(round_index=0, candidate_index=0, positive=False),
     TrialFinished(round_index=0, trial_number=0, candidate_index=0,
                   rounds_used=1, reason="evicted"),
     StrategySwitch(round_index=0, from_index=0, to_index=1, wrapped=False),
     TrialStarted(round_index=1, trial_number=1, candidate_index=1),
-    RoundExecuted(round_index=1, messages=2, message_bytes=8, halted=False),
-    RoundExecuted(round_index=2, messages=2, message_bytes=8, halted=False),
+    RoundExecuted(round_index=1, halted=False, u2s="ping", w2u="data"),
+    RoundExecuted(round_index=2, halted=False, u2s="ping", w2u="data"),
     ExecutionFinished(rounds_executed=3, halted=False),
 ]
 
@@ -61,7 +61,9 @@ class TestSummarize:
         documents = json.loads(capsys.readouterr().out)
         assert documents[0]["rounds"] == 3
         assert documents[0]["counts"]["round-executed"] == 3
-        assert documents[0]["trace_schema"] == 1
+        assert documents[0]["trace_schema"] == 2
+        assert documents[0]["messages"] == 6
+        assert documents[0]["message_bytes"] == 24
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert main(["summarize", str(tmp_path / "nope.jsonl")]) == 2
@@ -75,8 +77,14 @@ class TestSummarize:
 
     def test_unknown_event_kind_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "unknown.jsonl"
-        bad.write_text('{"trace_schema": 1}\n{"kind": "martian"}\n')
+        bad.write_text('{"trace_schema": 2}\n{"kind": "martian"}\n')
         assert main(["summarize", str(bad)]) == 2
+
+    def test_major_1_trace_exits_2(self, tmp_path, capsys):
+        old = tmp_path / "old.jsonl"
+        old.write_text('{"trace_schema": 1, "trace_schema_minor": 1}\n')
+        assert main(["summarize", str(old)]) == 2
+        assert f"{old}:1: trace_schema 1 predates" in capsys.readouterr().err
 
     def test_future_schema_exits_2(self, tmp_path, capsys):
         future = tmp_path / "future.jsonl"

@@ -26,7 +26,6 @@ from repro.comm.codecs import codec_family
 from repro.faults.channel import drop_channel
 from repro.obs.certify import certify_trace
 from repro.obs.events import (
-    MessageSent,
     RoundExecuted,
     event_from_dict,
     event_kinds,
@@ -97,20 +96,29 @@ class TestLineCodec:
 
     def test_values_outside_the_fast_path_fall_back(self):
         event = RoundExecuted(
-            round_index=Level.HIGH, messages=True, message_bytes=2.5, halted=1
+            round_index=Level.HIGH, halted=1, u2s=2.5, w2s=True
         )
         assert event_line(event) == stock(event)
         assert event_line(event).startswith(
             '{"kind":"round-executed","round_index":2,'
         )
 
+    def test_round_line_stays_on_the_fast_path(self, monkeypatch):
+        def stock_encoder(*args, **kwargs):
+            raise AssertionError("the round line fell back to json.dumps")
+
+        event = RoundExecuted(7, True, "a\"b", None, "é€𝄞\ud800", None, "\n", None)
+        expected = stock(event)
+        monkeypatch.setattr(json, "dumps", stock_encoder)
+        assert event_line(event) == expected
+
     def test_unregistered_subclass_gets_its_own_writer(self):
-        class Quoted(MessageSent):
+        class Quoted(RoundExecuted):
             kind = 'quoted"{kind}'
 
-        event = Quoted(round_index=1, sender="u", receiver="s", payload="p")
+        event = Quoted(round_index=1, halted=False, u2s="p")
         assert event_line(event) == stock(event)
-        plain = MessageSent(round_index=1, sender="u", receiver="s", payload="p")
+        plain = RoundExecuted(round_index=1, halted=False, u2s="p")
         assert event_line(plain) == stock(plain)
 
     def test_decoder_builds_through_the_constructor_for_partial_records(self):
@@ -149,9 +157,7 @@ class TestRunningDigest:
         sink = JsonlSink(path, header={"note": "é"})
         for i in range(JsonlSink.CHUNK_LINES * 2 + 3):
             # U+2028 is a line break to str.splitlines, never to the trace.
-            event = MessageSent(
-                round_index=i, sender="user", receiver="server", payload="x\u2028"
-            )
+            event = RoundExecuted(round_index=i, halted=False, u2s="x\u2028")
             sink.emit(event)
         sink.close()
         assert sink.sha256() == file_sha256(path)
@@ -193,7 +199,7 @@ class TestRunningDigest:
 
     def test_dump_flight_of_a_plain_iterable(self, tmp_path):
         events = [
-            MessageSent(round_index=i, sender="user", receiver="world", payload="é")
+            RoundExecuted(round_index=i, halted=False, u2w="é")
             for i in range(3)
         ]
         dump = dump_flight(
@@ -201,15 +207,17 @@ class TestRunningDigest:
         )
         lines = dump.read_text().splitlines()
         assert json.loads(lines[0]) == {
-            "trace_schema": 1, "trace_schema_minor": 1, "flight": True, "who": "x",
+            "trace_schema": 2, "trace_schema_minor": 0, "flight": True, "who": "x",
         }
         assert lines[1:] == [stock(e) for e in events]
 
 
 class TestOneRead:
     def recorded(self, tmp_path):
+        # 1300 rounds: the one-line-per-round trace still spans more than
+        # three read chunks.
         return record_run(
-            make_user(), SERVERS[1], GOAL, max_rounds=600, seed=3,
+            make_user(), SERVERS[1], GOAL, max_rounds=1300, seed=3,
             out_dir=tmp_path, name="run", channel=drop_channel(0.05),
         )
 
@@ -243,8 +251,8 @@ class TestOneRead:
     def test_invalid_utf8_is_a_line_anchored_finding(self, tmp_path):
         recorded = self.recorded(tmp_path)
         data = recorded.trace_path.read_bytes().split(b"\n")
-        target = next(i for i in range(40, len(data)) if b'"user"' in data[i])
-        data[target] = data[target].replace(b'"user"', b'"us\xffr"', 1)
+        target = next(i for i in range(40, len(data)) if b'"s2u":"' in data[i])
+        data[target] = data[target].replace(b'"s2u":"', b'"s2u":"\xff', 1)
         recorded.trace_path.write_bytes(b"\n".join(data))
         report = certify_trace(recorded.trace_path)
         assert not report.ok

@@ -22,7 +22,7 @@ from repro.obs import events
 from repro.obs.events import (
     IN_PLACE,
     Event,
-    MessageSent,
+    RoundExecuted,
     StrategySwitch,
     event_kinds,
     register,
@@ -46,7 +46,7 @@ def sample(cls: type) -> Dict[str, Any]:
 
 
 def test_every_event_without_post_init_is_generated():
-    assert MessageSent in FAST
+    assert RoundExecuted in FAST
     for cls in FAST:
         assert cls.__init__.__code__.co_filename == f"<event init {cls.__name__}>"
 
@@ -120,10 +120,11 @@ def test_pickle_and_replace(cls):
 
 
 def test_equality_is_by_class_and_fields():
-    a = MessageSent(round_index=1, sender="user", receiver="server", payload="p")
-    assert a == MessageSent(1, "user", "server", "p")
-    assert a != MessageSent(2, "user", "server", "p")
-    assert len({a, MessageSent(1, "user", "server", "p")}) == 1
+    a = RoundExecuted(round_index=1, halted=False, u2s="p")
+    assert a == RoundExecuted(1, False, "p")
+    assert a != RoundExecuted(2, False, "p")
+    assert a != RoundExecuted(1, False, None, "p")
+    assert len({a, RoundExecuted(1, False, "p", None)}) == 1
     assert a != StrategySwitch(1, 0, 1, False)
     assert StrategySwitch(1, 0, 1, False).reason == "sensing-negative"
 

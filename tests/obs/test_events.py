@@ -12,7 +12,6 @@ from repro.obs import (
     FaultRecovered,
     GoalVerdict,
     GraceSuppressed,
-    MessageSent,
     ProofFinished,
     ProofRoundChecked,
     ProofStarted,
@@ -28,7 +27,6 @@ from repro.obs import (
 
 ALL_EVENT_TYPES = [
     ExecutionStarted,
-    MessageSent,
     RoundExecuted,
     ExecutionFinished,
     SensingIndication,
@@ -48,8 +46,7 @@ ALL_EVENT_TYPES = [
 SAMPLES = [
     ExecutionStarted(user="u", server="s", world="w", max_rounds=10, seed=3,
                      rng_digest="abc123"),
-    MessageSent(round_index=2, sender="user", receiver="server", payload="hi"),
-    RoundExecuted(round_index=2, messages=3, message_bytes=17, halted=False),
+    RoundExecuted(round_index=2, halted=False, u2s="hi", s2u="é€", w2u="OBS:1"),
     ExecutionFinished(rounds_executed=9, halted=True),
     SensingIndication(round_index=4, candidate_index=1, positive=False),
     StrategySwitch(round_index=4, from_index=1, to_index=2, wrapped=False,
@@ -102,7 +99,17 @@ class TestRoundTrip:
 
     def test_field_order_is_declaration_order(self):
         keys = list(SAMPLES[1].to_dict())
-        assert keys == ["kind", "round_index", "sender", "receiver", "payload"]
+        assert keys == [
+            "kind", "round_index", "halted",
+            "u2s", "u2w", "s2u", "s2w", "w2u", "w2s",
+        ]
+
+    def test_round_counts_and_bytes_derive_from_its_payloads(self):
+        event = SAMPLES[1]
+        assert event.payloads == ("hi", None, "é€", None, "OBS:1", None)
+        assert (event.messages, event.message_bytes) == (3, 9)
+        silent = RoundExecuted(round_index=0, halted=True)
+        assert (silent.messages, silent.message_bytes) == (0, 0)
 
     def test_samples_cover_every_registered_kind(self):
         """A new event type must gain a sample here (and thus a round-trip)."""

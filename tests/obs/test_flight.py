@@ -16,7 +16,6 @@ import pytest
 from repro.obs.certify import FRAGMENT_CHECKS, certify_events, certify_trace
 from repro.obs.events import (
     ABANDON_FAILURE,
-    MessageSent,
     RoundExecuted,
     SensingIndication,
     SessionAbandoned,
@@ -29,10 +28,8 @@ from repro.obs.flight import FlightBuffer, TeeSink, dump_flight
 from repro.obs.sinks import MemorySink, iter_trace
 
 
-def _round(index, messages=0):
-    return RoundExecuted(
-        round_index=index, messages=messages, message_bytes=0, halted=False
-    )
+def _round(index, **payloads):
+    return RoundExecuted(round_index=index, halted=False, **payloads)
 
 
 class TestFlightBuffer:
@@ -127,8 +124,7 @@ class TestDumpFlight:
 def _fragment_events():
     """A plausible mid-stream window: trial machinery from round 5 on."""
     return [
-        MessageSent(round_index=5, sender="user", receiver="server", payload="a"),
-        _round(5, messages=1),
+        _round(5, u2s="a"),
         SensingIndication(round_index=6, candidate_index=2, positive=False),
         TrialFinished(
             round_index=6,

@@ -33,8 +33,7 @@ SERVERS = advisor_server_class(LAW, CODECS)
 
 def rounds(n, start=0):
     return [
-        RoundExecuted(round_index=start + i, messages=1, message_bytes=2,
-                      halted=False)
+        RoundExecuted(round_index=start + i, halted=False, u2s="ab")
         for i in range(n)
     ]
 

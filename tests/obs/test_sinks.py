@@ -22,7 +22,7 @@ from repro.obs import (
 )
 
 EVENTS = [
-    RoundExecuted(round_index=i, messages=1, message_bytes=4, halted=False)
+    RoundExecuted(round_index=i, halted=False, u2s="ping")
     for i in range(5)
 ]
 
@@ -127,6 +127,20 @@ class TestTraceSchema:
         with pytest.raises(TraceSchemaError, match="newer than the supported"):
             read_trace(path)
 
+    def test_major_1_is_rejected_at_its_header_line(self, tmp_path):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '\n{"trace_schema": 1, "trace_schema_minor": 1}\n'
+            '{"kind": "message-sent", "round_index": 0, "sender": "user", '
+            '"receiver": "server", "payload": "a"}\n'
+        )
+        with pytest.raises(
+            TraceSchemaError, match=r"old\.jsonl:2: trace_schema 1 predates"
+        ) as excinfo:
+            read_trace(path)
+        assert excinfo.value.line == 2
+        assert "re-record the trace" in str(excinfo.value)
+
     def test_malformed_schema_is_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"trace_schema": "one"}\n')
@@ -186,13 +200,13 @@ class TestIterTrace:
 class TestLineAnchoredErrors:
     def test_bad_json_carries_path_and_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"trace_schema": 1}\n\n{oops\n')
+        path.write_text('{"trace_schema": 2}\n\n{oops\n')
         with pytest.raises(TraceSchemaError, match=r"bad\.jsonl:3: not valid JSON"):
             read_trace(path)
 
     def test_unknown_kind_carries_path_and_line(self, tmp_path):
         path = tmp_path / "unknown.jsonl"
-        path.write_text('{"trace_schema": 1}\n{"kind": "martian"}\n')
+        path.write_text('{"trace_schema": 2}\n{"kind": "martian"}\n')
         with pytest.raises(
             TraceSchemaError, match=r"unknown\.jsonl:2: unknown or missing"
         ):
@@ -201,7 +215,7 @@ class TestLineAnchoredErrors:
     def test_bad_payload_carries_path_and_line(self, tmp_path):
         path = tmp_path / "payload.jsonl"
         path.write_text(
-            '{"trace_schema": 1}\n{"kind": "round-executed", "bogus": 1}\n'
+            '{"trace_schema": 2}\n{"kind": "round-executed", "bogus": 1}\n'
         )
         with pytest.raises(
             TraceSchemaError, match=r"payload\.jsonl:2: malformed event payload"
@@ -211,7 +225,7 @@ class TestLineAnchoredErrors:
 
     def test_non_object_line_is_rejected(self, tmp_path):
         path = tmp_path / "scalar.jsonl"
-        path.write_text('{"trace_schema": 1}\n42\n')
+        path.write_text('{"trace_schema": 2}\n42\n')
         with pytest.raises(TraceSchemaError, match="not a JSON object"):
             read_trace(path)
 

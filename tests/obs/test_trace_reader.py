@@ -27,7 +27,6 @@ from repro.obs import sinks
 from repro.obs.events import (
     Event,
     ExecutionFinished,
-    MessageSent,
     RoundExecuted,
     SensingIndication,
     TrialStarted,
@@ -100,7 +99,7 @@ def reference_numbered(
         for number, text in lines:
             record = _parse_record(text, resolved, number)
             if isinstance(record, dict) and "kind" not in record:
-                _check_trace_header(record, resolved)
+                _check_trace_header(record, resolved, number)
                 header = record
             else:
                 first_event = (number, _parse_event(record, resolved, number))
@@ -177,11 +176,12 @@ def assert_same_reading(path: Path) -> None:
 # Generated trace files.
 # --------------------------------------------------------------------------
 
-HEADER = b'{"trace_schema":1,"trace_schema_minor":1}'
+HEADER = b'{"trace_schema":2,"trace_schema_minor":0}'
 EVENTS = [
-    MessageSent(round_index=0, sender="user", receiver="server", payload="ping"),
-    MessageSent(round_index=3, sender="server", receiver="user", payload="é€𝄞\\\""),
-    RoundExecuted(round_index=4, messages=2, message_bytes=9, halted=False),
+    RoundExecuted(round_index=0, halted=False, u2s="ping"),
+    # Non-ASCII, escapes and a lone surrogate in the payload fields.
+    RoundExecuted(round_index=3, halted=False, s2u="é€𝄞\\\"", w2s="\udfff"),
+    RoundExecuted(round_index=4, halted=False),
     SensingIndication(round_index=5, candidate_index=1, positive=True),
     TrialStarted(round_index=6, trial_number=2, candidate_index=1, budget=None),
     ExecutionFinished(rounds_executed=7, halted=True),
@@ -212,12 +212,13 @@ BAD = [
     b'{"kind":"execution-finished","rounds_executed":1,"halted":false,"x":1}',
     b"{oops",
     b"\xff\xfe",  # Invalid UTF-8.
-    b'{"kind":"message-sent","round_index":0,"sender":"u","receiver":"s",'
-    b'"payload":"\xc3"}',  # A cut multi-byte character.
+    b'{"kind":"round-executed","round_index":0,"halted":false,"u2s":"\xc3",'
+    b'"u2w":null,"s2u":null,"s2w":null,"w2u":null,"w2s":null}',  # A cut character.
 ]
 ENDING = st.sampled_from([b"\n"] * 6 + [b"\r\n", b"\r"])
 HEAD = st.sampled_from(
-    [HEADER] * 4 + [b"", b'{"trace_schema": 99}', b'{"trace_schema": "one"}']
+    [HEADER] * 4
+    + [b"", b'{"trace_schema": 99}', b'{"trace_schema": "one"}', b'{"trace_schema": 1}']
 )
 
 
@@ -251,12 +252,10 @@ STRADDLE = st.sampled_from(
 
 def filler(size: int) -> bytes:
     """A valid event line of exactly ``size`` bytes, newline included."""
-    bare = MessageSent(round_index=0, sender="user", receiver="world", payload="")
+    bare = RoundExecuted(round_index=0, halted=False, u2w="")
     payload = "x" * (size - len(event_line(bare)) - 1)
     assert payload
-    line = event_line(
-        MessageSent(round_index=0, sender="user", receiver="world", payload=payload)
-    )
+    line = event_line(RoundExecuted(round_index=0, halted=False, u2w=payload))
     return line.encode() + b"\n"
 
 
@@ -321,5 +320,5 @@ def test_a_long_clean_trace_reads_in_place(tmp_path: Path) -> None:
     assert path.stat().st_size > 4 * CHUNK
     assert_same_reading(path)
     header, batches = iter_trace_batches(path)
-    assert header == {"trace_schema": 1, "trace_schema_minor": 1}
+    assert header == {"trace_schema": 2, "trace_schema_minor": 0}
     assert sum(len(batch) for batch in batches) == 9000

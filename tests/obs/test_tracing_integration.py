@@ -28,7 +28,6 @@ from repro.obs import (
     GraceSuppressed,
     JsonlSink,
     MemorySink,
-    MessageSent,
     NoopTracer,
     RoundExecuted,
     SensingIndication,
@@ -86,25 +85,24 @@ class TestEngineEventStream:
         ]
 
     def test_message_events_match_round_traffic(self):
-        """Per round, MessageSent events equal the record's non-silent outboxes."""
+        """Each round event's payloads are the record's outboxes, silence None."""
         result, tracer = traced_run()
-        by_round = {}
-        for e in tracer.sink.of_kind(MessageSent):
-            by_round.setdefault(e.round_index, []).append((e.sender, e.receiver, e.payload))
-        for record in result.rounds:
-            expected = [
-                (s, r, p)
-                for s, r, p in (
-                    ("user", "server", record.user_outbox.to_server),
-                    ("user", "world", record.user_outbox.to_world),
-                    ("server", "user", record.server_outbox.to_user),
-                    ("server", "world", record.server_outbox.to_world),
-                    ("world", "user", record.world_outbox.to_user),
-                    ("world", "server", record.world_outbox.to_server),
+        round_events = tracer.sink.of_kind(RoundExecuted)
+        assert len(round_events) == len(result.rounds)
+        for event, record in zip(round_events, result.rounds):
+            expected = tuple(
+                p or None
+                for p in (
+                    record.user_outbox.to_server,
+                    record.user_outbox.to_world,
+                    record.server_outbox.to_user,
+                    record.server_outbox.to_world,
+                    record.world_outbox.to_user,
+                    record.world_outbox.to_server,
                 )
-                if p
-            ]
-            assert by_round.get(record.index, []) == expected
+            )
+            assert event.payloads == expected
+        assert any(event.messages for event in round_events)  # Not vacuous.
 
     def test_round_counter_agrees_with_execution(self):
         result, tracer = traced_run()
@@ -112,11 +110,14 @@ class TestEngineEventStream:
 
     def test_message_counters_agree_with_events(self):
         _, tracer = traced_run()
-        sent = tracer.sink.of_kind(MessageSent)
-        assert tracer.counters.get("messages") == len(sent)
-        assert tracer.counters.get("message_bytes") == sum(
-            len(e.payload) for e in sent
-        )
+        sent = [
+            payload
+            for event in tracer.sink.of_kind(RoundExecuted)
+            for payload in event.payloads
+            if payload is not None
+        ]
+        assert tracer.counters.get("messages") == len(sent) > 0
+        assert tracer.counters.get("message_bytes") == sum(map(len, sent))
 
 
 class TestUniversalUserEvents:

@@ -9,7 +9,7 @@ round of the sweep cast (:mod:`tests.work_budget`), which prices every
 cell of Theorem 1's grid.  The third bounds the ``repro`` calls per round
 of an unledgered served burst, the shape of perfbench's ``serve-burst``.
 The fourth bounds the ledgered served session — trace written, and
-certified at close — by the ``repro`` calls it makes per trace event.
+certified at close — by the ``repro`` calls it makes per served round.
 Call counts are deterministic once a warm-up pass has built the tables
 the parties answer from, so the gates cannot flap.
 """
@@ -24,7 +24,7 @@ import pytest
 
 import repro
 
-from repro.obs import NoopTracer
+from repro.obs import NoopTracer, RoundExecuted, read_trace
 from repro.obs.tracer import TracerLike
 from repro.serve.loadgen import demo_specs
 from repro.serve.session import Session
@@ -131,12 +131,15 @@ def test_served_slice_calls_per_round():
 LEDGER_SPECS = demo_specs("mixed", 60, seed=0, max_rounds=60, drop=0.1)
 REPRO_CODE = str(Path(repro.__file__).parent)
 
-#: ``repro`` calls per trace event, certified and not.  The change that
-#: set these measured 10.3 and 6.5 (Python 3.11; the parent tree read
-#: 24.9 and 13.9), so each ceiling leaves ~25–35% headroom for the
-#: interpreter's differences (3.12 inlines comprehensions) and small
-#: changes to the session path.  Tighten, do not loosen.
-LEDGER_BUDGET = {True: 14.0, False: 8.0}
+#: ``repro`` calls per served round, certified and not.  These were
+#: per-trace-event ceilings of 14.0 and 8.0 while a trace wrote a line
+#: per message besides each round's line: 4.988 events per round here,
+#: measured at 9.900 and 6.050 calls per event (49.384 and 30.179 per
+#: round, Python 3.11).  A round is one line now, so a per-event figure
+#: would rise as total work falls; the ceilings are the old ones restated
+#: per round (× 4.988, rounded down), no looser.  The one-line-per-round
+#: trace measured 33.498 and 20.027.  Tighten, do not loosen.
+LEDGER_BUDGET = {True: 69.8, False: 39.9}
 
 
 def serve_ledgered(directory: Path, certify: bool) -> None:
@@ -150,7 +153,7 @@ def serve_ledgered(directory: Path, certify: bool) -> None:
 
 
 @pytest.mark.parametrize("certify", [True, False], ids=["certify", "trace"])
-def test_ledgered_session_calls_per_trace_event(tmp_path, certify):
+def test_ledgered_session_calls_per_round(tmp_path, certify):
     serve_ledgered(tmp_path / "warm", certify)  # Builds the parties' tables.
     calls = 0
 
@@ -169,11 +172,14 @@ def test_ledgered_session_calls_per_trace_event(tmp_path, certify):
         sys.setprofile(None)
     traces = sorted(directory.glob("*.jsonl"))
     assert len(traces) == len(LEDGER_SPECS)
-    # Every line after a trace's header is one event.
-    events = sum(len(path.read_bytes().splitlines()) - 1 for path in traces)
-    assert events > 100 * len(LEDGER_SPECS)  # Not vacuous.
-    per_event = calls / events
-    assert per_event <= LEDGER_BUDGET[certify], (
-        f"{per_event:.2f} repro calls per trace event "
-        f"({calls} calls, {events} events, certify={certify})"
+    rounds = sum(
+        isinstance(event, RoundExecuted)
+        for path in traces
+        for event in read_trace(path)[1]
+    )
+    assert rounds == 60 * 60  # Not vacuous: every session served its horizon.
+    per_round = calls / rounds
+    assert per_round <= LEDGER_BUDGET[certify], (
+        f"{per_round:.2f} repro calls per served round "
+        f"({calls} calls, {rounds} rounds, certify={certify})"
     )

@@ -32,7 +32,6 @@ from repro.obs.events import (
     ExecutionStarted,
     FaultInjected,
     FaultRecovered,
-    MessageSent,
     RoundExecuted,
 )
 from repro.obs.sinks import JsonlSink, Sink
@@ -218,7 +217,6 @@ CASTS: Dict[str, Callable[[], Cast]] = {
 #: golden trace leaves out.
 RUN_EVENTS = (
     ExecutionStarted,
-    MessageSent,
     RoundExecuted,
     ExecutionFinished,
     FaultInjected,
