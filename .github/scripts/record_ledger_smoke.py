@@ -35,7 +35,7 @@ from repro.mathx.modular import Field
 from repro.obs.events import ProofFinished
 from repro.obs.ledger import MANIFEST_STREAM, read_manifest, read_manifests, record_run
 from repro.obs.overhead import compute_overhead
-from repro.obs.sinks import read_jsonl
+from repro.obs.sinks import iter_trace
 from repro.qbf.generators import random_qbf
 from repro.servers.advisors import advisor_server_class
 from repro.servers.provers import HonestProverServer
@@ -66,7 +66,7 @@ def main() -> int:
     )
     assert recorded.manifest.achieved == 1, "smoke run failed to achieve"
     assert read_manifest(recorded.manifest_location) == recorded.manifest
-    overhead = compute_overhead(read_jsonl(recorded.trace_path))
+    overhead = compute_overhead(iter_trace(recorded.trace_path)[1])
     assert overhead.trials >= 1 and overhead.switches >= 1, (
         f"run.jsonl lacks the universal user's events: {overhead.trials} "
         f"trials, {overhead.switches} switches"
@@ -82,7 +82,7 @@ def main() -> int:
     assert delegated.manifest.achieved == 1, "delegation smoke failed"
     assert any(
         isinstance(event, ProofFinished)
-        for event in read_jsonl(delegated.trace_path)
+        for event in iter_trace(delegated.trace_path)[1]
     ), "qbf.jsonl lacks the verifier's proof-finished event"
     assert read_manifests(out / MANIFEST_STREAM)[-2:] == (
         recorded.manifest, delegated.manifest,

@@ -95,7 +95,7 @@ def test_e1_jsonl_trace_replays_switch_count(tmp_path):
     the post-hoc metrics — the trace is a faithful account of the run.
     """
     from repro.analysis.metrics import collect_metrics
-    from repro.obs import CounterSet, JsonlSink, StrategySwitch, Tracer, read_jsonl
+    from repro.obs import CounterSet, JsonlSink, StrategySwitch, Tracer, read_trace
 
     path = tmp_path / "e1_trace.jsonl"
     tracer = Tracer(sink=JsonlSink(path), counters=CounterSet())
@@ -106,7 +106,7 @@ def test_e1_jsonl_trace_replays_switch_count(tmp_path):
     tracer.close()
 
     metrics = collect_metrics(result, GOAL)
-    replayed = read_jsonl(path)
+    _, replayed = read_trace(path)
     switch_events = [e for e in replayed if isinstance(e, StrategySwitch)]
     assert metrics.switches == len(SERVERS) - 1
     assert len(switch_events) == metrics.switches

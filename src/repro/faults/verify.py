@@ -15,7 +15,7 @@ configurations and reports, per grid point:
 * the **mean enumeration overhead** — for universal users (any user
   whose trace holds trials), the mean
   :attr:`~repro.obs.overhead.OverheadReport.overhead_ratio` across the
-  point's runs, folded by :class:`repro.obs.overhead.OverheadFold` from
+  point's runs, folded by :class:`repro.obs.overhead.TraceFold` from
   each run's event stream as it is emitted — noise should raise the
   overhead before it dents the success rate, and this column shows
   exactly that.
@@ -52,7 +52,7 @@ from repro.faults.channel import (
 )
 from repro.faults.schedules import BernoulliSchedule, BurstSchedule
 from repro.obs.flight import TeeSink
-from repro.obs.overhead import OverheadFold
+from repro.obs.overhead import TraceFold
 from repro.obs.sinks import TRACE_SCHEMA, TRACE_SCHEMA_MINOR, MemorySink
 from repro.obs.tracer import Tracer
 
@@ -169,7 +169,7 @@ def verify_robustness(
     Every (channel, server, seed) triple is one execution, judged as it
     goes by :func:`repro.core.properties.judge_run` and folded into its
     grid point's counters before the next run starts.  Each run is traced
-    into an :class:`~repro.obs.overhead.OverheadFold`, which keeps no
+    into an :class:`~repro.obs.overhead.TraceFold`, which keeps no
     event; tracing is read-only, so every run is bitwise-identical to an
     untraced one.
 
@@ -206,7 +206,7 @@ def verify_robustness(
             for seed in seeds:
                 # The overhead folds as the events arrive; the events
                 # themselves are kept only for the certificate.
-                fold = OverheadFold()
+                fold = TraceFold()
                 kept = MemorySink() if certify else None
                 judgement = judge_run(
                     user,

@@ -60,8 +60,6 @@ from repro.obs.sinks import (
     TraceSchemaError,
     iter_trace,
     iter_trace_batches,
-    iter_trace_numbered,
-    read_jsonl,
     read_trace,
 )
 from repro.obs.tracer import NoopTracer, Tracer, TracerLike, is_tracing
@@ -72,12 +70,12 @@ _LAZY_EXPORTS = {
     "RunManifest": "repro.obs.ledger",
     "SweepManifest": "repro.obs.ledger",
     "record_run": "repro.obs.ledger",
-    "OverheadFold": "repro.obs.overhead",
+    "TraceFold": "repro.obs.overhead",
     "OverheadReport": "repro.obs.overhead",
     "StrategyAttribution": "repro.obs.overhead",
     "compute_overhead": "repro.obs.overhead",
     "DiffReport": "repro.obs.analyze",
-    "TraceSummary": "repro.obs.analyze",
+    "TraceSummary": "repro.obs.overhead",
     "compute_diff": "repro.obs.analyze",
     "render_timeline": "repro.obs.analyze",
     "summarize_trace": "repro.obs.analyze",
@@ -149,8 +147,6 @@ __all__ = [
     "TraceSchemaError",
     "iter_trace",
     "iter_trace_batches",
-    "iter_trace_numbered",
-    "read_jsonl",
     "read_trace",
     "CertificateReport",
     "CertificationError",
@@ -172,7 +168,7 @@ __all__ = [
     "RunManifest",
     "SweepManifest",
     "record_run",
-    "OverheadFold",
+    "TraceFold",
     "OverheadReport",
     "StrategyAttribution",
     "compute_overhead",

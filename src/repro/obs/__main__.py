@@ -40,10 +40,10 @@ from repro.obs.analyze import (
     diff_history,
     metrics_for,
     render_timeline,
-    summarize_events,
+    summarize_trace,
 )
 from repro.obs.overhead import compute_overhead
-from repro.obs.sinks import iter_trace, read_trace
+from repro.obs.sinks import iter_trace
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -165,8 +165,7 @@ def _split_metrics(values: Optional[List[str]]) -> List[str]:
 def _cmd_summarize(options: argparse.Namespace) -> int:
     documents: List[Dict[str, Any]] = []
     for path in options.traces:
-        header, events = iter_trace(path)
-        summary = summarize_events(events, path=path, header=header or None)
+        summary = summarize_trace(path)
         if options.format == "json":
             documents.append(summary.to_dict())
         else:
@@ -180,7 +179,7 @@ def _cmd_summarize(options: argparse.Namespace) -> int:
 def _cmd_overhead(options: argparse.Namespace) -> int:
     documents: List[Dict[str, Any]] = []
     for path in options.traces:
-        _, events = read_trace(path)
+        _, events = iter_trace(path)
         report = compute_overhead(events)
         if options.format == "json":
             documents.append({"path": path, **report.to_dict()})

@@ -10,8 +10,9 @@ the test suite's assertions.
 Three report shapes:
 
 * :class:`TraceSummary` — per-event-kind counts plus the headline run
-  figures (rounds, halt, message volume, fault count) extracted from one
-  trace;
+  figures (rounds, halt, message volume, fault count) of one trace, read
+  off the one event fold (:class:`~repro.obs.overhead.TraceFold`) that
+  the overhead accounting and the certificate checker share;
 * a timeline — :func:`render_timeline` turns an event stream into one
   plain-text line per event, in stream order, for eyeballing a run;
 * :class:`DiffReport` — :func:`compute_diff` compares two metric
@@ -26,7 +27,6 @@ imports it (see the lazy re-exports in ``repro/obs/__init__``).
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -59,70 +59,13 @@ from repro.obs.events import (
     TrialFinished,
     TrialStarted,
 )
-from repro.obs.sinks import iter_trace, read_trace
+from repro.obs.overhead import TraceSummary, fold_events
+from repro.obs.sinks import iter_trace
 
 
 # --------------------------------------------------------------------------
 # Summaries
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    """Per-kind counts and headline figures for one trace file."""
-
-    path: str
-    trace_schema: Optional[int]
-    events: int
-    counts: Tuple[Tuple[str, int], ...]
-    rounds: int
-    halted: bool
-    messages: int
-    message_bytes: int
-    faults_injected: int
-    user: Optional[str]
-    server: Optional[str]
-
-    def format(self) -> str:
-        """Fixed-width text rendering (the CLI's ``summarize`` output)."""
-        cast = (
-            f"{self.user} vs {self.server}"
-            if self.user is not None
-            else "(no execution-started event)"
-        )
-        lines = [
-            f"trace      : {self.path}",
-            f"schema     : "
-            f"{'-' if self.trace_schema is None else self.trace_schema}",
-            f"cast       : {cast}",
-            f"events     : {self.events}",
-            f"rounds     : {self.rounds}{' (halted)' if self.halted else ''}",
-            f"messages   : {self.messages} ({self.message_bytes} bytes)",
-            f"faults     : {self.faults_injected}",
-        ]
-        if self.counts:
-            lines.append("events by kind:")
-            width = max(len(kind) for kind, _ in self.counts)
-            lines.extend(
-                f"  {kind:<{width}}  {count}" for kind, count in self.counts
-            )
-        return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-data form (the CLI's ``--format json`` output)."""
-        return {
-            "path": self.path,
-            "trace_schema": self.trace_schema,
-            "events": self.events,
-            "counts": dict(self.counts),
-            "rounds": self.rounds,
-            "halted": self.halted,
-            "messages": self.messages,
-            "message_bytes": self.message_bytes,
-            "faults_injected": self.faults_injected,
-            "user": self.user,
-            "server": self.server,
-        }
 
 
 def summarize_events(
@@ -133,51 +76,12 @@ def summarize_events(
 ) -> TraceSummary:
     """Build a :class:`TraceSummary` from an ordered event stream.
 
-    Single-pass: any iterable works, including the lazy stream from
+    One pass of :class:`~repro.obs.overhead.TraceFold`: any iterable
+    works, including the lazy stream from
     :func:`~repro.obs.sinks.iter_trace`, so a multi-gigabyte trace is
     never materialised.
     """
-    kinds: "Counter[str]" = Counter()
-    total = 0
-    rounds = 0
-    halted = False
-    messages = 0
-    message_bytes = 0
-    faults = 0
-    user: Optional[str] = None
-    server: Optional[str] = None
-    for event in events:
-        kinds[event.kind] += 1
-        total += 1
-        if isinstance(event, RoundExecuted):
-            rounds += 1
-            messages += event.messages
-            message_bytes += event.message_bytes
-        elif isinstance(event, ExecutionFinished):
-            rounds = event.rounds_executed
-            halted = event.halted
-        elif isinstance(event, ExecutionStarted):
-            user = event.user
-            server = event.server
-        elif isinstance(event, FaultInjected):
-            faults += 1
-    schema = None
-    if header is not None:
-        declared = header.get("trace_schema")
-        schema = declared if isinstance(declared, int) else None
-    return TraceSummary(
-        path=path,
-        trace_schema=schema,
-        events=total,
-        counts=tuple(sorted(kinds.items())),
-        rounds=rounds,
-        halted=halted,
-        messages=messages,
-        message_bytes=message_bytes,
-        faults_injected=faults,
-        user=user,
-        server=server,
-    )
+    return fold_events(events).summary(path, header)
 
 
 def summarize_trace(path: Union[str, Path]) -> TraceSummary:
@@ -415,17 +319,15 @@ def compute_diff(
 
 def trace_metrics(path: Union[str, Path]) -> Dict[str, Any]:
     """The diffable metrics of one JSONL trace (summary + overhead)."""
-    from repro.obs.overhead import compute_overhead
-
-    header, events = read_trace(path)
-    summary = summarize_events(events, path=str(path), header=header or None)
-    overhead = compute_overhead(events)
+    _, events = iter_trace(path)
+    fold = fold_events(events)
+    overhead = fold.report()
     return {
-        "events": summary.events,
-        "rounds": summary.rounds,
-        "messages": summary.messages,
-        "message_bytes": summary.message_bytes,
-        "faults_injected": summary.faults_injected,
+        "events": fold.events,
+        "rounds": fold.rounds,
+        "messages": fold.messages,
+        "message_bytes": fold.message_bytes,
+        "faults_injected": fold.faults_injected,
         "overhead_rounds": overhead.overhead_rounds,
         "overhead_ratio": overhead.overhead_ratio,
         "switches": overhead.switches,

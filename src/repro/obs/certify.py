@@ -53,6 +53,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -62,6 +63,7 @@ from typing import (
     Optional,
     Tuple,
     Union,
+    cast,
 )
 
 from repro.comm.messages import SILENCE
@@ -107,7 +109,7 @@ from repro.obs.manifests import (
     iter_manifest_lines,
     read_at,
 )
-from repro.obs.overhead import OverheadFold, fold_step
+from repro.obs.overhead import REPORT_STEPS, TraceFold
 from repro.obs.sinks import (
     TRACE_SCHEMA_MINOR,
     Sink,
@@ -115,6 +117,9 @@ from repro.obs.sinks import (
     iter_trace_batches,
 )
 from repro.obs.tracer import Tracer
+
+if TYPE_CHECKING:
+    from hashlib import _Hash
 
 #: Checks the certifier runs, in report order.
 CHECKS = (
@@ -259,7 +264,6 @@ class _Checker:
         fragment: bool = False,
     ) -> None:
         self.issues: List[CertifyIssue] = []
-        self.events_seen = 0
         self._header = header or {}
         self._manifest = manifest
         self._fragment = fragment
@@ -272,7 +276,6 @@ class _Checker:
         self._verdict_line: Optional[int] = None
         self._expected_round = 0
         self._rounds_synced = not fragment
-        self._rounds_seen = 0
         self._halted = False
 
         # Fault replay.
@@ -288,25 +291,27 @@ class _Checker:
         self._trials_synced = not fragment
         self._last_closed: Optional[Tuple[TrialStarted, str]] = None
         self._pending_switch: Optional[StrategySwitch] = None
-        self._switches = 0
-        self._wraps = 0
 
         # Proof segments.
         self._proof: Optional[_ProofState] = None
         self._proofs_finished = 0
 
-        # Overhead recomputation, folded as the stream goes by.
-        self._overhead = OverheadFold()
+        # The trace's counts — events, rounds seen, trials, switches —
+        # and its overhead decomposition, folded as the stream goes by
+        # (the summary-only steps are not taken).
+        self._fold = TraceFold()
 
     # ------------------------------------------------------------------
     def issue(self, check: str, message: str, line: Optional[int] = None) -> None:
         self.issues.append(CertifyIssue(check=check, message=message, line=line))
 
     def feed(self, line: Optional[int], event: Event) -> None:
-        self.events_seen += 1
-        handler, engine_level, fold = _ROUTES[type(event)]
-        if fold is not None:
-            fold(self._overhead, event)
+        cls = type(event)
+        fold = self._fold
+        fold.counts[cls] += 1
+        handler, engine_level, step = _ROUTES[cls]
+        if step is not None:
+            step(fold, event)
         if engine_level and self._finished is not None:
             self.issue(
                 "stream",
@@ -335,7 +340,7 @@ class _Checker:
             self.issue("stream", "duplicate execution-started event", line)
             return
         self._started = event
-        if self.events_seen == 1:
+        if sum(self._fold.counts.values()) == 1:
             # A fragment that still holds its execution-started lost no
             # prefix: every positional check applies from round zero.
             self._rounds_synced = True
@@ -394,11 +399,11 @@ class _Checker:
                 f"unknown session-abandoned reason {event.reason!r}",
                 line,
             )
-        if event.rounds_completed < self._rounds_seen:
+        if event.rounds_completed < self._fold.rounds_seen:
             self.issue(
                 "stream",
                 f"session-abandoned claims {event.rounds_completed} round(s) "
-                f"but the stream already shows {self._rounds_seen}",
+                f"but the stream already shows {self._fold.rounds_seen}",
                 line,
             )
 
@@ -451,7 +456,6 @@ class _Checker:
         self._replay_round(line, event)
         if event.halted:
             self._halted = True
-        self._rounds_seen += 1
         self._expected_round = event.round_index + 1
         self._round_faults = []
 
@@ -490,11 +494,12 @@ class _Checker:
             self.issue("stream", "duplicate execution-finished event", line)
             return
         self._finished = event
-        if event.rounds_executed != self._rounds_seen:
+        rounds_seen = self._fold.rounds_seen
+        if event.rounds_executed != rounds_seen:
             self.issue(
                 "stream",
                 f"execution-finished claims {event.rounds_executed} round(s) "
-                f"but the trace shows {self._rounds_seen} round-executed "
+                f"but the trace shows {rounds_seen} round-executed "
                 f"event(s)",
                 line,
             )
@@ -625,9 +630,6 @@ class _Checker:
         self._open_trial = None
 
     def _feed_switch(self, line: Optional[int], event: StrategySwitch) -> None:
-        self._switches += 1
-        if event.wrapped:
-            self._wraps += 1
         if event.reason not in SWITCH_REASONS:
             self.issue(
                 "switch-legality",
@@ -973,7 +975,7 @@ class _Checker:
         self._check_manifest(trace_sha256)
 
     def _check_overhead(self) -> None:
-        report = self._overhead.report()
+        report = self._fold.report()
         if report.productive_rounds + report.overhead_rounds != report.total_rounds:
             self.issue(
                 "overhead",
@@ -981,20 +983,13 @@ class _Checker:
                 f"{report.productive_rounds} + {report.overhead_rounds} != "
                 f"{report.total_rounds}",
             )
-        if report.switches != self._switches or report.wraps != self._wraps:
-            self.issue(
-                "overhead",
-                f"overhead counts {report.switches} switch(es) / "
-                f"{report.wraps} wrap(s) but the stream shows "
-                f"{self._switches} / {self._wraps}",
-            )
         if report.trials != self._trials_started:
             self.issue(
                 "overhead",
                 f"overhead counts {report.trials} trial(s) but the stream "
                 f"shows {self._trials_started}",
             )
-        if self._finished is not None and self._rounds_seen:
+        if self._finished is not None and self._fold.rounds_seen:
             if report.total_rounds != self._finished.rounds_executed:
                 self.issue(
                     "overhead",
@@ -1092,42 +1087,42 @@ class _ReplayedFaults(Sink):
 
 #: Event type -> (``_Checker`` handler, whether the type is an engine-level
 #: event that may not follow ``execution-finished``).
-_Handler = Tuple[Callable[["_Checker", Optional[int], Any], None], bool]
-_HANDLERS: "TypeCache[Optional[_Handler]]" = dispatch_table(
-    {
-        SessionAbandoned: (_Checker._feed_abandoned, False),
-        ExecutionStarted: (_Checker._feed_started, True),
-        FaultInjected: (_Checker._feed_fault, True),
-        FaultRecovered: (_Checker._feed_fault, True),
-        RoundExecuted: (_Checker._feed_round, True),
-        ExecutionFinished: (_Checker._feed_finished, False),
-        SensingIndication: (_Checker._feed_indication, False),
-        TrialStarted: (_Checker._feed_trial_started, False),
-        TrialFinished: (_Checker._feed_trial_finished, False),
-        StrategySwitch: (_Checker._feed_switch, False),
-        GoalVerdict: (_Checker._feed_verdict, False),
-        ProofStarted: (_Checker._feed_proof_started, False),
-        ProofRoundChecked: (_Checker._feed_proof_round, False),
-        ProofFinished: (_Checker._feed_proof_finished, False),
-    }
-)
+_CHECKS: Dict[type, Tuple[Callable[["_Checker", Optional[int], Any], None], bool]] = {
+    SessionAbandoned: (_Checker._feed_abandoned, False),
+    ExecutionStarted: (_Checker._feed_started, True),
+    FaultInjected: (_Checker._feed_fault, True),
+    FaultRecovered: (_Checker._feed_fault, True),
+    RoundExecuted: (_Checker._feed_round, True),
+    ExecutionFinished: (_Checker._feed_finished, False),
+    SensingIndication: (_Checker._feed_indication, False),
+    TrialStarted: (_Checker._feed_trial_started, False),
+    TrialFinished: (_Checker._feed_trial_finished, False),
+    StrategySwitch: (_Checker._feed_switch, False),
+    GoalVerdict: (_Checker._feed_verdict, False),
+    ProofStarted: (_Checker._feed_proof_started, False),
+    ProofRoundChecked: (_Checker._feed_proof_round, False),
+    ProofFinished: (_Checker._feed_proof_finished, False),
+}
 
-#: Event type -> (handler or ``None``, engine level, the overhead fold's
-#: step or ``None``): one probe per event routes it everywhere it goes.
 _Route = Tuple[
     Optional[Callable[["_Checker", Optional[int], Any], None]],
     bool,
-    Optional[Callable[[OverheadFold, Any], None]],
+    Optional[Callable[[TraceFold, Any], None]],
 ]
 
-
-def _route(cls: type) -> _Route:
-    handled = _HANDLERS[cls]
-    handler, engine_level = (None, False) if handled is None else handled
-    return handler, engine_level, fold_step(cls)
-
-
-_ROUTES: "TypeCache[_Route]" = TypeCache(_route)
+#: Event type -> (handler or ``None``, engine level, the fold's step or
+#: ``None``): one probe per event routes it everywhere it goes.  ``Event``
+#: is a key, so every event type resolves to a route, the types neither
+#: side reads to ``(None, False, None)``.
+_ROUTES = cast(
+    "TypeCache[_Route]",
+    dispatch_table(
+        {
+            cls: (*_CHECKS.get(cls, (None, False)), REPORT_STEPS.get(cls))
+            for cls in (Event, *_CHECKS, *REPORT_STEPS)
+        }
+    ),
+)
 
 
 def _format_faults(entries: List[Tuple[str, str, str]]) -> str:
@@ -1172,6 +1167,58 @@ def _uncertifiable_reason(header: Optional[Mapping[str, Any]]) -> str:
     return ""
 
 
+def _certify(
+    header: Optional[Mapping[str, Any]],
+    batches: Iterable[List[Tuple[Optional[int], Event]]],
+    *,
+    manifest: Optional[Mapping[str, Any]],
+    manifest_label: Optional[str],
+    trace: str,
+    fragment: bool,
+    digest: "Optional[_Hash]" = None,
+) -> CertificateReport:
+    """Run the checker over ``batches`` and report.
+
+    A malformed line that stops the batches becomes a leading ``stream``
+    issue.  ``digest``, fed by the batches' reader, is read once they have
+    ended, when it covers the whole file.
+    """
+    reason = _uncertifiable_reason(header)
+    checker = _Checker(header, manifest, fragment=fragment)
+    feed = checker.feed
+    count = 0
+    issues: List[CertifyIssue] = []
+    try:
+        for batch in batches:
+            count += len(batch)
+            if not reason:
+                for line, event in batch:
+                    feed(line, event)
+    except TraceSchemaError as exc:
+        issues.append(
+            CertifyIssue(
+                check="stream",
+                message=f"trace unreadable past this point: {exc}",
+                line=exc.line,
+            )
+        )
+    trace_sha256 = None if digest is None else digest.hexdigest()
+    if not reason:
+        checker.finalize(trace_sha256)
+        issues.extend(checker.issues)
+    return CertificateReport(
+        trace=trace,
+        certifiable=not reason,
+        reason=reason,
+        issues=tuple(issues),
+        events=count,
+        trace_sha256=trace_sha256,
+        manifest=manifest_label,
+        checks=FRAGMENT_CHECKS if fragment else CHECKS,
+        fragment=fragment,
+    )
+
+
 def certify_events(
     events: Iterable[Event],
     *,
@@ -1187,29 +1234,12 @@ def certify_events(
     header to apply the certifiability gate.  ``fragment=True`` applies
     the flight-dump relaxations (see :class:`_Checker`).
     """
-    reason = _uncertifiable_reason(header)
-    checker = _Checker(header, manifest, fragment=fragment)
-    if reason:
-        count = sum(1 for _ in events)
-        return CertificateReport(
-            trace=trace,
-            certifiable=False,
-            reason=reason,
-            issues=(),
-            events=count,
-            checks=FRAGMENT_CHECKS if fragment else CHECKS,
-            fragment=fragment,
-        )
-    for event in events:
-        checker.feed(None, event)
-    checker.finalize()
-    return CertificateReport(
+    return _certify(
+        header,
+        [[(None, event) for event in events]],
+        manifest=manifest,
+        manifest_label=None,
         trace=trace,
-        certifiable=True,
-        reason="",
-        issues=tuple(checker.issues),
-        events=checker.events_seen,
-        checks=FRAGMENT_CHECKS if fragment else CHECKS,
         fragment=fragment,
     )
 
@@ -1273,52 +1303,14 @@ def certify_trace(
     digest = hashlib.sha256()
     header, batches = iter_trace_batches(resolved, digest=digest)
     manifest, manifest_label = _load_manifest(resolved, manifest_path)
-    reason = _uncertifiable_reason(header)
-    checker = _Checker(header, manifest, fragment=fragment)
-    feed = checker.feed
-    count = 0
-    stream_issue: Optional[CertifyIssue] = None
-    try:
-        for batch in batches:
-            count += len(batch)
-            if not reason:
-                for line, event in batch:
-                    feed(line, event)
-    except TraceSchemaError as exc:
-        stream_issue = CertifyIssue(
-            check="stream",
-            message=f"trace unreadable past this point: {exc}",
-            line=exc.line,
-        )
-    # The event iterator has ended, so the digest covers the whole file.
-    trace_sha256 = digest.hexdigest()
-    checks = FRAGMENT_CHECKS if fragment else CHECKS
-    if reason:
-        return CertificateReport(
-            trace=str(resolved),
-            certifiable=False,
-            reason=reason,
-            issues=(stream_issue,) if stream_issue is not None else (),
-            events=count,
-            trace_sha256=trace_sha256,
-            manifest=manifest_label,
-            checks=checks,
-            fragment=fragment,
-        )
-    checker.finalize(trace_sha256)
-    issues = list(checker.issues)
-    if stream_issue is not None:
-        issues.insert(0, stream_issue)
-    return CertificateReport(
+    return _certify(
+        header,
+        batches,
+        manifest=manifest,
+        manifest_label=manifest_label,
         trace=str(resolved),
-        certifiable=True,
-        reason="",
-        issues=tuple(issues),
-        events=count,
-        trace_sha256=trace_sha256,
-        manifest=manifest_label,
-        checks=checks,
         fragment=fragment,
+        digest=digest,
     )
 
 

@@ -62,6 +62,7 @@ from repro.obs.counters import (
     HistogramSnapshot,
     bucket_upper,
 )
+from repro.obs.sinks import check_major
 
 #: The metrics-stream schema major this build writes and understands.
 METRICS_SCHEMA = 1
@@ -238,16 +239,9 @@ def read_metrics(
     if not records or "metrics_schema" not in records[0]:
         raise MetricsSchemaError(f"{resolved}: missing metrics_schema header")
     header = records[0]
-    declared = header["metrics_schema"]
-    if not isinstance(declared, int) or declared <= 0:
-        raise MetricsSchemaError(
-            f"{resolved}: malformed metrics_schema value {declared!r}"
-        )
-    if declared > METRICS_SCHEMA:
-        raise MetricsSchemaError(
-            f"{resolved}: metrics_schema {declared} is newer than the "
-            f"supported major {METRICS_SCHEMA}"
-        )
+    check_major(
+        header, "metrics_schema", METRICS_SCHEMA, MetricsSchemaError, str(resolved)
+    )
     return header, records[1:]
 
 

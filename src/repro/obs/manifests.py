@@ -44,6 +44,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
+from repro.obs.sinks import check_major
+
 #: The manifest schema major this build writes and understands.  Major 1
 #: was one pretty-printed JSON document per manifest file.
 LEDGER_SCHEMA = 2
@@ -74,21 +76,16 @@ class ManifestLocation:
 
 def check_schema(data: Mapping[str, Any], source: str) -> None:
     """Raise :class:`LedgerSchemaError` unless ``data`` is this schema major."""
-    declared = data.get("ledger_schema")
-    if not isinstance(declared, int) or declared <= 0:
-        raise LedgerSchemaError(
-            f"{source}: malformed ledger_schema value {declared!r}"
-        )
-    if declared > LEDGER_SCHEMA:
-        raise LedgerSchemaError(
-            f"{source}: ledger_schema {declared} is newer than the supported "
-            f"major {LEDGER_SCHEMA}; read it with a matching repro build"
-        )
-    if declared < LEDGER_SCHEMA:
-        raise LedgerSchemaError(
-            f"{source}: ledger_schema {declared} predates the manifest "
-            f"stream (major {LEDGER_SCHEMA}); re-record the run to certify it"
-        )
+    check_major(
+        data,
+        "ledger_schema",
+        LEDGER_SCHEMA,
+        LedgerSchemaError,
+        source,
+        newer="; read it with a matching repro build",
+        older=f"the manifest stream (major {LEDGER_SCHEMA}); re-record the "
+        f"run to certify it",
+    )
 
 
 def append_line(path: Union[str, Path], line: bytes) -> ManifestLocation:

@@ -10,8 +10,6 @@ Three implementations cover the reproduction's needs:
   ordering (``kind`` first, then dataclass-field order), so traces of the
   same seeded run are byte-identical and diffable.
 
-:func:`read_jsonl` inverts :class:`JsonlSink` back into typed events.
-
 Trace files are schema-versioned: the first line a :class:`JsonlSink`
 writes is a header object ``{"trace_schema": 2, "trace_schema_minor": 0,
 ...}`` (never an event), and the replay path refuses every schema major
@@ -22,15 +20,19 @@ fixtures) still read fine, but certify reports them as uncertifiable.
 
 One reader, :func:`iter_trace_batches`, parses a trace a 64 KiB chunk at
 a time into batches of ``(line_number, event)`` pairs, and can hash the
-bytes it reads — the one read a certificate check needs.  The others
-are views of it: :func:`read_trace` materialises the whole event list;
-:func:`iter_trace` streams it (header eagerly, events lazily), and
-:func:`iter_trace_numbered` additionally yields each event's 1-based file
-line number so downstream diagnostics can anchor to the exact line.
+bytes it reads — the one read a certificate check needs.  Two views of
+it invert :class:`JsonlSink` back into typed events: :func:`read_trace`
+materialises the whole event list, and :func:`iter_trace` streams it
+(header eagerly, events lazily).
+
+:func:`check_major` is the one schema-major check of the three JSONL
+stream kinds: traces here, manifest streams (:mod:`repro.obs.manifests`)
+and metrics streams (:mod:`repro.obs.live`).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import deque
@@ -39,6 +41,7 @@ from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Deque,
     Dict,
     Iterator,
@@ -207,27 +210,35 @@ class JsonlSink(Sink):
                 self._file.close()
 
 
-def _check_trace_header(header: Mapping[str, Any], path: Path, number: int) -> None:
-    """Reject every schema major but this build's, anchored to the header line."""
-    declared = header.get("trace_schema")
+def check_major(
+    record: Mapping[str, Any],
+    key: str,
+    supported: int,
+    error: Callable[[str], Exception],
+    where: str,
+    *,
+    label: str = "",
+    newer: str = "",
+    older: Optional[str] = None,
+) -> None:
+    """Raise ``error(message)`` unless ``record[key]`` is schema major ``supported``.
+
+    ``where`` anchors the message (a path, or ``path:line``).  A value
+    that is not a positive int is malformed (``label`` follows ``key`` in
+    that message); a newer major's message ends with ``newer``; an older
+    major is refused naming ``older`` — what it predates and what to do
+    — or, with ``older=None``, accepted.
+    """
+    declared = record.get(key)
     if not isinstance(declared, int) or declared <= 0:
-        raise TraceSchemaError(
-            f"{path}:{number}: malformed trace_schema header value {declared!r}",
-            line=number,
+        raise error(f"{where}: malformed {key}{label} value {declared!r}")
+    if declared > supported:
+        raise error(
+            f"{where}: {key} {declared} is newer than the supported major "
+            f"{supported}{newer}"
         )
-    if declared > TRACE_SCHEMA:
-        raise TraceSchemaError(
-            f"{path}:{number}: trace_schema {declared} is newer than the "
-            f"supported major {TRACE_SCHEMA}; re-read it with a matching "
-            f"repro build",
-            line=number,
-        )
-    if declared < TRACE_SCHEMA:
-        raise TraceSchemaError(
-            f"{path}:{number}: trace_schema {declared} predates the one-line-"
-            f"per-round trace (major {TRACE_SCHEMA}); re-record the trace",
-            line=number,
-        )
+    if declared < supported and older is not None:
+        raise error(f"{where}: {key} {declared} predates {older}")
 
 
 _decoder = json.JSONDecoder()
@@ -291,7 +302,17 @@ def _parse_line(
     if header:
         return _parse_event(record, path, number)
     if isinstance(record, dict) and "kind" not in record:
-        _check_trace_header(record, path, number)
+        check_major(
+            record,
+            "trace_schema",
+            TRACE_SCHEMA,
+            functools.partial(TraceSchemaError, line=number),
+            f"{path}:{number}",
+            label=" header",
+            newer="; re-read it with a matching repro build",
+            older=f"the one-line-per-round trace (major {TRACE_SCHEMA}); "
+            f"re-record the trace",
+        )
         header.append(record)
         return None
     event = _parse_event(record, path, number)
@@ -480,27 +501,6 @@ def iter_trace_batches(
     return (found[0] if found else {}), rest()
 
 
-def iter_trace_numbered(
-    path: Union[str, Path],
-    *,
-    digest: "Optional[_Hash]" = None,
-) -> Tuple[Dict[str, Any], Iterator[Tuple[int, Event]]]:
-    """Stream a trace as ``(header, iterator of (line_number, event))``.
-
-    :func:`iter_trace_batches`, one event at a time: each event paired
-    with its 1-based file line number, the header consumed eagerly, the
-    same errors at the same lines, and the same ``digest`` guarantee.
-    """
-    header, batches = iter_trace_batches(path, digest=digest)
-
-    def events() -> Iterator[Tuple[int, Event]]:
-        with closing(batches):
-            for batch in batches:
-                yield from batch
-
-    return header, events()
-
-
 def iter_trace(
     path: Union[str, Path],
 ) -> Tuple[Dict[str, Any], Iterator[Event]]:
@@ -510,8 +510,8 @@ def iter_trace(
     never materialised as a full list.  The header is ``{}`` for
     pre-versioning files whose first line is already an event.
     """
-    header, numbered = iter_trace_numbered(path)
-    return header, (event for _, event in numbered)
+    header, batches = iter_trace_batches(path)
+    return header, (event for batch in batches for _, event in batch)
 
 
 def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], List[Event]]:
@@ -526,8 +526,3 @@ def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, Any], List[Event]]:
     """
     header, batches = iter_trace_batches(path)
     return header, [event for batch in batches for _, event in batch]
-
-
-def read_jsonl(path: Union[str, Path]) -> List[Event]:
-    """Parse a :class:`JsonlSink` file back into typed events, in order."""
-    return read_trace(path)[1]

@@ -16,7 +16,7 @@ from repro.comm.codecs import IdentityCodec
 from repro.obs.__main__ import main
 from repro.obs.ledger import read_manifest, record_run
 from repro.obs.overhead import compute_overhead
-from repro.obs.sinks import read_jsonl
+from repro.obs.sinks import read_trace
 from repro.servers.password import all_passwords, password_server_class
 from repro.universal.compact import CompactUniversalUser
 from repro.universal.enumeration import ListEnumeration
@@ -50,7 +50,7 @@ class TestObsToolkit:
         assert recorded.manifest.achieved == 1
 
         # Library accounting off the replayed trace file.
-        replayed = compute_overhead(read_jsonl(recorded.trace_path))
+        replayed = compute_overhead(read_trace(recorded.trace_path)[1])
 
         # CLI accounting off the same file.
         assert main(

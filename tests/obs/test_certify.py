@@ -33,6 +33,14 @@ from repro.obs.certify import (
     certify_sweep,
     certify_trace,
 )
+from repro.obs.events import (
+    ExecutionFinished,
+    ExecutionStarted,
+    RoundExecuted,
+    SensingIndication,
+    TrialFinished,
+    TrialStarted,
+)
 from repro.obs.ledger import MANIFEST_STREAM, record_run
 from repro.obs.sinks import TraceSchemaError, read_trace
 from repro.qbf.generators import random_qbf
@@ -307,6 +315,104 @@ class TestTampering:
         )
         with pytest.raises(CertificationError, match="seed-chain"):
             certify_run(trace)
+
+
+class TestOverheadCheck:
+    """Each finding the overhead check can reach, one tampering each."""
+
+    def overhead_issues(self, report):
+        return [i.message for i in report.issues if i.check == "overhead"]
+
+    def test_endorsed_trial_longer_than_the_run(self):
+        events = [
+            ExecutionStarted(
+                user="u", server="s", world="w", max_rounds=2, seed=0
+            ),
+            TrialStarted(
+                round_index=0, trial_number=0, candidate_index=0, budget=None
+            ),
+            SensingIndication(round_index=0, candidate_index=0, positive=True),
+            RoundExecuted(round_index=0, halted=False),
+            RoundExecuted(round_index=1, halted=True),
+            TrialFinished(
+                round_index=1, trial_number=0, candidate_index=0,
+                reason="endorsed", rounds_used=50,
+            ),
+            ExecutionFinished(rounds_executed=2, halted=True),
+        ]
+        report = certify_events(events)
+        assert self.overhead_issues(report) == [
+            "overhead decomposition does not add up: 50 + 0 != 2"
+        ]
+
+    def test_trial_numbers_that_skip(self, recorded, tmp_path, capsys):
+        def skip(lines):
+            started = sum(
+                json.loads(line).get("kind") == "trial-started" for line in lines
+            )
+            return edit_event(
+                lines, "trial-started", "trial_number", started,
+                occurrence=started - 1,
+            )
+
+        path = tampered_copy(recorded, tmp_path, skip)
+        trials = sum(
+            json.loads(line).get("kind") == "trial-started"
+            for line in path.read_text().splitlines()
+        )
+        report = certify_trace(path)
+        assert self.overhead_issues(report) == [
+            f"overhead counts {trials} trial(s) but the stream shows "
+            f"{trials + 1}"
+        ]
+        code, out = certify_cli(path, capsys=capsys)
+        assert code == 1 and "[overhead]" in out
+
+    def test_second_execution_finished_claims_more_rounds(
+        self, recorded, tmp_path
+    ):
+        path = tampered_copy(
+            recorded, tmp_path,
+            lambda lines: lines + [
+                '{"kind":"execution-finished","rounds_executed":601,'
+                '"halted":false}'
+            ],
+        )
+        report = certify_trace(path)
+        assert self.overhead_issues(report) == [
+            "overhead accounts 601 round(s) but the execution ran 600"
+        ]
+        assert any(
+            i.message == "duplicate execution-finished event"
+            for i in report.issues
+        )
+
+    def test_fragments_skip_the_overhead_check(self, recorded, tmp_path):
+        path = tampered_copy(
+            recorded, tmp_path,
+            lambda lines: lines + [
+                '{"kind":"execution-finished","rounds_executed":601,'
+                '"halted":false}'
+            ],
+        )
+        report = certify_trace(path, fragment=True)
+        assert "overhead" not in report.checks
+        assert self.overhead_issues(report) == []
+
+
+class TestDemoPair:
+    def test_committed_demo_certifies_against_its_manifest(self, capsys):
+        code, out = certify_cli(
+            DEMO_DATA / "certify_demo.jsonl",
+            "--manifest", str(DEMO_DATA / "certify_demo.json"),
+            "--format", "json",
+            capsys=capsys,
+        )
+        assert code == 0
+        document = json.loads(out)
+        assert document["certified"] is True
+        assert document["manifest"].endswith("certify_demo.json:1")
+        assert document["checks"] == list(CHECKS)
 
 
 class TestLegacyTraces:

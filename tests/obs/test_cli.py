@@ -102,11 +102,11 @@ class TestOverhead:
 
     def test_json_output_matches_library(self, trace, capsys):
         from repro.obs.overhead import compute_overhead
-        from repro.obs.sinks import read_jsonl
+        from repro.obs.sinks import read_trace
 
         assert main(["overhead", str(trace), "--format", "json"]) == 0
         documents = json.loads(capsys.readouterr().out)
-        expected = compute_overhead(read_jsonl(trace)).to_dict()
+        expected = compute_overhead(read_trace(trace)[1]).to_dict()
         assert documents[0] == {"path": str(trace), **expected}
 
 

@@ -33,7 +33,7 @@ from repro.obs.events import (
 )
 from repro.obs.flight import dump_flight
 from repro.obs.ledger import file_sha256, record_run
-from repro.obs.sinks import JsonlSink, iter_trace_numbered, read_trace
+from repro.obs.sinks import JsonlSink, iter_trace_batches, read_trace
 from repro.serve.session import Session, SessionSpec
 from repro.servers.advisors import advisor_server_class
 from repro.universal.compact import CompactUniversalUser
@@ -212,6 +212,12 @@ class TestRunningDigest:
         assert lines[1:] == [stock(e) for e in events]
 
 
+def numbered(path):
+    """Every ``(line number, event)`` pair of a trace, in order."""
+    _, batches = iter_trace_batches(path)
+    return [pair for batch in batches for pair in batch]
+
+
 class TestOneRead:
     def recorded(self, tmp_path):
         # 1300 rounds: the one-line-per-round trace still spans more than
@@ -275,19 +281,17 @@ class TestOneRead:
     def test_crlf_and_lone_cr_line_endings_keep_anchors(self, tmp_path):
         recorded = self.recorded(tmp_path)
         plain = recorded.trace_path.read_text().splitlines()
-        _, expected = iter_trace_numbered(recorded.trace_path)
-        expected = list(expected)
+        expected = numbered(recorded.trace_path)
         for ending in ("\r\n", "\r"):
             copy = tmp_path / f"copy{len(ending)}.jsonl"
             copy.write_bytes(ending.join(plain).encode() + ending.encode())
-            _, numbered = iter_trace_numbered(copy)
-            assert list(numbered) == expected
+            assert numbered(copy) == expected
             assert certify_trace(copy).ok
 
     def test_digest_of_an_iterator_stopped_early_covers_the_file(self, tmp_path):
         recorded = self.recorded(tmp_path)
         digest = hashlib.sha256()
-        _, numbered = iter_trace_numbered(recorded.trace_path, digest=digest)
-        next(numbered)
-        numbered.close()
+        _, batches = iter_trace_batches(recorded.trace_path, digest=digest)
+        next(batches)
+        batches.close()
         assert digest.hexdigest() == file_sha256(recorded.trace_path)

@@ -16,8 +16,7 @@ from repro.obs import (
     SensingIndication,
     TraceSchemaError,
     iter_trace,
-    iter_trace_numbered,
-    read_jsonl,
+    iter_trace_batches,
     read_trace,
 )
 
@@ -60,7 +59,7 @@ class TestJsonlSink:
         with JsonlSink(path) as sink:
             for e in EVENTS:
                 sink.emit(e)
-        assert read_jsonl(path) == EVENTS
+        assert read_trace(path)[1] == EVENTS
 
     def test_field_order_is_deterministic(self, tmp_path):
         """Two traces of the same events are byte-identical."""
@@ -176,8 +175,8 @@ class TestIterTrace:
     def test_numbered_yields_one_based_file_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         self.write_trace(path)
-        _, numbered = iter_trace_numbered(path)
-        lines = [number for number, _ in numbered]
+        _, batches = iter_trace_batches(path)
+        lines = [number for batch in batches for number, _ in batch]
         # Line 1 is the header, so events start at line 2.
         assert lines == list(range(2, 2 + len(EVENTS)))
 
@@ -186,9 +185,9 @@ class TestIterTrace:
         path.write_text(
             json.dumps(EVENTS[0].to_dict(), separators=(",", ":")) + "\n"
         )
-        header, numbered = iter_trace_numbered(path)
+        header, batches = iter_trace_batches(path)
         assert header == {}
-        assert [number for number, _ in numbered] == [1]
+        assert [number for batch in batches for number, _ in batch] == [1]
 
     def test_header_errors_raise_eagerly(self, tmp_path):
         path = tmp_path / "future.jsonl"

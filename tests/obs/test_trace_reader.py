@@ -3,13 +3,15 @@
 :func:`~repro.obs.sinks.iter_trace_batches` decodes and splits a 64 KiB
 chunk at once and fills events in place; every line it cannot take that
 way goes the per-line route.  The reference below is the per-line reader
-as it stood before the chunked one, copied verbatim.  Over generated
-files — valid and padded event lines, blank lines, ``\\r\\n`` and lone
-``\\r`` endings, invalid UTF-8, trailing data, non-objects, unknown kinds
-and other key sets, a header or none — every public view of the new
-reader must yield the same ``(line, event)`` pairs, raise the same error
-type at the same line with the same message (eagerly or lazily, as the
-reference does), and leave the same digest.
+and its header check as they stood before the chunked reader and the
+shared schema-major check, copied verbatim.  Over generated files —
+valid and padded event lines, blank lines, ``\\r\\n`` and lone ``\\r``
+endings, invalid UTF-8, trailing data, non-objects, unknown kinds and
+other key sets, a header or none — the batches, flattened, must yield the
+same ``(line, event)`` pairs and leave the same digest, and every view
+(:func:`~repro.obs.sinks.iter_trace`, :func:`~repro.obs.sinks.read_trace`)
+the same events, each raising the same error type at the same line with
+the same message (eagerly or lazily, as the reference does).
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from repro.obs.events import (
     event_line,
 )
 from repro.obs.sinks import (
+    TRACE_SCHEMA,
     TraceSchemaError,
-    _check_trace_header,
     _parse_event,
     _parse_record,
+    iter_trace,
     iter_trace_batches,
-    iter_trace_numbered,
     read_trace,
 )
 
@@ -48,6 +50,29 @@ CHUNK = 1 << 16
 # --------------------------------------------------------------------------
 # The reference: the per-line reader, verbatim.
 # --------------------------------------------------------------------------
+
+
+def _check_trace_header(header: Dict[str, Any], path: Path, number: int) -> None:
+    """Reject every schema major but this build's, anchored to the header line."""
+    declared = header.get("trace_schema")
+    if not isinstance(declared, int) or declared <= 0:
+        raise TraceSchemaError(
+            f"{path}:{number}: malformed trace_schema header value {declared!r}",
+            line=number,
+        )
+    if declared > TRACE_SCHEMA:
+        raise TraceSchemaError(
+            f"{path}:{number}: trace_schema {declared} is newer than the "
+            f"supported major {TRACE_SCHEMA}; re-read it with a matching "
+            f"repro build",
+            line=number,
+        )
+    if declared < TRACE_SCHEMA:
+        raise TraceSchemaError(
+            f"{path}:{number}: trace_schema {declared} predates the one-line-"
+            f"per-round trace (major {TRACE_SCHEMA}); re-record the trace",
+            line=number,
+        )
 
 
 def _numbered_lines(path: Path, digest: Any) -> Iterator[Tuple[int, str]]:
@@ -153,6 +178,21 @@ def outcome(reader: Any, path: Path) -> Outcome:
     return header, pairs, error, digest.hexdigest()
 
 
+def iter_trace_outcome(path: Path) -> Tuple[Any, ...]:
+    """(header, events, error as (when, type, line, message))."""
+    events: List[Event] = []
+    try:
+        header, stream = iter_trace(path)
+    except TraceSchemaError as exc:
+        return None, events, ("eager", type(exc), exc.line, str(exc))
+    try:
+        for event in stream:
+            events.append(event)
+    except TraceSchemaError as exc:
+        return header, events, ("lazy", type(exc), exc.line, str(exc))
+    return header, events, None
+
+
 def read_trace_outcome(path: Path) -> Tuple[Any, ...]:
     try:
         header, events = read_trace(path)
@@ -163,9 +203,9 @@ def read_trace_outcome(path: Path) -> Tuple[Any, ...]:
 
 def assert_same_reading(path: Path) -> None:
     expected = outcome(reference_numbered, path)
-    assert outcome(iter_trace_numbered, path) == expected
     assert outcome(batches_numbered, path) == expected
     header, pairs, error, _ = expected
+    assert iter_trace_outcome(path) == (header, [e for _, e in pairs], error)
     if error is None:
         assert read_trace_outcome(path) == (header, [e for _, e in pairs], None)
     else:
@@ -309,7 +349,7 @@ def test_header_only_and_empty_files(tmp_path: Path) -> None:
         path = tmp_path / name
         path.write_bytes(data)
         assert_same_reading(path)
-        assert outcome(iter_trace_numbered, path)[1] == []
+        assert outcome(batches_numbered, path)[1] == []
 
 
 def test_a_long_clean_trace_reads_in_place(tmp_path: Path) -> None:

@@ -35,7 +35,7 @@ from repro.obs import (
     Tracer,
     TrialFinished,
     TrialStarted,
-    read_jsonl,
+    read_trace,
 )
 from repro.servers.advisors import advisor_server_class
 from repro.universal.compact import CompactUniversalUser
@@ -304,7 +304,7 @@ class TestTracingIsInvisible:
         sink = JsonlSink(path)
         result, tracer = traced_run(-1, seed=0, sink=sink)
         tracer.close()
-        replayed = read_jsonl(path)
+        _, replayed = read_trace(path)
         replay_tracer = Tracer()
         for event in replayed:
             replay_tracer.emit(event)
