@@ -12,8 +12,9 @@ Writes into the directory named by argv[1]:
 
 Everything is recorded with ``certify=True``, so each artefact is
 checked against its own trace before it is ever uploaded; the CI job
-then re-certifies the traces through ``python -m repro.obs certify``
-(the engine-free path) and uploads the certificates alongside.
+then re-certifies the directory and the sweep ledger through
+``python -m repro.obs certify DIR`` (the engine-free path) and uploads
+the certificates alongside.
 
 Exits non-zero if any written manifest fails to round-trip, or if a
 trace lacks the user's own events (the compact universal user's trials

@@ -14,7 +14,8 @@ repo's standard of evidence:
   named by ``argv[1]``, and one line in the ledger's ``manifests.ndjson``;
   each trace is certified in-process here (``certify_run``) and
   re-certified by the CI job through the engine-free
-  ``python -m repro.obs certify`` CLI before upload;
+  ``python -m repro.obs certify DIR`` CLI (one call for the whole
+  ledger) before upload;
 * the live telemetry plane holds up under the same load: a mid-run
   admin scrape returns live gauges and Prometheus text that parses, the
   ``metrics.jsonl`` stream's cumulative counters exactly equal the final

@@ -288,9 +288,11 @@ def sweep(
     result.
 
     ``certify=True`` (requires ``ledger_dir``) re-checks the written
-    ledger's integrity — a cell line before the index for every cell it
-    lists, and the index's ``cells_sha256`` digest matching — raising
-    :class:`repro.obs.certify.CertificationError` on any mismatch.
+    stream's sweep indexes as ``python -m repro.obs certify DIR`` does —
+    a cell line right before each index for every cell it lists, with the
+    listed run id, and the index's ``cells_sha256`` digest matching —
+    raising :class:`repro.obs.certify.CertificationError` on any mismatch.
+    It certifies no trace in the directory.
     """
     if certify and ledger_dir is None:
         raise ValueError("sweep(certify=True) requires ledger_dir")
@@ -318,9 +320,11 @@ def sweep(
             batch_width=getattr(executor, "batch_width", None),
         )
         if certify:
-            from repro.obs.certify import certify_sweep
+            from repro.obs.certify import CertificationError, certify_ledger
 
-            certify_sweep(Path(ledger_dir))
+            report = certify_ledger(ledger_dir, traces=False)
+            if report.status:
+                raise CertificationError(report.format())
     return result
 
 

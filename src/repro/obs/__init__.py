@@ -83,8 +83,8 @@ _LAZY_EXPORTS = {
     "CertificationError": "repro.obs.certify",
     "CertifyIssue": "repro.obs.certify",
     "certify_events": "repro.obs.certify",
+    "certify_ledger": "repro.obs.certify",
     "certify_run": "repro.obs.certify",
-    "certify_sweep": "repro.obs.certify",
     "certify_trace": "repro.obs.certify",
     "METRICS_SCHEMA": "repro.obs.live",
     "AdminServer": "repro.obs.live",
@@ -148,37 +148,9 @@ __all__ = [
     "iter_trace",
     "iter_trace_batches",
     "read_trace",
-    "CertificateReport",
-    "CertificationError",
-    "CertifyIssue",
-    "certify_events",
-    "certify_run",
-    "certify_sweep",
-    "certify_trace",
-    "METRICS_SCHEMA",
-    "AdminServer",
-    "MetricsSampler",
-    "MetricsSchemaError",
-    "cumulative_counters",
-    "parse_prometheus",
-    "read_metrics",
-    "render_prometheus",
-    "scrape_admin",
-    "write_metrics",
-    "RunManifest",
-    "SweepManifest",
-    "record_run",
-    "TraceFold",
-    "OverheadReport",
-    "StrategyAttribution",
-    "compute_overhead",
-    "DiffReport",
-    "TraceSummary",
-    "compute_diff",
-    "render_timeline",
-    "summarize_trace",
     "NoopTracer",
     "Tracer",
     "TracerLike",
     "is_tracing",
+    *_LAZY_EXPORTS,
 ]

@@ -12,6 +12,10 @@ Subcommands (all stdlib-only, mirroring ``python -m repro.lint``):
   the last line naming the trace in a manifest stream (``--manifest``,
   or the sibling ``manifests.ndjson`` when present);
   ``--fragment`` certifies a flight dump's surviving invariants;
+  ``certify <DIR>`` reads ``DIR/manifests.ndjson`` once and certifies
+  every trace it names (a trace file no line names is an error), checks
+  every sweep index line against the cell lines before it, and prints
+  one line per trace and per index, then a count;
 * ``top <source>`` — live serve metrics: tail a ``metrics.jsonl`` file
   or scrape a running engine's admin endpoint (``--follow`` refreshes);
 * ``diff <old> <new>`` — compare two traces or two manifests (told apart
@@ -23,9 +27,9 @@ Subcommands (all stdlib-only, mirroring ``python -m repro.lint``):
   ``--tolerance PCT`` configure which increases count as regressions.
 
 Exit codes: 0 clean, 1 configured regression (``diff``) or failed /
-uncertifiable certificate (``certify``), 2 usage errors / malformed
-inputs.  ``--format json`` swaps the text rendering for a
-machine-readable document.
+uncertifiable certificate or sweep index (``certify``), 2 usage errors /
+malformed inputs (``certify DIR`` exits with its worst).  ``--format
+json`` swaps the text rendering for a machine-readable document.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.analyze import (
@@ -81,7 +86,10 @@ def _parser() -> argparse.ArgumentParser:
         "certify",
         help="re-derive a recorded run's claims from its trace",
     )
-    certify.add_argument("trace", metavar="TRACE")
+    certify.add_argument(
+        "trace", metavar="TRACE",
+        help="a trace file, or a ledger directory to certify whole",
+    )
     certify.add_argument(
         "--manifest", metavar="FILE", default=None,
         help=(
@@ -201,18 +209,25 @@ def _cmd_timeline(options: argparse.Namespace) -> int:
 def _cmd_certify(options: argparse.Namespace) -> int:
     # Lazy import: the checker (and the fault-channel module it pulls in)
     # only loads when certification is actually requested.
-    from repro.obs.certify import certify_trace
+    from repro.obs.certify import certify_ledger, certify_trace
 
-    report = certify_trace(
-        options.trace,
-        manifest_path=options.manifest,
-        fragment=options.fragment,
-    )
+    if Path(options.trace).is_dir():
+        if options.manifest is not None or options.fragment:
+            raise ValueError("certify DIR takes neither --manifest nor --fragment")
+        report = ledger = certify_ledger(options.trace)
+        status = ledger.status
+    else:
+        report = certify_trace(
+            options.trace,
+            manifest_path=options.manifest,
+            fragment=options.fragment,
+        )
+        status = 0 if report.ok else 1
     if options.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(report.format())
-    return 0 if report.ok else 1
+    return status
 
 
 def _cmd_top(options: argparse.Namespace) -> int:

@@ -60,7 +60,7 @@ from repro.obs.events import (
     TrialStarted,
 )
 from repro.obs.overhead import TraceSummary, fold_events
-from repro.obs.sinks import iter_trace
+from repro.obs.sinks import first_record, iter_trace
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def manifest_metrics(
     """The diffable metrics of one manifest of a manifest stream.
 
     The manifest is found by the lookup certify uses
-    (:func:`repro.obs.manifests.find_manifest`): the last line naming
+    (:func:`repro.obs.manifests.lookup`): the last line naming
     ``trace_name`` as its trace, or the stream's last line without one.
     """
     from repro.obs.ledger import RunManifest, read_manifest
@@ -375,17 +375,12 @@ def metrics_for(path: Union[str, Path]) -> Dict[str, Any]:
     if "#" in resolved.name and not resolved.exists():
         stream, _, trace_name = str(path).rpartition("#")
         resolved = Path(stream)
-    with resolved.open("rb") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except ValueError:
-        header = None
-    if isinstance(header, dict) and "trace_schema" in header:
+    header = first_record(resolved)
+    if "trace_schema" in header:
         if trace_name is not None:
             raise ValueError(f"{path}: only a manifest stream takes #TRACE")
         return trace_metrics(resolved)
-    if isinstance(header, dict) and "ledger_schema" in header:
+    if "ledger_schema" in header:
         return manifest_metrics(resolved, trace_name)
     raise ValueError(
         f"{resolved}: cannot classify input (expected a trace, whose first "

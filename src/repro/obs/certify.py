@@ -33,6 +33,9 @@ re-derives every claim that is re-derivable without the engine:
   against the running claim, the claim chain, and
   ``claim_after = poly(challenge)``.
 
+:func:`certify_ledger` certifies a whole ledger directory in one pass
+over its manifest stream, sweep index lines included.
+
 What is **not** re-derived: the verifier's *final* direct evaluation of
 the arithmetized matrix/formula (it needs the instance, which the trace
 does not carry) and the parties' actual message contents (the payloads
@@ -105,8 +108,9 @@ from repro.obs.events import (
 from repro.obs.manifests import (
     MANIFEST_STREAM,
     ManifestLocation,
-    find_manifest,
-    iter_manifest_lines,
+    ManifestScan,
+    compute_run_id,
+    lookup,
     read_at,
 )
 from repro.obs.overhead import REPORT_STEPS, TraceFold
@@ -114,6 +118,7 @@ from repro.obs.sinks import (
     TRACE_SCHEMA_MINOR,
     Sink,
     TraceSchemaError,
+    first_record,
     iter_trace_batches,
 )
 from repro.obs.tracer import Tracer
@@ -186,23 +191,26 @@ class CertificateReport:
         """True when the trace is certifiable and every check passed."""
         return self.certifiable and not self.issues
 
-    def format(self) -> str:
-        """Fixed-width text rendering (the CLI's default output)."""
+    @property
+    def status(self) -> str:
+        """``CERTIFIED``, ``FAILED (…)`` or ``UNCERTIFIABLE (…)``."""
         if not self.certifiable:
             status = f"UNCERTIFIABLE ({self.reason})"
         elif self.issues:
             status = f"FAILED ({len(self.issues)} issue(s))"
         else:
             status = "CERTIFIED"
-        if self.fragment:
-            status += " [fragment]"
+        return status + " [fragment]" if self.fragment else status
+
+    def format(self) -> str:
+        """Fixed-width text rendering (the CLI's default output)."""
         lines = [
             f"trace    : {self.trace}",
             f"events   : {self.events}",
             f"manifest : {self.manifest or '-'}",
             f"sha256   : {self.trace_sha256 or '-'}",
             f"checks   : {', '.join(self.checks)}",
-            f"status   : {status}",
+            f"status   : {self.status}",
         ]
         for issue in self.issues:
             lines.append(issue.format(self.trace))
@@ -1245,9 +1253,9 @@ def certify_events(
 
 
 #: What names a run's manifest: a location (one line, read back by
-#: offset), a stream to look the trace up in, or ``None`` for the stream
-#: beside the trace.
-ManifestSource = Union[str, Path, ManifestLocation, None]
+#: offset), a stream to look the trace up in, a scan of one, or ``None``
+#: for the stream beside the trace.
+ManifestSource = Union[str, Path, ManifestLocation, ManifestScan, None]
 
 
 def _load_manifest(
@@ -1255,29 +1263,24 @@ def _load_manifest(
 ) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
     """The manifest to check against, if any, and its label.
 
-    A :class:`~repro.obs.manifests.ManifestLocation` is read with one
-    positioned read.  A stream path is searched for the *last* line whose
-    ``trace_path`` is the trace's file name; a named stream without one is
-    a usage error (``ValueError``).  Without either, the trace's sibling
+    A location is read with one positioned read.  A stream, or a scan of
+    one, yields the *last* line naming the trace's file name
+    (:func:`~repro.obs.manifests.lookup`; damage after it raises), and
+    none is a usage error (``ValueError``).  Without either, the sibling
     ``manifests.ndjson`` is searched the same way, and a trace with no
-    sibling stream or no line in it is checked without a manifest.  A
-    torn or garbled line after the trace's last line (it may be a newer
-    manifest of the trace) raises with its line number either way.
+    sibling stream or no line in it is checked without a manifest.
     """
     if isinstance(manifest, ManifestLocation):
         return read_at(manifest), str(manifest)
-    stream = (
-        trace_path.parent / MANIFEST_STREAM if manifest is None else Path(manifest)
-    )
-    if manifest is None and not stream.exists():
-        return None, None
-    found = find_manifest(stream, trace_path.name)
-    if found is None:
-        if manifest is None:
+    name = trace_path.name
+    if manifest is None:
+        stream = trace_path.parent / MANIFEST_STREAM
+        if not stream.exists():
             return None, None
-        raise ValueError(f"{stream}: no manifest names {trace_path.name}")
-    number, data = found
-    return data, f"{stream}:{number}"
+        manifest = ManifestScan(stream, only=name)
+        if manifest.find(name) is None:
+            return None, None
+    return lookup(manifest, name)
 
 
 def certify_trace(
@@ -1325,6 +1328,72 @@ def certify_run(
     return report
 
 
+def _exit_code(result: Union[CertificateReport, str]) -> int:
+    """The per-file CLI's exit status for a certificate or an error."""
+    return 2 if isinstance(result, str) else int(not result.ok)
+
+
+@dataclass(frozen=True)
+class LedgerReport:
+    """The outcome of certifying a ledger directory (``certify DIR``).
+
+    Each trace pairs with its certificate, or with the error the per-file
+    CLI exits 2 on; each sweep index line with what is wrong with it (""
+    for nothing).  ``damage`` is a damaged line after the stream's last
+    intact line, which no lookup may pass over.
+    """
+
+    traces: Tuple[Tuple[str, Union[CertificateReport, str]], ...]
+    sweeps: Tuple[Tuple[str, str], ...]
+    damage: str = ""
+
+    @property
+    def status(self) -> int:
+        """The exit status: 2 on an error, 1 on a failed check, else 0."""
+        codes = [_exit_code(result) for _, result in self.traces]
+        codes += [int(bool(problem)) for _, problem in self.sweeps]
+        return max(codes + [2 if self.damage else 0])
+
+    def format(self) -> str:
+        """One line per trace (plus its issues) and per sweep index, a count."""
+        lines: List[str] = []
+        for trace, result in self.traces:
+            if isinstance(result, str):
+                lines.append(f"{trace}: error: {result}")
+                continue
+            lines.append(f"{trace}: {result.status}")
+            lines.extend(f"  {issue.format(trace)}" for issue in result.issues)
+        lines += [f"{index}: {p or 'sweep index OK'}" for index, p in self.sweeps]
+        if self.damage:
+            lines.append(f"error: {self.damage}")
+        codes = [_exit_code(result) for _, result in self.traces]
+        lines.append(
+            f"{len(codes)} trace(s): {codes.count(0)} certified, "
+            f"{codes.count(1)} failed, {codes.count(2)} error(s); "
+            f"{len(self.sweeps)} sweep index(es), "
+            f"{sum(1 for _, problem in self.sweeps if problem)} failed"
+        )
+        return "\n".join(lines)
+
+    def to_dict(self) -> Dict[str, object]:
+        """Plain-data form: each trace's certificate as ``certify T`` gives it."""
+        return {
+            "count": len(self.traces),
+            "status": self.status,
+            "traces": [
+                {"trace": trace, "error": result}
+                if isinstance(result, str)
+                else result.to_dict()
+                for trace, result in self.traces
+            ],
+            "sweeps": [
+                {"index": index, "problem": problem or None}
+                for index, problem in self.sweeps
+            ],
+            "damage": self.damage or None,
+        }
+
+
 def sweep_cells_digest(lines: Iterable[bytes]) -> str:
     """The sweep ledger's cell digest: SHA-256 over the per-line digests.
 
@@ -1336,45 +1405,90 @@ def sweep_cells_digest(lines: Iterable[bytes]) -> str:
     return hashlib.sha256("\n".join(parts).encode("ascii")).hexdigest()
 
 
-def certify_sweep(directory: Union[str, Path]) -> None:
-    """Check a sweep ledger directory's integrity; raise on tampering.
+def _sweep_problem(scan: ManifestScan, position: int) -> str:
+    """What is wrong with the sweep index at ``scan.lines[position]``.
 
-    The sweep index is the last line of the directory's
-    ``manifests.ndjson`` and its cells are the lines right before it.
-    Verifies that the stream reads cleanly, that a cell line precedes
-    the index for every cell it lists, and that the recorded
-    ``cells_sha256`` matches the digest of those lines.  Used by
-    ``analysis.runner.sweep(..., certify=True)``.
+    Its cells are the lines right before it: one cell line per listed
+    cell, whose digest is the index's ``cells_sha256`` and whose run ids
+    are the ones it lists, in order.
     """
-    stream = Path(directory) / MANIFEST_STREAM
-    try:
-        lines = [(raw, data) for _, raw, data in iter_manifest_lines(stream)]
-    except ValueError as exc:
-        raise CertificationError(str(exc)) from None
-    if not lines or lines[-1][1].get("kind") != "sweep":
-        raise CertificationError(f"{stream}: last line is not a sweep index")
-    index = lines[-1][1]
+    index = scan.lines[position][2] or {}
     cells = index.get("cells")
     if not isinstance(cells, list):
-        raise CertificationError(f"{stream}: sweep index lists no cells")
-    first = len(lines) - 1 - len(cells)
-    preceding = lines[max(first, 0):-1]
-    if first < 0 or any(data.get("kind") != "cell" for _, data in preceding):
-        raise CertificationError(
-            f"{stream}: missing cell line(s): the index lists {len(cells)} "
-            f"cells, but the {len(cells)} lines before it are not all cells"
+        return "sweep index lists no cells"
+    preceding = scan.lines[max(position - len(cells), 0):position]
+    if len(preceding) < len(cells) or any(
+        data is None or data.get("kind") != "cell" for _, _, data in preceding
+    ):
+        return (
+            f"missing cell line(s): the index lists {len(cells)} cells, but "
+            f"the {len(cells)} lines before it are not all cells"
         )
     recorded = index.get("cells_sha256")
     if recorded is None:
-        raise CertificationError(
-            f"{stream}: sweep index carries no cells_sha256 digest"
-        )
-    actual = sweep_cells_digest(raw for raw, _ in preceding)
+        return "sweep index carries no cells_sha256 digest"
+    actual = sweep_cells_digest(raw for _, raw, _ in preceding)
     if recorded != actual:
-        raise CertificationError(
-            f"{stream}: cells digest mismatch: the index stamps {recorded} "
-            f"but the cell lines hash to {actual}"
+        return (
+            f"cells digest mismatch: the index stamps {recorded} but the cell "
+            f"lines hash to {actual}"
         )
+    for cell, (number, _, data) in enumerate(preceding):
+        run_id = compute_run_id(data or {})
+        if run_id != cells[cell]:
+            return (
+                f"cell run id mismatch: the index lists {cells[cell]} for "
+                f"cell {cell}, but line {number} hashes to {run_id}"
+            )
+    return ""
+
+
+def _certify_or_error(
+    path: Path, scan: ManifestScan
+) -> Union[CertificateReport, str]:
+    """``certify_trace``, or the error the CLI would report (exit 2)."""
+    try:
+        return certify_trace(path, scan)
+    except (OSError, ValueError, KeyError, TypeError) as error:
+        return str(error)
+
+
+def certify_ledger(
+    directory: Union[str, Path], *, traces: bool = True
+) -> LedgerReport:
+    """Certify a ledger directory in one pass over its manifest stream.
+
+    ``DIR/manifests.ndjson`` is read once.  Every trace it names is
+    certified against that name's last line, as ``certify DIR/T
+    --manifest DIR/manifests.ndjson`` would, and so is every ``*.jsonl``
+    in ``DIR`` that opens with a trace header but that no line names (an
+    abandoned session's trace, say), which fails its lookup.  Other
+    streams (``metrics.jsonl``) are skipped and subdirectories are not
+    entered.  Every sweep index line is checked against the cell lines
+    right before it.  ``traces=False`` checks the stream alone: the hook
+    behind ``analysis.runner.sweep(..., certify=True)``.
+    """
+    root = Path(directory)
+    scan = ManifestScan(root / MANIFEST_STREAM)
+    results: Tuple[Tuple[str, Union[CertificateReport, str]], ...] = ()
+    if traces:
+        paths = [root / name for name in scan.named] + [
+            path for path in sorted(root.glob("*.jsonl"))
+            if path.name not in scan.named
+            and path.is_file() and "trace_schema" in first_record(path)
+        ]
+        results = tuple((str(path), _certify_or_error(path, scan)) for path in paths)
+    sweeps = [
+        (f"{scan.path}:{number}", _sweep_problem(scan, position))
+        for position, (number, _, data) in enumerate(scan.lines)
+        if data is not None and data.get("kind") == "sweep"
+    ]
+    try:
+        scan.find()
+        damage = ""
+    except ValueError as exc:
+        damage = str(exc)
+    return LedgerReport(results, tuple(sweeps), damage)
 
 
 __all__ = [
@@ -1382,9 +1496,10 @@ __all__ = [
     "CertificateReport",
     "CertificationError",
     "CertifyIssue",
+    "LedgerReport",
     "certify_events",
+    "certify_ledger",
     "certify_run",
-    "certify_sweep",
     "certify_trace",
     "sweep_cells_digest",
 ]

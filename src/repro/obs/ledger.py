@@ -42,7 +42,7 @@ import json
 import subprocess
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Union
 
 from repro.core.execution import (
     FULL_RECORDING,
@@ -58,11 +58,11 @@ from repro.obs.manifests import (
     MANIFEST_STREAM,
     LedgerSchemaError,
     ManifestLocation,
+    ManifestScan,
     append_line,
     check_schema,
-    find_manifest,
-    iter_manifest_lines,
-    read_at,
+    compute_run_id,
+    lookup,
 )
 from repro.obs.tracer import Tracer
 from repro.version import __version__
@@ -90,17 +90,33 @@ def git_sha() -> Optional[str]:
     return sha
 
 
-def _serialise(manifest: Any) -> Dict[str, Any]:
-    """``ledger_schema`` first, then dataclass fields in declared order."""
-    data: Dict[str, Any] = {"ledger_schema": LEDGER_SCHEMA}
-    for f in fields(manifest):
-        value = getattr(manifest, f.name)
-        data[f.name] = list(value) if isinstance(value, tuple) else value
-    return data
+class _ManifestLine:
+    """One manifest as one stream line, and back: shared by both kinds."""
+
+    #: The tuple-valued fields (JSON arrays on the line).
+    _TUPLES: ClassVar[Tuple[str, ...]] = ("seeds",)
+
+    def to_json(self) -> str:
+        """Deterministic one-line JSON (trailing newline included):
+        ``ledger_schema`` first, then the fields in declared order."""
+        data: Dict[str, Any] = {"ledger_schema": LEDGER_SCHEMA}
+        for f in fields(self):  # type: ignore[arg-type]
+            value = getattr(self, f.name)
+            data[f.name] = list(value) if isinstance(value, tuple) else value
+        return json.dumps(data, separators=(",", ":")) + "\n"
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any], source: str = "manifest") -> Any:
+        check_schema(data, source)
+        names = [f.name for f in fields(cls)]  # type: ignore[arg-type]
+        payload = {name: data[name] for name in names if name in data}
+        for name in cls._TUPLES:
+            payload[name] = tuple(payload.get(name, ()))
+        return cls(**payload)
 
 
 @dataclass(frozen=True)
-class RunManifest:
+class RunManifest(_ManifestLine):
     """Provenance of one execution (``kind="run"``) or sweep cell (``"cell"``).
 
     Identity fields — ``goal``, ``user``, ``server``, ``channel`` (the
@@ -135,29 +151,11 @@ class RunManifest:
 
     def run_id(self) -> str:
         """A stable 12-hex-digit digest of the identity fields."""
-        identity = json.dumps(
-            [
-                self.kind, self.goal, self.user, self.server, self.channel,
-                self.recording, list(self.seeds), self.max_rounds,
-            ],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12]
-
-    def to_json(self) -> str:
-        """Deterministic one-line JSON (trailing newline included)."""
-        return json.dumps(_serialise(self), separators=(",", ":")) + "\n"
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], source: str = "manifest") -> "RunManifest":
-        check_schema(data, source)
-        payload = {f.name: data[f.name] for f in fields(RunManifest) if f.name in data}
-        payload["seeds"] = tuple(payload.get("seeds", ()))
-        return RunManifest(**payload)
+        return compute_run_id(vars(self))
 
 
 @dataclass(frozen=True)
-class SweepManifest:
+class SweepManifest(_ManifestLine):
     """Index of a ledgered sweep: the run ids of its cells, in order.
 
     The index is the stream line right after its cells, and
@@ -184,17 +182,7 @@ class SweepManifest:
     backend: str = "serial"
     batch_width: Optional[int] = None
 
-    def to_json(self) -> str:
-        """Deterministic one-line JSON (trailing newline included)."""
-        return json.dumps(_serialise(self), separators=(",", ":")) + "\n"
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any], source: str = "manifest") -> "SweepManifest":
-        check_schema(data, source)
-        payload = {f.name: data[f.name] for f in fields(SweepManifest) if f.name in data}
-        payload["cells"] = tuple(payload.get("cells", ()))
-        payload["seeds"] = tuple(payload.get("seeds", ()))
-        return SweepManifest(**payload)
+    _TUPLES: ClassVar[Tuple[str, ...]] = ("cells", "seeds")
 
 
 Manifest = Union[RunManifest, SweepManifest]
@@ -228,29 +216,27 @@ def read_manifest(
 
     A :class:`~repro.obs.manifests.ManifestLocation` reads exactly its
     line.  A stream path yields the last line naming ``trace_name`` as
-    its trace (:func:`~repro.obs.manifests.find_manifest`), or the
-    stream's last manifest when no name is given.  Raises
+    its trace (:func:`~repro.obs.manifests.lookup`), or the stream's
+    last manifest when no name is given.  Raises
     :class:`LedgerSchemaError` on unknown schema majors,
     :class:`~repro.obs.manifests.ManifestStreamError` on a torn or
     garbled line and ``ValueError`` on a missing/unknown ``kind`` — a
     ledger either round-trips exactly or fails loudly.
     """
-    if isinstance(source, ManifestLocation):
-        return _typed(read_at(source), str(source))
-    found = find_manifest(source, trace_name)
-    if found is None:
-        if trace_name is not None:
-            raise ValueError(f"{source}: no manifest names {trace_name}")
-        raise ValueError(f"{source}: manifest stream is empty")
-    number, data = found
-    return _typed(data, f"{source}:{number}")
+    return _typed(*lookup(source, trace_name))
 
 
 def read_manifests(path: Union[str, Path]) -> Tuple[Manifest, ...]:
-    """Every manifest of the stream at ``path``, in the order written."""
+    """Every manifest of the stream at ``path``, in the order written.
+
+    Raises the first damaged line's error.
+    """
+    scan = ManifestScan(path)
+    if scan.damage:
+        raise scan.damage[min(scan.damage)]
     return tuple(
-        _typed(data, f"{path}:{number}")
-        for number, _, data in iter_manifest_lines(path)
+        _typed(data, f"{path}:{number}") for number, _, data in scan.lines
+        if data is not None
     )
 
 

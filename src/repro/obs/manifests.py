@@ -15,14 +15,14 @@ Readers find a manifest one of two ways:
   length its line landed at, and :func:`read_at` reads exactly that line
   back with one positioned read.  Close-time certification uses this, so
   its cost does not grow with the ledger;
-* by **trace name** — :func:`find_manifest` scans the stream and returns
-  the *last* line whose ``trace_path`` names the trace.  Later lines win,
+* by **trace name** — :class:`ManifestScan` reads the stream once and
+  maps each trace name to the *last* line naming it.  Later lines win,
   so a re-recorded name resolves to its newest manifest.  The key is the
   trace file, not the run id: two sessions of one spec share a run id.
-  Only lines that hold the name's encoded ``"trace_path":`` key, and the
-  lines after the last match, are parsed, so a lookup costs one JSON
-  parse per line it could return or must check, not one per line of the
-  ledger.
+  A whole-ledger check asks one scan for every name, so it parses each
+  line once; :func:`find_manifest` asks it for one name, and then only
+  lines that hold the name's encoded ``"trace_path":`` key, and the
+  lines after the last match, are parsed.
 
 Every line that is read is checked: a torn or garbled line raises
 :class:`ManifestStreamError` with its 1-based line number, and a line of
@@ -38,11 +38,12 @@ manifests and the writer live in :mod:`repro.obs.ledger`.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.sinks import check_major
 
@@ -86,6 +87,20 @@ def check_schema(data: Mapping[str, Any], source: str) -> None:
         older=f"the manifest stream (major {LEDGER_SCHEMA}); re-record the "
         f"run to certify it",
     )
+
+
+#: The fields a run id hashes, in order: what pins a run's configuration.
+_RUN_IDENTITY = (
+    "kind", "goal", "user", "server", "channel", "recording", "seeds", "max_rounds",
+)
+
+
+def compute_run_id(manifest: Mapping[str, Any]) -> str:
+    """A stable 12-hex-digit digest of a run manifest's identity fields."""
+    identity = json.dumps(
+        [manifest.get(key) for key in _RUN_IDENTITY], separators=(",", ":")
+    )
+    return hashlib.sha256(identity.encode("utf-8")).hexdigest()[:12]
 
 
 def append_line(path: Union[str, Path], line: bytes) -> ManifestLocation:
@@ -151,16 +166,6 @@ def _parse(raw: bytes, where: str) -> Dict[str, Any]:
     return data
 
 
-def iter_manifest_lines(
-    path: Union[str, Path],
-) -> Iterator[Tuple[int, bytes, Dict[str, Any]]]:
-    """Yield ``(line number, raw bytes, manifest)`` for every line, in order."""
-    resolved = Path(path)
-    with resolved.open("rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            yield number, raw, _parse(raw, f"{resolved}:{number}")
-
-
 def read_at(location: ManifestLocation) -> Dict[str, Any]:
     """The manifest line at ``location``, read with one positioned read."""
     fd = os.open(location.path, os.O_RDONLY)
@@ -176,45 +181,106 @@ def read_at(location: ManifestLocation) -> Dict[str, Any]:
     return _parse(raw, str(location))
 
 
+class ManifestScan:
+    """A manifest stream read in one pass, each line parsed at most once.
+
+    ``lines`` holds ``(line number, raw bytes, manifest)`` per parsed
+    line (``None`` for a damaged one, whose error ``damage`` keeps by line
+    number); ``named`` maps each trace name to its last intact line.
+    With ``only``, a line is parsed as it is read only if it holds
+    ``"trace_path":`` and that name as the writer encodes them (compact
+    separators, ASCII escapes); the others wait, unparsed, until a later
+    match passes over them, the rest are parsed for damage at the end,
+    and :meth:`find` answers for that name alone.
+    """
+
+    def __init__(self, path: Union[str, Path], only: Optional[str] = None) -> None:
+        self.path = Path(path)
+        self.lines: List[Tuple[int, bytes, Optional[Dict[str, Any]]]] = []
+        self.damage: Dict[int, ValueError] = {}
+        self.named: Dict[str, Tuple[int, Dict[str, Any]]] = {}
+        needle = (
+            None
+            if only is None
+            else b'"trace_path":' + json.dumps(only).encode("ascii")
+        )
+        waiting: List[Tuple[int, bytes]] = []
+        with self.path.open("rb") as handle:
+            for number, raw in enumerate(handle, start=1):
+                if needle is None:
+                    self._take(number, raw)
+                elif needle not in raw:
+                    waiting.append((number, raw))
+                elif self._take(number, raw) == only:
+                    waiting = []
+        for number, raw in waiting:
+            self._take(number, raw)
+
+    def _take(self, number: int, raw: bytes) -> Any:
+        """Parse one line into the scan; the trace name it holds, if any."""
+        try:
+            data: Optional[Dict[str, Any]] = _parse(raw, f"{self.path}:{number}")
+        except ValueError as exc:
+            self.damage[number] = exc
+            data = None
+        self.lines.append((number, raw, data))
+        if data is None:
+            return None
+        name = data.get("trace_path")
+        if isinstance(name, str):
+            self.named[name] = (number, data)
+        return name
+
+    def find(
+        self, trace_name: Optional[str] = None
+    ) -> Optional[Tuple[int, Dict[str, Any]]]:
+        """``(line number, manifest)`` of the last intact line naming
+        ``trace_name`` (``None``: of the last intact line), or ``None``.
+
+        The first damaged line after it (or anywhere, without one) is
+        raised: it may be a newer manifest of the trace.
+        """
+        if trace_name is None:
+            found = next(
+                ((n, data) for n, _, data in reversed(self.lines) if data), None
+            )
+        else:
+            found = self.named.get(trace_name)
+        after = 0 if found is None else found[0]
+        later = [number for number in self.damage if number > after]
+        if later:
+            raise self.damage[min(later)]
+        return found
+
+
+def lookup(
+    source: Union[str, Path, ManifestLocation, ManifestScan],
+    trace_name: Optional[str] = None,
+) -> Tuple[Dict[str, Any], str]:
+    """A location's line, or the last line naming ``trace_name`` (``None``:
+    the last line) in a stream or a scan, with its label; ``ValueError``
+    when no line does."""
+    if isinstance(source, ManifestLocation):
+        return read_at(source), str(source)
+    if not isinstance(source, ManifestScan):
+        source = ManifestScan(source, only=trace_name)
+    found = source.find(trace_name)
+    if found is None:
+        what = "manifest stream is empty" if trace_name is None else (
+            f"no manifest names {trace_name}"
+        )
+        raise ValueError(f"{source.path}: {what}")
+    return found[1], f"{source.path}:{found[0]}"
+
+
 def find_manifest(
     path: Union[str, Path], trace_name: Optional[str] = None
 ) -> Optional[Tuple[int, Dict[str, Any]]]:
-    """The last line naming ``trace_name`` as its trace, with its line number.
+    """The last line naming ``trace_name`` (``None``: the last line), numbered.
 
-    ``trace_name=None`` matches every line, so it yields the stream's last
-    manifest.  ``None`` when no line matches.  The first damaged line
-    after the last match is raised: it may be a newer manifest of the
-    trace.  Damage before the match is outranked by it and passed over.
-
-    A line can name the trace only if it holds ``"trace_path":`` and the
-    name as the writer encodes them (compact separators, ASCII escapes),
-    so only such lines are parsed as they are read.  Every other line
-    waits, unparsed, until a later match passes over it; the lines still
-    waiting at the end are parsed in order for damage.
+    One :class:`ManifestScan` asked for one name.
     """
-    resolved = Path(path)
-    needle = (
-        None
-        if trace_name is None
-        else b'"trace_path":' + json.dumps(trace_name).encode("ascii")
-    )
-    found: Optional[Tuple[int, Dict[str, Any]]] = None
-    after: List[Tuple[int, bytes]] = []
-    with resolved.open("rb") as handle:
-        for number, raw in enumerate(handle, start=1):
-            if needle is not None and needle not in raw:
-                after.append((number, raw))
-                continue
-            try:
-                data = _parse(raw, f"{resolved}:{number}")
-            except ValueError:
-                after.append((number, raw))
-                continue
-            if trace_name is None or data.get("trace_path") == trace_name:
-                found, after = (number, data), []
-    for number, raw in after:
-        _parse(raw, f"{resolved}:{number}")
-    return found
+    return ManifestScan(path, only=trace_name).find(trace_name)
 
 
 __all__ = [
@@ -222,10 +288,12 @@ __all__ = [
     "MANIFEST_STREAM",
     "LedgerSchemaError",
     "ManifestLocation",
+    "ManifestScan",
     "ManifestStreamError",
     "append_line",
     "check_schema",
+    "compute_run_id",
     "find_manifest",
-    "iter_manifest_lines",
+    "lookup",
     "read_at",
 ]

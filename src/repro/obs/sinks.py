@@ -501,6 +501,20 @@ def iter_trace_batches(
     return (found[0] if found else {}), rest()
 
 
+def first_record(path: Union[str, Path]) -> Dict[str, Any]:
+    """The first line of a JSONL file as an object (``{}`` if it is not one).
+
+    What tells a trace (``trace_schema``) from a manifest stream
+    (``ledger_schema``) or a metrics stream (``metrics_schema``).
+    """
+    with Path(path).open("rb") as handle:
+        try:
+            record = json.loads(handle.readline())
+        except ValueError:
+            return {}
+    return record if isinstance(record, dict) else {}
+
+
 def iter_trace(
     path: Union[str, Path],
 ) -> Tuple[Dict[str, Any], Iterator[Event]]:

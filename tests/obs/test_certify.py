@@ -11,8 +11,10 @@ reordered rounds, an edited seed, a truncated file — and require
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +23,7 @@ import pytest
 
 from repro.analysis.runner import sweep
 from repro.comm.codecs import IdentityCodec, codec_family
+from repro.core.strategy import UserStrategy
 from repro.faults.channel import drop_channel
 from repro.faults.verify import verify_robustness
 from repro.mathx.modular import Field
@@ -30,7 +33,6 @@ from repro.obs.certify import (
     CertificationError,
     certify_events,
     certify_run,
-    certify_sweep,
     certify_trace,
 )
 from repro.obs.events import (
@@ -41,6 +43,7 @@ from repro.obs.events import (
     TrialFinished,
     TrialStarted,
 )
+import repro.obs.ledger as ledger_module
 from repro.obs.ledger import MANIFEST_STREAM, record_run
 from repro.obs.sinks import TraceSchemaError, read_trace
 from repro.qbf.generators import random_qbf
@@ -127,6 +130,47 @@ def certify_cli(path, *extra, capsys):
     return code, capsys.readouterr().out
 
 
+def swap_rounds(lines):
+    rounds = [
+        i for i, line in enumerate(lines)
+        if json.loads(line).get("kind") == "round-executed"
+    ]
+    a, b = rounds[10], rounds[11]
+    lines[a], lines[b] = lines[b], lines[a]
+    return lines
+
+
+def silence_a_recovered_delivery(lines):
+    # The replay reads each round's server->user payload off its round
+    # line: silencing the delivery a recovery was recorded on leaves the
+    # replayed channel nothing to recover with.
+    recovered = next(
+        data["round_index"]
+        for data in map(json.loads, lines)
+        if data.get("kind") == "fault-recovered"
+        and data["site"] == "server->user"
+    )
+    return edit_event(lines, "round-executed", "s2u", None, occurrence=recovered)
+
+
+#: The tampering classes, each an edit of a trace's lines.
+TAMPERS = {
+    "flipped-verdict": lambda lines: edit_event(
+        lines, "goal-verdict", "achieved", False
+    ),
+    "dropped-switch": lambda lines: [
+        line for line in lines
+        if json.loads(line).get("kind") != "strategy-switch"
+    ],
+    "reordered-rounds": swap_rounds,
+    "empty-payload": lambda lines: edit_event(
+        lines, "round-executed", "u2s", "", occurrence=3
+    ),
+    "silenced-payload": silence_a_recovered_delivery,
+    "edited-seed": lambda lines: edit_event(lines, "execution-started", "seed", 4),
+}
+
+
 class TestGoldenTrace:
     def test_record_run_reproduces_certify_demo(self, recorded):
         """Same cast, seed and channel → the committed trace, byte for byte.
@@ -199,74 +243,36 @@ class TestTampering:
         assert fragment in out
 
     def test_flipped_verdict(self, recorded, tmp_path, capsys):
-        path = tampered_copy(
-            recorded, tmp_path,
-            lambda lines: edit_event(lines, "goal-verdict", "achieved", False),
-        )
+        path = tampered_copy(recorded, tmp_path, TAMPERS["flipped-verdict"])
         self.assert_rejected(
             path, "goal-verdict", "settle arithmetic derives True", capsys
         )
 
     def test_dropped_switch_event(self, recorded, tmp_path, capsys):
-        path = tampered_copy(
-            recorded, tmp_path,
-            lambda lines: [
-                line for line in lines
-                if json.loads(line).get("kind") != "strategy-switch"
-            ],
-        )
+        path = tampered_copy(recorded, tmp_path, TAMPERS["dropped-switch"])
         self.assert_rejected(
             path, "switch-legality", "without a justifying strategy-switch",
             capsys,
         )
 
     def test_reordered_rounds(self, recorded, tmp_path, capsys):
-        def swap_rounds(lines):
-            rounds = [
-                i for i, line in enumerate(lines)
-                if json.loads(line).get("kind") == "round-executed"
-            ]
-            a, b = rounds[10], rounds[11]
-            lines[a], lines[b] = lines[b], lines[a]
-            return lines
-
-        path = tampered_copy(recorded, tmp_path, swap_rounds)
+        path = tampered_copy(recorded, tmp_path, TAMPERS["reordered-rounds"])
         self.assert_rejected(path, "stream", "out of order", capsys)
 
     def test_empty_payload_on_a_round_line(self, recorded, tmp_path, capsys):
-        path = tampered_copy(
-            recorded, tmp_path,
-            lambda lines: edit_event(lines, "round-executed", "u2s", "", occurrence=3),
-        )
+        path = tampered_copy(recorded, tmp_path, TAMPERS["empty-payload"])
         self.assert_rejected(path, "stream", "carries an empty payload", capsys)
 
     def test_silenced_payload_breaks_the_fault_replay(
         self, recorded, tmp_path, capsys
     ):
-        # The replay reads each round's server->user payload off its round
-        # line: silencing the delivery a recovery was recorded on leaves
-        # the replayed channel nothing to recover with.
-        def silence(lines):
-            recovered = next(
-                data["round_index"]
-                for data in map(json.loads, lines)
-                if data.get("kind") == "fault-recovered"
-                and data["site"] == "server->user"
-            )
-            return edit_event(
-                lines, "round-executed", "s2u", None, occurrence=recovered
-            )
-
-        path = tampered_copy(recorded, tmp_path, silence)
+        path = tampered_copy(recorded, tmp_path, TAMPERS["silenced-payload"])
         self.assert_rejected(
             path, "fault-replay", "diverge from the replayed schedule", capsys
         )
 
     def test_edited_seed(self, recorded, tmp_path, capsys):
-        path = tampered_copy(
-            recorded, tmp_path,
-            lambda lines: edit_event(lines, "execution-started", "seed", 4),
-        )
+        path = tampered_copy(recorded, tmp_path, TAMPERS["edited-seed"])
         self.assert_rejected(path, "seed-chain", "rng digest mismatch", capsys)
 
     def test_truncated_file(self, recorded, tmp_path, capsys):
@@ -285,8 +291,7 @@ class TestTampering:
         # The manifest is found by trace name, so the tampered copy takes
         # the genuine trace's name beside a copy of the genuine stream.
         trace = tampered_copy(
-            recorded, tmp_path,
-            lambda lines: edit_event(lines, "goal-verdict", "achieved", False),
+            recorded, tmp_path, TAMPERS["flipped-verdict"]
         ).rename(tmp_path / recorded.trace_path.name)
         stream = tmp_path / MANIFEST_STREAM
         stream.write_bytes(recorded.manifest_location.path.read_bytes())
@@ -309,12 +314,161 @@ class TestTampering:
         assert "no manifest names tampered.jsonl" in capsys.readouterr().err
 
     def test_certify_run_raises_on_tampered_trace(self, recorded, tmp_path):
-        trace = tampered_copy(
-            recorded, tmp_path,
-            lambda lines: edit_event(lines, "execution-started", "seed", 4),
-        )
+        trace = tampered_copy(recorded, tmp_path, TAMPERS["edited-seed"])
         with pytest.raises(CertificationError, match="seed-chain"):
             certify_run(trace)
+
+
+class BrokenUser(UserStrategy):
+    """Steps once, then raises: its session is abandoned."""
+
+    name = "broken"
+
+    def initial_state(self, rng):
+        return 0
+
+    def step(self, state, inbox, rng):
+        raise RuntimeError("tenant bug")
+
+
+class TestLedgerParity:
+    """``certify DIR`` gives every trace the per-file CLI's answer.
+
+    The per-file CLI is ``certify DIR/T --manifest DIR/manifests.ndjson``.
+    Each case builds a ledger directory and compares the two forms: the
+    ``--format json`` certificate (or the exit-2 error), the verdict line,
+    and the exit status, which for ``DIR`` is the worst of its traces'.
+    """
+
+    def ledger_copy(self, recorded, tmp_path):
+        ledger = tmp_path / "ledger"
+        ledger.mkdir()
+        shutil.copy(recorded.trace_path, ledger)
+        shutil.copy(recorded.manifest_location.path, ledger)
+        return ledger
+
+    def assert_parity(self, ledger, capsys):
+        """Check both forms agree; the ``DIR`` form's JSON document."""
+        code = main(["certify", str(ledger), "--format", "json"])
+        document = json.loads(capsys.readouterr().out)
+        assert main(["certify", str(ledger)]) == code
+        text = capsys.readouterr().out.splitlines()
+        stream = str(ledger / MANIFEST_STREAM)
+        codes = []
+        for entry in document["traces"]:
+            trace = entry["trace"]
+            codes.append(
+                main(["certify", trace, "--manifest", stream, "--format", "json"])
+            )
+            captured = capsys.readouterr()
+            if "error" in entry:
+                assert captured.err == f"error: {entry['error']}\n"
+                assert f"{trace}: error: {entry['error']}" in text
+                continue
+            assert json.loads(captured.out) == entry
+            main(["certify", trace, "--manifest", stream])
+            status = next(
+                line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("status   : ")
+            )
+            assert f"{trace}: {status[len('status   : '):]}" in text
+        assert code == document["status"] == max(codes, default=0)
+        assert document["count"] == len(codes)
+        assert text[-1].startswith(f"{len(codes)} trace(s): ")
+        return document
+
+    def test_a_re_recorded_name_is_certified_against_its_last_line(
+        self, tmp_path, capsys
+    ):
+        ledger = tmp_path / "ledger"
+        for name, seed in (("again", 1), ("again", 2), ("other", 3)):
+            record_run(
+                make_user(), SERVERS[0], GOAL,
+                max_rounds=200, seed=seed, out_dir=ledger, name=name,
+            )
+        document = self.assert_parity(ledger, capsys)
+        stream = ledger / MANIFEST_STREAM
+        assert [
+            (entry["trace"], entry["certified"], entry["manifest"])
+            for entry in document["traces"]
+        ] == [
+            (str(ledger / "again.jsonl"), True, f"{stream}:2"),
+            (str(ledger / "other.jsonl"), True, f"{stream}:3"),
+        ]
+
+    def test_damage_fails_the_lookups_it_follows(self, recorded, tmp_path, capsys):
+        ledger = self.ledger_copy(recorded, tmp_path)
+        record_run(
+            make_user(), SERVERS[0], GOAL,
+            max_rounds=200, seed=1, out_dir=ledger, name="later",
+        )
+        stream = ledger / MANIFEST_STREAM
+        first, second = stream.read_bytes().splitlines(keepends=True)
+        stream.write_bytes(first + b"not json\n" + second)
+        run, later = self.assert_parity(ledger, capsys)["traces"]
+        assert ":2: not a JSON line" in run["error"]
+        assert later["certified"]
+        # A torn final line may be a newer manifest of every trace.
+        with stream.open("ab") as handle:
+            handle.write(b'{"ledger_schema":2')
+        document = self.assert_parity(ledger, capsys)
+        assert ":4: torn final line" in document["damage"]
+        assert all(
+            ":2: not a JSON line" in entry["error"]
+            or ":4: torn final line" in entry["error"]
+            for entry in document["traces"]
+        )
+
+    def test_unnamed_and_abandoned_traces_are_errors(
+        self, recorded, tmp_path, capsys
+    ):
+        ledger = self.ledger_copy(recorded, tmp_path)
+        shutil.copy(recorded.trace_path, ledger / "copy.jsonl")
+        with pytest.raises(RuntimeError, match="tenant bug"):
+            record_run(
+                BrokenUser(), SERVERS[0], GOAL,
+                max_rounds=50, out_dir=ledger, name="abandoned",
+            )
+        assert '"session-abandoned"' in (ledger / "abandoned.jsonl").read_text()
+        document = self.assert_parity(ledger, capsys)
+        stream = ledger / MANIFEST_STREAM
+        assert [
+            (entry["trace"], entry.get("error")) for entry in document["traces"]
+        ] == [
+            (str(ledger / "run.jsonl"), None),
+            (
+                str(ledger / "abandoned.jsonl"),
+                f"{stream}: no manifest names abandoned.jsonl",
+            ),
+            (str(ledger / "copy.jsonl"), f"{stream}: no manifest names copy.jsonl"),
+        ]
+
+    def test_other_streams_and_subdirectories_are_skipped(
+        self, recorded, tmp_path, capsys
+    ):
+        ledger = self.ledger_copy(recorded, tmp_path)
+        (ledger / "metrics.jsonl").write_text('{"metrics_schema":1}\n')
+        (ledger / "flight").mkdir()
+        shutil.copy(recorded.trace_path, ledger / "flight" / "dump.jsonl")
+        document = self.assert_parity(ledger, capsys)
+        assert [entry["trace"] for entry in document["traces"]] == [
+            str(ledger / "run.jsonl")
+        ]
+        assert document["status"] == 0
+
+    @pytest.mark.parametrize("tamper", [*TAMPERS, "truncated"])
+    def test_each_tampering_class(self, recorded, tmp_path, capsys, tamper):
+        ledger = self.ledger_copy(recorded, tmp_path)
+        trace = ledger / recorded.trace_path.name
+        if tamper == "truncated":
+            text = trace.read_text()
+            trace.write_text(text[: int(len(text) * 0.7)])
+        else:
+            lines = trace.read_text().splitlines()
+            trace.write_text("\n".join(TAMPERS[tamper](lines)) + "\n")
+        (entry,) = self.assert_parity(ledger, capsys)["traces"]
+        assert not entry["certified"]
+        assert "trace digest mismatch" in json.dumps(entry["issues"])
 
 
 class TestOverheadCheck:
@@ -471,24 +625,25 @@ class TestEngineFreedom:
     def test_certify_subprocess_never_imports_the_engine(self, recorded):
         """The checker is trusted *because* it cannot run the engine.
 
-        Certify a real faulted trace in a fresh interpreter and assert no
+        Certify a real faulted trace in a fresh interpreter, alone and as
+        its ledger directory (``certify DIR``), and assert no
         ``repro.core`` module (nor the universal users) was ever loaded —
         the replay re-derives verdicts from the event stream alone.
         """
-        code = (
-            "import sys\n"
-            "from repro.obs.certify import certify_trace\n"
-            f"report = certify_trace({str(recorded.trace_path)!r})\n"
-            "assert report.ok, report.format()\n"
-            "banned = [m for m in sys.modules\n"
-            "          if m.startswith('repro.core') or\n"
-            "             m.startswith('repro.universal')]\n"
-            "assert not banned, banned\n"
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-        )
-        assert completed.returncode == 0, completed.stderr
+        for target in (recorded.trace_path, recorded.trace_path.parent):
+            code = (
+                "import sys\n"
+                "from repro.obs.__main__ import main\n"
+                f"assert main(['certify', {str(target)!r}]) == 0\n"
+                "banned = [m for m in sys.modules\n"
+                "          if m.startswith('repro.core') or\n"
+                "             m.startswith('repro.universal')]\n"
+                "assert not banned, banned\n"
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+            )
+            assert completed.returncode == 0, completed.stderr
 
 
 class TestLedgerIntegration:
@@ -506,8 +661,20 @@ class TestLedgerIntegration:
                 seeds=(3,), max_rounds=600, certify=True,
             )
 
+    def resweep(self, ledger):
+        """Sweep once more into ``ledger``: certify checks every index."""
+        sweep(
+            make_user(), SERVERS[:1], GOAL,
+            seeds=(3,), max_rounds=600, ledger_dir=ledger, certify=True,
+        )
+
+    def certify_dir(self, ledger, capsys):
+        code = main(["certify", str(ledger)])
+        captured = capsys.readouterr()
+        return code, captured.out + captured.err
+
     def test_sweep_certify_passes_and_tampering_trips_the_digest(
-        self, tmp_path
+        self, tmp_path, capsys
     ):
         ledger = tmp_path / "ledger"
         sweep(
@@ -518,18 +685,23 @@ class TestLedgerIntegration:
         lines = stream.read_text().splitlines(keepends=True)
         index = json.loads(lines[-1])
         assert index["kind"] == "sweep" and index["cells_sha256"]
-        # certify_sweep on the untouched ledger is clean...
-        certify_sweep(ledger)
+        # certify DIR on the untouched ledger is clean...
+        code, out = self.certify_dir(ledger, capsys)
+        assert code == 0
+        assert f"{stream}:3: sweep index OK" in out
         # ...and any edit to a cell line breaks the digest.
         cell = json.loads(lines[0])
         cell["rounds"] += 1
         stream.write_text(
             json.dumps(cell, separators=(",", ":")) + "\n" + "".join(lines[1:])
         )
+        code, out = self.certify_dir(ledger, capsys)
+        assert code == 1
+        assert "digest mismatch" in out
         with pytest.raises(CertificationError, match="digest mismatch"):
-            certify_sweep(ledger)
+            self.resweep(ledger)
 
-    def test_sweep_certify_detects_a_wrong_cells_digest(self, tmp_path):
+    def test_sweep_certify_detects_a_wrong_cells_digest(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
         sweep(
             make_user(), SERVERS[:2], GOAL,
@@ -542,10 +714,40 @@ class TestLedgerIntegration:
         stream.write_text(
             "".join(lines[:-1]) + json.dumps(index, separators=(",", ":")) + "\n"
         )
+        code, out = self.certify_dir(ledger, capsys)
+        assert code == 1
+        assert "digest mismatch" in out
         with pytest.raises(CertificationError, match="digest mismatch"):
-            certify_sweep(ledger)
+            self.resweep(ledger)
 
-    def test_sweep_certify_detects_missing_cell(self, tmp_path):
+    def test_sweep_certify_checks_each_cells_run_id(self, tmp_path, capsys):
+        # A cell line edited and the digest restamped to match: only the
+        # index's run ids still tell the edited cell from the one it lists.
+        ledger = tmp_path / "ledger"
+        sweep(
+            make_user(), SERVERS[:2], GOAL,
+            seeds=(3,), max_rounds=600, ledger_dir=ledger,
+        )
+        stream = ledger / MANIFEST_STREAM
+        lines = stream.read_bytes().splitlines(keepends=True)
+        cell = json.loads(lines[0])
+        cell["goal"] = "other-goal"
+        lines[0] = (json.dumps(cell, separators=(",", ":")) + "\n").encode()
+        index = json.loads(lines[-1])
+        index["cells_sha256"] = hashlib.sha256(
+            "\n".join(hashlib.sha256(line).hexdigest() for line in lines[:-1])
+            .encode("ascii")
+        ).hexdigest()
+        lines[-1] = (json.dumps(index, separators=(",", ":")) + "\n").encode()
+        stream.write_bytes(b"".join(lines))
+        code, out = self.certify_dir(ledger, capsys)
+        assert code == 1
+        assert "run id mismatch" in out
+        assert f"lists {index['cells'][0]} for cell 0" in out
+        with pytest.raises(CertificationError, match="run id mismatch"):
+            self.resweep(ledger)
+
+    def test_sweep_certify_detects_missing_cell(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
         sweep(
             make_user(), SERVERS[:1], GOAL,
@@ -554,11 +756,14 @@ class TestLedgerIntegration:
         stream = ledger / MANIFEST_STREAM
         lines = stream.read_text().splitlines(keepends=True)
         stream.write_text("".join(lines[1:]))
+        code, out = self.certify_dir(ledger, capsys)
+        assert code == 1
+        assert "missing cell line" in out
         with pytest.raises(CertificationError, match="missing cell line"):
-            certify_sweep(ledger)
+            self.resweep(ledger)
 
     def test_sweep_certify_reads_the_last_sweep_of_a_reused_ledger(
-        self, tmp_path
+        self, tmp_path, capsys
     ):
         ledger = tmp_path / "ledger"
         for servers in (SERVERS[:2], SERVERS[:1]):
@@ -572,19 +777,33 @@ class TestLedgerIntegration:
         # Drop the second sweep's one cell: its index now sits right after
         # the first sweep's index, which is not a cell line.
         stream.write_text("".join(lines[:3] + lines[4:]))
+        code, out = self.certify_dir(ledger, capsys)
+        assert code == 1
+        assert f"{stream}:3: sweep index OK" in out
+        assert f"{stream}:4: missing cell line" in out
         with pytest.raises(CertificationError, match="missing cell line"):
-            certify_sweep(ledger)
+            self.resweep(ledger)
 
-    def test_sweep_certify_reports_a_torn_index(self, tmp_path):
+    def test_sweep_certify_reports_a_torn_index(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A writer that stops mid-append of the index: the torn line is the
+        # stream's last, so it is reported with its line number.
         ledger = tmp_path / "ledger"
-        sweep(
-            make_user(), SERVERS[:1], GOAL,
-            seeds=(3,), max_rounds=600, ledger_dir=ledger,
-        )
-        stream = ledger / MANIFEST_STREAM
-        stream.write_bytes(stream.read_bytes()[:-5])
+        write = ledger_module.write_manifest
+
+        def tearing(manifest, path):
+            location = write(manifest, path)
+            if manifest.kind == "sweep":
+                Path(path).write_bytes(Path(path).read_bytes()[:-5])
+            return location
+
+        monkeypatch.setattr(ledger_module, "write_manifest", tearing)
         with pytest.raises(CertificationError, match=":2: torn final line"):
-            certify_sweep(ledger)
+            self.resweep(ledger)
+        code, out = self.certify_dir(ledger, capsys)
+        assert code == 2
+        assert ":2: torn final line" in out
 
     def test_verify_robustness_certify_flag(self):
         report = verify_robustness(

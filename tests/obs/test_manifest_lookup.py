@@ -5,7 +5,9 @@ the name's encoded ``"trace_path":`` key, plus the lines after the last
 match (which keep the damage rule).  A hypothesis test holds it to the
 full-parse lookup it replaced on random streams: torn and garbled lines,
 other schemas, the needle's text inside other fields, names that need
-escaping and ``trace_name=None``.  A count test pins the saving.
+escaping and ``trace_name=None``.  A count test pins the saving, and
+another pins the whole-ledger pass (``certify DIR``) at one parse per
+line, however many traces it looks up.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.obs import manifests
+from repro.obs.certify import certify_ledger
 from repro.obs.ledger import RunManifest
 from repro.obs.manifests import MANIFEST_STREAM, _parse, find_manifest
 
@@ -158,3 +161,29 @@ def test_damage_after_the_match_is_still_raised(tmp_path):
     )
     with pytest.raises(manifests.ManifestStreamError, match=":4: not a JSON line"):
         find_manifest(path, "a.jsonl")
+
+
+def test_a_ledger_pass_parses_each_line_once(tmp_path, monkeypatch):
+    for index in range(1000):
+        (tmp_path / f"s{index}.jsonl").write_text(
+            '{"trace_schema":2,"trace_schema_minor":0}\n'
+        )
+    path = tmp_path / MANIFEST_STREAM
+    path.write_bytes(
+        b"".join(manifest_line(f"s{index}.jsonl", "u") for index in range(1000))
+    )
+    parsed: List[str] = []
+
+    def counting(raw: bytes, where: str) -> Dict[str, Any]:
+        parsed.append(where)
+        return _parse(raw, where)
+
+    monkeypatch.setattr(manifests, "_parse", counting)
+    report = certify_ledger(tmp_path)
+    assert [trace for trace, _ in report.traces] == [
+        str(tmp_path / f"s{index}.jsonl") for index in range(1000)
+    ]
+    assert [result.manifest for _, result in report.traces] == [
+        f"{path}:{line}" for line in range(1, 1001)
+    ]
+    assert parsed == [f"{path}:{line}" for line in range(1, 1001)]
